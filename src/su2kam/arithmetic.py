@@ -4,15 +4,31 @@ Absolute conditions on a base frequency alpha, conditions on a scalar beta
 relative to alpha, resonance search over a finite winding horizon, continued
 fractions and the Gauss map.  All universally quantified conditions are
 checked over an explicit horizon that is reported with every result.
+
+Every question about the defect |beta - k.alpha|_Z over 0 < |k| <= n is
+answered by one scan of the box [-n, n]^d.  Its order contract:
+
+* windings come in lexicographic order, in chunks of at most SCAN_ROWS
+  rows, so memory stays bounded at any n and d;
+* k -> -k reverses the box about its centre k = 0, so the rows after the
+  centre are exactly the canonical half (first nonzero component > 0);
+* a minimum by (|k|, lex) is the first winding in (shell, lex) order, so
+  chunks need not follow max-norm shells.
+
+One keyed reduction over the scan serves the callers: the Diophantine
+witness is the least canonical violator by (|k|, lex), the relative
+minimum and the rotation-vector class take the least by (defect, |k|, lex).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import product
+from dataclasses import dataclass, replace
 
 import numpy as np
+
+# rows per chunk of the winding scan: its working set at any scale and dimension
+SCAN_ROWS = 4096
 
 # below this defect a frequency is indistinguishable from a rational in doubles
 NEAR_RATIONAL_FLOOR = 1e-14
@@ -71,8 +87,9 @@ class DiophParams:
         if self.horizon < 1:
             raise ValueError("horizon must be a positive integer")
 
-    def bound(self, knorm: float) -> float:
-        return (1.0 / self.gamma) / knorm**self.tau
+    def bound(self, knorm):
+        """gamma^-1 |k|^-tau; elementwise for an array of max-norms."""
+        return (1.0 / self.gamma) * np.asarray(knorm, dtype=float) ** -self.tau
 
 
 @dataclass(frozen=True)
@@ -110,48 +127,67 @@ def dist_to_Z(x):
     return float(d) if d.ndim == 0 else d
 
 
-def _canonical_shell(d: int, m: int):
-    """Canonical representatives (first nonzero component > 0) of the
-    max-norm shell |k| = m, in ascending lexicographic order."""
-    if d == 1:
-        return [(m,)]
-    out = []
-    for k in product(range(-m, m + 1), repeat=d):
-        if max(abs(c) for c in k) != m:
+def _scan(alpha: Frequency, n: int, beta: float = 0.0, first: int = 0):
+    """Chunks (k, |k|, k.alpha, |beta - k.alpha|_Z) of the box [-n, n]^d.
+
+    Rows run in lexicographic order from the flat index `first` on, at most
+    SCAN_ROWS per chunk; see the module docstring for the order contract.
+    """
+    side = 2 * n + 1
+    total = side ** alpha.dimension
+    for start in range(first, total, SCAN_ROWS):
+        flat = np.arange(start, min(start + SCAN_ROWS, total))
+        columns = np.array(np.unravel_index(flat, (side,) * alpha.dimension)) - n
+        k = np.ascontiguousarray(columns.T)
+        # vecdot matches the per-winding Frequency.dot bit for bit; k @ alpha does not
+        kalpha = np.vecdot(k.astype(float), alpha.vector)
+        yield k, np.abs(columns).max(axis=0), kalpha, dist_to_Z(beta - kalpha)
+
+
+def _centre(alpha: Frequency, n: int) -> int:
+    """Flat index of k = 0 in the box [-n, n]^d."""
+    return ((2 * n + 1) ** alpha.dimension - 1) // 2
+
+
+def _least(alpha: Frequency, n: int, beta: float = 0.0, bound=None,
+           by_defect: bool = True, canonical: bool = False):
+    """Least winding 0 < |k| <= n by (defect, |k|, lex), or by (|k|, lex)
+    when not `by_defect`, where defect = |beta - k.alpha|_Z.
+
+    With `bound`, only violators (defect < bound(|k|)) take part; with
+    `canonical`, only the half whose first nonzero component is positive.
+    Returns a ResonanceRecord at scale n with threshold bound(|k|) (inf
+    without a bound), or None.
+    """
+    best = None
+    first = _centre(alpha, n) + 1 if canonical else 0
+    for k, knorm, _, defect in _scan(alpha, n, beta, first):
+        with np.errstate(divide="ignore"):  # the bound at k = 0, which never takes part
+            threshold = bound(knorm) if bound else np.full(knorm.shape, np.inf)
+        rows = np.flatnonzero((knorm > 0) & (defect < threshold))
+        if rows.size == 0:
             continue
-        lead = next(c for c in k if c != 0)
-        if lead > 0:
-            out.append(k)
-    out.sort()
-    return out
+        columns = (defect, knorm) if by_defect else (knorm,)
+        for col in columns:
+            rows = rows[col[rows] == col[rows].min()]
+        i = rows[0]
+        key = tuple(col[i] for col in columns)
+        # strict: on a tie the earlier chunk, lexicographically smaller, stays
+        if best is None or key < best[0]:
+            best = (key, ResonanceRecord(k[i], float(defect[i]), n, float(threshold[i])))
+    return None if best is None else best[1]
 
 
 def diophantine_witness(alpha: Frequency, p: DiophParams):
     """First winding violating |k.alpha|_Z >= gamma^-1 |k|^-tau, or None.
 
-    Windings are scanned shell by shell in |k| (max-norm), restricted to
+    Windings are taken shell by shell in |k| (max-norm), restricted to
     canonical representatives (the condition is even in k), lexicographically
     within a shell; this makes the witness stable under horizon growth.
     """
     if not p.tau > alpha.dimension:
         raise ValueError("tau must exceed the frequency dimension")
-    if alpha.dimension == 1:
-        a = alpha.components[0]
-        ks = np.arange(1, p.horizon + 1, dtype=float)
-        defects = dist_to_Z(ks * a)
-        bounds = (1.0 / p.gamma) * ks**-p.tau
-        bad = np.nonzero(defects < bounds)[0]
-        if bad.size == 0:
-            return None
-        i = int(bad[0])
-        return ResonanceRecord((i + 1,), float(defects[i]), p.horizon, float(bounds[i]))
-    for m in range(1, p.horizon + 1):
-        bound = p.bound(m)
-        for k in _canonical_shell(alpha.dimension, m):
-            defect = dist_to_Z(alpha.dot(k))
-            if defect < bound:
-                return ResonanceRecord(k, defect, p.horizon, bound)
-    return None
+    return _least(alpha, p.horizon, bound=p.bound, by_defect=False, canonical=True)
 
 
 def relative_defect_minimum(beta: float, alpha: Frequency, n: int, nu: float = None):
@@ -164,22 +200,7 @@ def relative_defect_minimum(beta: float, alpha: Frequency, n: int, nu: float = N
     if n < 1:
         raise ValueError("scale must be >= 1")
     threshold = float(n) ** -nu if nu is not None else float("nan")
-    if alpha.dimension == 1:
-        a = alpha.components[0]
-        ks = np.concatenate([np.arange(-n, 0), np.arange(1, n + 1)])
-        defects = dist_to_Z(beta - ks * a)
-        order = np.lexsort((ks, np.abs(ks), defects))
-        i = int(order[0])
-        return ResonanceRecord((int(ks[i]),), float(defects[i]), n, threshold)
-    best = None
-    for m in range(1, n + 1):
-        for k in _canonical_shell(alpha.dimension, m):
-            for kk in (k, tuple(-c for c in k)):
-                defect = dist_to_Z(beta - alpha.dot(kk))
-                key = (defect, m, kk)
-                if best is None or key < best[0]:
-                    best = (key, ResonanceRecord(kk, defect, n, threshold))
-    return best[1]
+    return replace(_least(alpha, n, beta), threshold=threshold)
 
 
 def relative_resonance(beta: float, alpha: Frequency, n: int, nu: float):

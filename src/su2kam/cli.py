@@ -47,7 +47,6 @@ from .kam import SchemeError, SchemeParams, run_scheme
 from .rotation import (
     RotationVector,
     UnresolvedRotation,
-    classify_arithmetic,
     equivalence_witness,
     finite_resonance_audit,
     rotation_vector,
@@ -236,9 +235,8 @@ def run_experiment(cfg: ExperimentConfig):
         report["rotation"] = {"error": str(exc)}
         return report, EXIT_ROTATION
     report["rotation"] = rho.to_dict()
-    classification = classify_arithmetic(rho, dioph)
-    report["classification"] = classification.to_dict()
     report["audit"] = finite_resonance_audit(nf, rho, dioph)
+    report["classification"] = report["audit"]["classification"]
 
     truth_vector = RotationVector(truth["class_representative"], alpha,
                                   {"source": "ground-truth"})

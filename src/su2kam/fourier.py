@@ -15,7 +15,6 @@ the winding bounds of the resonance search.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 

@@ -15,11 +15,10 @@ terminate, a resonant root means the cocycle reduces to a center element.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
 
 import numpy as np
 
-from .arithmetic import DiophParams, Frequency, ResonanceRecord, dist_to_Z
+from .arithmetic import DiophParams, Frequency, ResonanceRecord, _centre, _least, _scan
 from .cocycle import Cocycle, c0_distance, conjugate
 from .fourier import AlgebraMap, ConjugationChain, ExpFactor, sobolev_norm
 from .kam import NormalForm, SchemeParams, run_scheme
@@ -85,8 +84,10 @@ def equivalence_witness(r1: RotationVector, r2: RotationVector,
     if r1.alpha != r2.alpha:
         raise ValueError("rotation vectors live over different frequencies")
     alpha = r1.alpha
-    windings = _winding_box(alpha.dimension, horizon)
-    kalphas = np.array([alpha.dot(k) for k in windings])
+    # the zero winding, then the canonical half; the sign of k is absorbed by n
+    chunks = list(_scan(alpha, horizon, first=_centre(alpha, horizon)))
+    windings = np.concatenate([c[0] for c in chunks])
+    kalphas = np.concatenate([c[2] for c in chunks])
     multiples = [0]
     for v in range(1, horizon + 1):
         multiples.extend((v, -v))
@@ -99,21 +100,9 @@ def equivalence_witness(r1: RotationVector, r2: RotationVector,
             hits = np.nonzero((residuals <= tol) & (np.abs(ms) <= horizon))[0]
             if hits.size:
                 i = int(hits[0])
-                return {"sign": int(sign), "n": n, "k": list(windings[i]),
+                return {"sign": int(sign), "n": n, "k": windings[i].tolist(),
                         "m": int(ms[i]), "residual": float(residuals[i])}
     return None
-
-
-def _winding_box(dimension: int, horizon: int):
-    if dimension == 1:
-        return [(k,) for k in range(0, horizon + 1)]
-    # canonical half plus zero; the sign of k is absorbed by n
-    out = [(0,) * dimension]
-    for k in iproduct(range(-horizon, horizon + 1), repeat=dimension):
-        nz = [c for c in k if c != 0]
-        if nz and nz[0] > 0:
-            out.append(k)
-    return out
 
 
 def equivalence_check(r1: RotationVector, r2: RotationVector,
@@ -153,50 +142,18 @@ def classify_arithmetic(r: RotationVector, p: DiophParams) -> ArithmeticClassifi
     """Diophantine-versus-resonant class of the folded representative.
 
     Scans |beta - k.alpha|_Z against gamma^-1 |k|^-tau over the horizon.  No
-    violation predicts smooth reducibility; an exact violation (defect below
-    1e-12) is a resonance, the vector is equivalent to a lattice point; a
+    violation predicts smooth reducibility.  Otherwise the witness is the
+    least violator by (defect, |k|, lex): when its defect is at most 1e-12
+    it is a resonance, the vector is equivalent to a lattice point; a
     near-violation leaves the class undetermined at these constants.
     """
-    alpha = r.alpha
     beta = fold_representative(r.representative)
-    witness = None
-    exact = None
-    if alpha.dimension == 1:
-        a = alpha.components[0]
-        ks = np.concatenate([np.arange(-p.horizon, 0), np.arange(1, p.horizon + 1)])
-        defects = dist_to_Z(beta - ks * a)
-        bounds = (1.0 / p.gamma) * np.abs(ks, dtype=float) ** -p.tau
-        bad = defects < bounds
-        if np.any(bad):
-            order = np.lexsort((ks[bad], np.abs(ks[bad]), defects[bad]))
-            kb, db, bb = ks[bad][order], defects[bad][order], bounds[bad][order]
-            exact_idx = np.nonzero(db <= EXACT_RESONANCE_TOL)[0]
-            if exact_idx.size:
-                i = int(exact_idx[0])
-                exact = ResonanceRecord((int(kb[i]),), float(db[i]), p.horizon, float(bb[i]))
-            i = int(np.argmin(db))
-            witness = ResonanceRecord((int(kb[i]),), float(db[i]), p.horizon, float(bb[i]))
-    else:
-        best = None
-        for m in range(1, p.horizon + 1):
-            bound = p.bound(m)
-            for k in _winding_box(alpha.dimension, m):
-                if max(abs(c) for c in k) != m:
-                    continue
-                for kk in (k, tuple(-c for c in k)):
-                    defect = float(dist_to_Z(beta - alpha.dot(kk)))
-                    if defect < bound:
-                        rec = ResonanceRecord(kk, defect, p.horizon, bound)
-                        if defect <= EXACT_RESONANCE_TOL and exact is None:
-                            exact = rec
-                        if best is None or defect < best.defect:
-                            best = rec
-        witness = best
+    witness = _least(r.alpha, p.horizon, beta, bound=p.bound)
     if witness is None:
         return ArithmeticClassification(CLASS_DIOPHANTINE, beta, None, p.horizon)
-    if exact is not None:
-        return ArithmeticClassification(CLASS_RESONANT, beta, exact, p.horizon)
-    return ArithmeticClassification(CLASS_UNDETERMINED, beta, witness, p.horizon)
+    exact = witness.defect <= EXACT_RESONANCE_TOL
+    return ArithmeticClassification(CLASS_RESONANT if exact else CLASS_UNDETERMINED,
+                                    beta, witness, p.horizon)
 
 
 def invariance_probe(phi: Cocycle, b: AlgebraMap, params: SchemeParams = None,

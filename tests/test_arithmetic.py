@@ -1,8 +1,10 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 
+from su2kam import arithmetic
 from su2kam.arithmetic import (
     DiophParams,
     Frequency,
@@ -15,8 +17,57 @@ from su2kam.arithmetic import (
     relative_defect_minimum,
     relative_resonance,
 )
+from su2kam.rotation import (
+    CLASS_DIOPHANTINE,
+    CLASS_RESONANT,
+    CLASS_UNDETERMINED,
+    RotationVector,
+    classify_arithmetic,
+    equivalence_witness,
+    fold_representative,
+)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+# per dimension: constants at which random frequencies both pass and fail,
+# with horizons that a plain-loop oracle covers quickly
+ORACLE_PARAMS = {
+    1: DiophParams(3.0, 2.0, 2000),
+    2: DiophParams(20.0, 3.0, 20),
+    3: DiophParams(50.0, 3.5, 6),
+}
+# shift horizons of the equivalence oracle, which loops over n and k
+EQUIVALENCE_HORIZONS = {1: 10, 2: 8, 3: 4}
+
+
+def box_rows(alpha, n, beta):
+    """(|k|, k, |beta - k.alpha|_Z) for every 0 < |k| <= n, by a plain loop."""
+    a = alpha.vector
+    rows = []
+    for k in product(range(-n, n + 1), repeat=alpha.dimension):
+        if any(k):
+            kalpha = float(np.dot(np.asarray(k, dtype=float), a))  # as Frequency.dot
+            rows.append((max(abs(c) for c in k), k, abs(beta - kalpha - round(beta - kalpha))))
+    return rows
+
+
+def equivalence_oracle(r1, r2, horizon, tol=1e-8):
+    """First r1 ~ r2 match in (sign, n, k) order: n = 0, 1, -1, 2, -2, ...
+    and k = 0 followed by the canonical windings in lexicographic order."""
+    d = r1.alpha.dimension
+    windings = [k for k in product(range(-horizon, horizon + 1), repeat=d) if k >= (0,) * d]
+    multiples = sorted(range(-horizon, horizon + 1), key=lambda v: (abs(v), -v))
+    for sign in (1, -1):
+        delta = sign * r1.representative - r2.representative
+        for n in multiples:
+            for k in windings:
+                rest = delta - n * r1.alpha.dot(k)
+                m = np.rint(rest / 2.0)
+                residual = abs(rest - 2.0 * m)
+                if residual <= tol and abs(m) <= horizon:
+                    return {"sign": sign, "n": n, "k": list(k), "m": int(m),
+                            "residual": float(residual)}
+    return None
 
 
 def test_dist_to_Z_examples():
@@ -78,24 +129,83 @@ def test_witness_monotone_in_horizon():
             assert r2.defect == r1.defect
 
 
-def test_witness_agrees_with_exhaustive_scan():
-    # independent oracle: plain python loop in scan order
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_witness_agrees_with_exhaustive_scan(d):
+    # independent oracles: plain loops over the box, minimised by the
+    # documented keys
     rng = np.random.default_rng(2)
-    p = DiophParams(3.0, 2.0, 2000)
-    for _ in range(10):
-        a = float(rng.uniform(0, 1))
-        expected = None
-        for k in range(1, p.horizon + 1):
-            d = abs(k * a - round(k * a))
-            if d < (1.0 / p.gamma) / k**p.tau:
-                expected = (k, d)
-                break
-        rec = diophantine_witness(Frequency((a,)), p)
+    p = ORACLE_PARAMS[d]
+    h = EQUIVALENCE_HORIZONS[d]
+    for _ in range(6):
+        alpha = Frequency(tuple(rng.uniform(0, 1, d)))
+
+        # Diophantine witness: least canonical violator by (|k|, lex)
+        expected = min(((m, k, defect) for m, k, defect in box_rows(alpha, p.horizon, 0.0)
+                        if next(c for c in k if c) > 0 and defect < p.bound(m)),
+                       default=None)
+        rec = diophantine_witness(alpha, p)
         if expected is None:
             assert rec is None
         else:
-            assert rec.k == (expected[0],)
-            assert rec.defect == expected[1]
+            m, k, defect = expected
+            assert (rec.k, rec.defect, rec.threshold) == (k, defect, p.bound(m))
+
+        # relative minimum: least winding by (defect, |k|, lex)
+        beta = float(rng.uniform(0, 1))
+        defect, m, k = min((defect, m, k) for m, k, defect in box_rows(alpha, p.horizon, beta))
+        rec = relative_defect_minimum(beta, alpha, p.horizon, 2.0)
+        assert (rec.k, rec.defect, rec.threshold) == (k, defect, float(p.horizon) ** -2.0)
+
+        # class: least violator by (defect, |k|, lex), on a random and on a
+        # resonant representative
+        k0 = tuple(int(c) for c in rng.integers(1, p.horizon + 1, d) * rng.choice((-1, 1), d))
+        for representative in (float(rng.uniform(-2, 2)), alpha.dot(k0)):
+            r = RotationVector(representative, alpha, {})
+            beta = fold_representative(representative)
+            expected = min(((defect, m, k) for m, k, defect in box_rows(alpha, p.horizon, beta)
+                            if defect < p.bound(m)), default=None)
+            cls = classify_arithmetic(r, p)
+            if expected is None:
+                assert cls.classification == CLASS_DIOPHANTINE
+                assert cls.witness is None
+                continue
+            defect, m, k = expected
+            assert (cls.witness.k, cls.witness.defect, cls.witness.threshold) == (
+                k, defect, p.bound(m))
+            exact = defect <= 1e-12
+            assert cls.classification == (CLASS_RESONANT if exact else CLASS_UNDETERMINED)
+        assert cls.classification == CLASS_RESONANT  # the lattice point k0
+
+        # equivalence: a shifted copy matches, an unrelated vector may not
+        shifted = r.representative - 3 * alpha.dot((1,) + (0,) * (d - 1)) + 2.0
+        for other in (shifted, float(rng.uniform(-2, 2))):
+            r2 = RotationVector(other, alpha, {})
+            assert equivalence_witness(r, r2, h) == equivalence_oracle(r, r2, h)
+        assert equivalence_witness(r, RotationVector(shifted, alpha, {}), h) is not None
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_scan_chunk_size_leaves_records_unchanged(d, monkeypatch):
+    # a chunk size that divides no box makes every chunk boundary fall
+    # mid-shell; the records must not depend on it
+    p = DiophParams(ORACLE_PARAMS[d].gamma, ORACLE_PARAMS[d].tau, 30 if d == 1 else 6)
+
+    def records():
+        rng = np.random.default_rng(4)
+        out = []
+        for _ in range(6):
+            alpha = Frequency(tuple(rng.uniform(0, 1, d)))
+            r1 = RotationVector(float(rng.uniform(-2, 2)), alpha, {})
+            r2 = RotationVector(r1.representative - alpha.dot((1,) * d), alpha, {})
+            out += [diophantine_witness(alpha, p),
+                    relative_defect_minimum(float(rng.uniform(0, 1)), alpha, p.horizon, 2.0),
+                    classify_arithmetic(r1, p),
+                    equivalence_witness(r1, r2, p.horizon)]
+        return out
+
+    before = records()
+    monkeypatch.setattr(arithmetic, "SCAN_ROWS", 7)
+    assert records() == before
 
 
 def test_witness_two_dimensional():
@@ -158,19 +268,15 @@ def test_relative_defect_positive_for_irrational():
         assert relative_defect_minimum(0.0, alpha, n).defect > 0.0
 
 
-def test_dc_iff_relative_dc_at_zero():
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_dc_iff_relative_dc_at_zero(d):
     # alpha in DC(gamma, tau, K) iff beta = 0 obeys the same relative bounds
     rng = np.random.default_rng(3)
-    p = DiophParams(2.5, 1.8, 500)
+    p = {1: DiophParams(2.5, 1.8, 500)}.get(d, ORACLE_PARAMS[d])
     for _ in range(12):
-        a = float(rng.uniform(0, 1))
-        alpha = Frequency((a,))
+        alpha = Frequency(tuple(rng.uniform(0, 1, d)))
         absolute = diophantine_witness(alpha, p) is None
-        relative = True
-        for k in range(1, p.horizon + 1):
-            for kk in (k, -k):
-                if dist_to_Z(0.0 - kk * a) < p.bound(abs(kk)):
-                    relative = False
+        relative = all(defect >= p.bound(m) for m, _, defect in box_rows(alpha, p.horizon, 0.0))
         assert absolute == relative
 
 

@@ -153,6 +153,15 @@ def test_classify_undetermined_near_resonance():
     assert cls.witness.defect == pytest.approx(1e-9, rel=1e-3)
 
 
+def test_classify_ties_go_to_the_lexicographically_smaller_winding():
+    # at beta = 0 the defects of k and -k tie exactly; the witness is the
+    # least violator by (defect, |k|, lex), as in relative_defect_minimum
+    alpha = Frequency((GOLDEN, math.sqrt(2.0) - 1.0))
+    cls = classify_arithmetic(RotationVector(0.0, alpha, {}), DiophParams(20.0, 3.0, 60))
+    assert cls.classification == CLASS_UNDETERMINED
+    assert cls.witness.k == (-1, -1)
+
+
 def test_morphism_shift_invariant():
     # conjugation by winding k shifts the representative by k.alpha mod class
     phi, nf = scheme_run(0.17, seed=5)
