@@ -33,7 +33,6 @@ from .fourier import (
     ExpFactor,
     TorusMorphism,
     analyze,
-    chain_evaluate,
     chain_sobolev_partial,
     random_map,
     sobolev_norm,
@@ -62,15 +61,9 @@ from .rotation import (
     rotation_vector,
 )
 from .su2 import (
-    AlgebraVector,
     GroupElement,
-    TorusElement,
-    adjoint,
     diagonalize,
-    exp_map,
     group_distance,
-    log_map,
-    root_value,
 )
 
 __version__ = "0.1.0"

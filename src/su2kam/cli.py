@@ -201,8 +201,11 @@ def synthesize_cocycle(cfg: ExperimentConfig):
     return phi, truth
 
 
-def run_experiment(cfg: ExperimentConfig):
-    """Full pipeline; returns (report dict, exit code)."""
+def solve_experiment(cfg: ExperimentConfig):
+    """Front half of `run` and `rho`: resolve the config, check the
+    frequency, synthesize the cocycle and run the scheme.  The declared tau
+    bounds nu only when the frequency passes its Diophantine check.
+    Returns (report head, normal form)."""
     alpha = cfg.resolve_frequency()
     dioph = cfg.resolve_dioph()
     params = cfg.resolve_scheme()
@@ -226,6 +229,12 @@ def run_experiment(cfg: ExperimentConfig):
     report["cocycle"] = phi.to_dict()
 
     nf = run_scheme(phi, params, dioph=dioph if witness is None else None)
+    return report, nf
+
+
+def run_experiment(cfg: ExperimentConfig):
+    """Full pipeline; returns (report dict, exit code)."""
+    report, nf = solve_experiment(cfg)
     report["normal_form"] = nf.to_dict()
 
     code = EXIT_OK
@@ -235,11 +244,11 @@ def run_experiment(cfg: ExperimentConfig):
         report["rotation"] = {"error": str(exc)}
         return report, EXIT_ROTATION
     report["rotation"] = rho.to_dict()
-    report["audit"] = finite_resonance_audit(nf, rho, dioph)
+    report["audit"] = finite_resonance_audit(nf, rho, cfg.resolve_dioph())
     report["classification"] = report["audit"]["classification"]
 
-    truth_vector = RotationVector(truth["class_representative"], alpha,
-                                  {"source": "ground-truth"})
+    truth_vector = RotationVector(report["ground_truth"]["class_representative"],
+                                  nf.alpha, {"source": "ground-truth"})
     match = equivalence_witness(rho, truth_vector, cfg.equivalence_horizon,
                                 tol=cfg.equivalence_tolerance)
     report["truth_comparison"] = {
@@ -275,10 +284,10 @@ def _load_config(args) -> ExperimentConfig:
             setattr(cfg, name, val)
     if getattr(args, "frequency", None):
         cfg.frequency = _frequency_flag(args.frequency)
-    if getattr(args, "n0", None):
-        cfg.scheme["n0"] = args.n0
-    if getattr(args, "max_steps", None):
-        cfg.scheme["max_steps"] = args.max_steps
+    for name in ("n0", "max_steps"):
+        val = getattr(args, name, None)
+        if val is not None:
+            cfg.scheme[name] = val
     if getattr(args, "report", None):
         cfg.report_path = args.report
     if getattr(args, "csv", None):
@@ -373,8 +382,7 @@ def _dispatch(args) -> int:
 
     if args.command == "rho":
         cfg = _load_config(args)
-        phi, _truth = synthesize_cocycle(cfg)
-        nf = run_scheme(phi, cfg.resolve_scheme())
+        _report, nf = solve_experiment(cfg)
         rho = rotation_vector(nf)
         doc = {"config_sha256": cfg.digest(), "rotation": rho.to_dict()}
         if getattr(args, "report", None):

@@ -501,11 +501,6 @@ class ConjugationChain:
                    int(data["dimension"]))
 
 
-def chain_evaluate(chain: ConjugationChain, x) -> GroupElement:
-    """Pointwise value of the chain product; the empty chain is the identity."""
-    return GroupElement(chain.evaluate_at(x))
-
-
 def chain_sobolev_partial(chain: ConjugationChain, s: float, m: int):
     """H^s norms of the application-order prefix products of the chain.
 

@@ -44,7 +44,6 @@ from .fourier import (
 from .su2 import (
     CutLocusError,
     GroupElement,
-    TorusElement,
     alg_exp_quat,
     alg_log_quat,
     diagonalize,
@@ -53,7 +52,6 @@ from .su2 import (
     quat_mul,
     quat_normalize,
     quat_rotation_matrix,
-    root_value,
     torus_quat,
     weyl_element,
 )
@@ -123,7 +121,6 @@ class ResonantStep:
     defect_before: float
     defect_after: float
     lambda_theta: float           # torus coordinate of the resonant constant
-    frame: GroupElement
 
     def to_dict(self) -> dict:
         return {
@@ -132,7 +129,8 @@ class ResonantStep:
             "defect_before": self.defect_before,
             "defect_after": self.defect_after,
             "lambda_theta": self.lambda_theta,
-            "frame": self.frame.q.tolist(),
+            # removals act on the fixed torus, so the frame is the identity
+            "frame": [1.0, 0.0, 0.0, 0.0],
         }
 
 
@@ -285,13 +283,7 @@ class NormalForm:
 # homological solve
 
 
-def _theta_of(a) -> float:
-    if isinstance(a, TorusElement):
-        return root_value(a)
-    return float(a)
-
-
-def solve_homological(a, f: AlgebraMap, alpha: Frequency, n: int, nu: float):
+def solve_homological(theta: float, f: AlgebraMap, alpha: Frequency, n: int, nu: float):
     """Solve Y(x+alpha) - Ad(A).Y(x) = F(x) - obstruction, mode by mode.
 
     A = exp(theta e).  Torus-component denominators are e(k.alpha) - 1 with
@@ -304,7 +296,6 @@ def solve_homological(a, f: AlgebraMap, alpha: Frequency, n: int, nu: float):
     Returns (y, constant_update, remainder) with f == L(y) + obstruction +
     remainder exactly in coefficients.
     """
-    theta = _theta_of(a)
     if n < 1:
         raise ValueError("scale must be positive")
     if not nu > 0:
@@ -348,13 +339,13 @@ def solve_homological(a, f: AlgebraMap, alpha: Frequency, n: int, nu: float):
     return y, obstruction, remainder
 
 
-def detect_resonance(a, alpha: Frequency, n: int, nu: float):
+def detect_resonance(theta: float, alpha: Frequency, n: int, nu: float):
     """Resonance of the constant's root at scale n.
 
     The scan over all signed windings covers both roots +-theta: a record for
     the root -theta at winding k coincides with one for theta at -k.
     """
-    return relative_resonance(_theta_of(a), alpha, n, nu)
+    return relative_resonance(theta, alpha, n, nu)
 
 
 def remove_resonance(state: SchemeState, record: ResonanceRecord) -> SchemeState:
@@ -387,7 +378,6 @@ def remove_resonance(state: SchemeState, record: ResonanceRecord) -> SchemeState
         step=state.step, winding=k, scale=record.scale,
         threshold=record.threshold, defect_before=record.defect,
         defect_after=defect_after, lambda_theta=lam,
-        frame=GroupElement.identity(),
     )
     morphism = TorusMorphism(tuple(-c for c in k))
     new_state = replace(
@@ -403,6 +393,29 @@ def remove_resonance(state: SchemeState, record: ResonanceRecord) -> SchemeState
         raise CorruptStateError("constant still resonant after removal (winding %r)"
                                 % (again.k,))
     return new_state
+
+
+def _norms(f: AlgebraMap):
+    """H^0, H^1 and negative-regularity norms of a perturbation."""
+    return (sobolev_norm(f, 0.0), sobolev_norm(f, 1.0),
+            sobolev_norm(f, -(f.dimension + ALGEBRA_DIMENSION)))
+
+
+def _diagnostics_row(state: SchemeState, norms, record: ResonanceRecord = None,
+                     y: AlgebraMap = None) -> StepDiagnostics:
+    """Row for one step: the perturbation norms it started from, the removed
+    resonance and the generator Y it solved (none on the closing row), and
+    the constant, accumulator and chain length it left."""
+    return StepDiagnostics(
+        step=state.step, scale=state.scale,
+        resonant=record is not None,
+        winding=record.k if record is not None else None,
+        norm_f_h0=norms[0], norm_f_h1=norms[1], norm_f_neg=norms[2],
+        norm_y_h0=sobolev_norm(y, 0.0) if y is not None else 0.0,
+        norm_y_h1=sobolev_norm(y, 1.0) if y is not None else 0.0,
+        theta=state.theta, accumulator=state.accumulator,
+        chain_length=len(state.chain),
+    )
 
 
 def _select_branch(theta_prev: float, theta_raw: float):
@@ -421,16 +434,11 @@ def _select_branch(theta_prev: float, theta_raw: float):
 def kam_step(state: SchemeState, params: SchemeParams) -> SchemeState:
     """One scheme step: resonance handling, homological solve, exact grid
     conjugation by exp(Y), renormalisation, scale growth."""
-    norm_f0 = sobolev_norm(state.perturbation, 0.0)
+    norms = _norms(state.perturbation)
     safety = float(state.scale) ** -params.safety_exponent
-    if norm_f0 > safety:
+    if norms[0] > safety:
         raise SchemeError("perturbation %.3g above the step safety bound %.3g"
-                          % (norm_f0, safety))
-
-    diag_norm_h0 = norm_f0
-    diag_norm_h1 = sobolev_norm(state.perturbation, 1.0)
-    diag_norm_neg = sobolev_norm(state.perturbation,
-                                 -(state.alpha.dimension + ALGEBRA_DIMENSION))
+                          % (norms[0], safety))
 
     record = detect_resonance(state.theta, state.alpha, state.scale, params.nu)
     if record is not None:
@@ -480,15 +488,8 @@ def kam_step(state: SchemeState, params: SchemeParams) -> SchemeState:
     if not np.array_equal(p_frame.q, np.array([1.0, 0.0, 0.0, 0.0])):
         chain = chain.prepended(ConstantFactor(p_frame))
 
-    row = StepDiagnostics(
-        step=state.step, scale=state.scale,
-        resonant=record is not None,
-        winding=record.k if record is not None else None,
-        norm_f_h0=diag_norm_h0, norm_f_h1=diag_norm_h1, norm_f_neg=diag_norm_neg,
-        norm_y_h0=sobolev_norm(y, 0.0), norm_y_h1=sobolev_norm(y, 1.0),
-        theta=state.theta, accumulator=state.accumulator,
-        chain_length=len(chain),
-    )
+    state = replace(state, chain=chain)
+    row = _diagnostics_row(state, norms, record, y)
 
     new_state = replace(
         state,
@@ -496,13 +497,12 @@ def kam_step(state: SchemeState, params: SchemeParams) -> SchemeState:
         perturbation=f_next,
         scale=n_next,
         step=state.step + 1,
-        chain=chain,
         diagnostics=state.diagnostics + (row,),
     )
-    if norm_f1 > diag_norm_h0 and norm_f1 > params.stop_tolerance:
+    if norm_f1 > norms[0] and norm_f1 > params.stop_tolerance:
         raise DivergenceError(
             "perturbation grew from %.3g to %.3g at step %d"
-            % (diag_norm_h0, norm_f1, state.step), state=new_state)
+            % (norms[0], norm_f1, state.step), state=new_state)
     return new_state
 
 
@@ -534,22 +534,12 @@ def run_scheme(phi: Cocycle, params: SchemeParams = None,
         if sobolev_norm(state.perturbation, 0.0) <= params.stop_tolerance:
             break
         state = kam_step(state, params)
-    final_norm = sobolev_norm(state.perturbation, 0.0)
-    final_row = StepDiagnostics(
-        step=state.step, scale=state.scale, resonant=False, winding=None,
-        norm_f_h0=final_norm,
-        norm_f_h1=sobolev_norm(state.perturbation, 1.0),
-        norm_f_neg=sobolev_norm(state.perturbation,
-                                -(state.alpha.dimension + ALGEBRA_DIMENSION)),
-        norm_y_h0=0.0, norm_y_h1=0.0,
-        theta=state.theta, accumulator=state.accumulator,
-        chain_length=len(state.chain),
-    )
+    norms = _norms(state.perturbation)
     return NormalForm(
         alpha=state.alpha, params=params, source=phi,
         ledger=state.ledger, final_theta=state.theta,
         final_map=state.perturbation, chain=state.chain,
-        diagnostics=state.diagnostics + (final_row,),
-        converged=final_norm <= params.stop_tolerance,
+        diagnostics=state.diagnostics + (_diagnostics_row(state, norms),),
+        converged=norms[0] <= params.stop_tolerance,
         steps=state.step, sum_k_alpha=state.sum_k_alpha,
     )

@@ -13,13 +13,11 @@ direction is Z*e (exp(n*e) = (-1)^n Id), the root value of exp(t*e) is t, and
 the bi-invariant distance is scaled so that d(Id, -Id) = 1.
 
 Vectorised helpers (quat_*, alg_*) act on arrays with a trailing axis of
-length 4 (quaternions) or 3 (algebra coordinates); the wrapper classes below
-hold single elements.
+length 4 (quaternions) or 3 (algebra coordinates).  GroupElement holds one
+validated element, as read from configs and stored in conjugation factors.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,7 +106,7 @@ def torus_quat(theta):
 
 
 # ---------------------------------------------------------------------------
-# wrapper value types
+# single group elements
 
 
 class GroupElement:
@@ -129,75 +127,14 @@ class GroupElement:
     def identity(cls):
         return cls(np.array([1.0, 0.0, 0.0, 0.0]))
 
-    @classmethod
-    def minus_identity(cls):
-        return cls(np.array([-1.0, 0.0, 0.0, 0.0]))
-
-    @classmethod
-    def projected(cls, q):
-        """Radial projection of an arbitrary nonzero 4-vector to the group."""
-        q = np.asarray(q, dtype=float)
-        norm = float(np.linalg.norm(q))
-        if norm < 1e-12:
-            raise ValueError("cannot project a null quaternion")
-        return cls(q / norm)
-
     def __mul__(self, other):
         return GroupElement(quat_mul(self.q, other.q))
 
     def inverse(self):
         return GroupElement(quat_conj(self.q))
 
-    def is_identity(self, tol=1e-12):
-        return group_distance(self, GroupElement.identity()) <= tol
-
     def __repr__(self):
         return "GroupElement(%r)" % (self.q.tolist(),)
-
-
-@dataclass(frozen=True)
-class AlgebraVector:
-    """su(2) vector with coordinates (c_e, c_x, c_y)."""
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coords, dtype=float)
-        if c.shape != (3,):
-            raise ValueError("algebra coordinates must have shape (3,)")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("non-finite algebra coordinates")
-        object.__setattr__(self, "coords", c)
-
-    @classmethod
-    def zero(cls):
-        return cls(np.zeros(3))
-
-    @classmethod
-    def e(cls):
-        return cls(np.array([1.0, 0.0, 0.0]))
-
-    def norm(self):
-        return float(np.linalg.norm(self.coords))
-
-    def __add__(self, other):
-        return AlgebraVector(self.coords + other.coords)
-
-    def __sub__(self, other):
-        return AlgebraVector(self.coords - other.coords)
-
-    def __rmul__(self, scalar):
-        return AlgebraVector(float(scalar) * self.coords)
-
-
-@dataclass(frozen=True)
-class TorusElement:
-    """exp(theta*e) on the fixed maximal torus; theta is unreduced."""
-
-    theta: float
-
-    def element(self) -> GroupElement:
-        return GroupElement(torus_quat(self.theta))
 
 
 def weyl_element() -> GroupElement:
@@ -209,32 +146,12 @@ def weyl_element() -> GroupElement:
 # operations
 
 
-def exp_map(v: AlgebraVector) -> GroupElement:
-    """Group exponential under exp(e) = -Id, root value rho(t*e) = t."""
-    return GroupElement(alg_exp_quat(v.coords))
-
-
-def log_map(a: GroupElement) -> AlgebraVector:
-    """Principal logarithm; defined away from a 1e-9 margin of -Id."""
-    return AlgebraVector(alg_log_quat(a.q))
-
-
-def adjoint(a: GroupElement, v: AlgebraVector) -> AlgebraVector:
-    """Ad(a).v: fixes the e-coordinate of torus elements, rotates (jx, jy)."""
-    return AlgebraVector(quat_rotation_matrix(a.q) @ v.coords)
-
-
 def group_distance(a: GroupElement, b: GroupElement) -> float:
     """Bi-invariant distance, equal to |log(a b^-1)| where defined.
 
     Extends continuously through the cut locus: d(Id, -Id) = 1.
     """
     return float(quat_angle(quat_mul(a.q, quat_conj(b.q))))
-
-
-def root_value(t: TorusElement) -> float:
-    """Root value of exp(theta*e) under rho(e) = 1; the other root is -theta."""
-    return float(t.theta)
 
 
 def diagonalize(a: GroupElement):
@@ -258,7 +175,7 @@ def diagonalize(a: GroupElement):
     if c > 1.0 - 1e-14:
         p = GroupElement.identity()
     elif c < -1.0 + 1e-14:
-        p = GroupElement(np.array([0.0, 0.0, 1.0, 0.0]))
+        p = weyl_element()
     else:
         axis = np.cross(u, ex)
         axis /= np.linalg.norm(axis)

@@ -130,6 +130,14 @@ def test_main_rho_subcommand(tmp_path, capsys):
     assert doc["rotation"]["representative"] == pytest.approx(0.25, abs=1e-6)
 
 
+def test_main_zero_max_steps_flag_reaches_the_scheme(tmp_path):
+    report_path = tmp_path / "report.json"
+    main(["run", "--theta", "0.25", "--max-steps", "0", "--report", str(report_path)])
+    report = json.loads(report_path.read_text())
+    assert report["config"]["scheme"] == {"max_steps": 0}
+    assert report["normal_form"]["params"]["max_steps"] == 0
+
+
 def test_main_check_dioph(capsys):
     assert main(["check-dioph", "--frequency", "golden",
                  "--gamma", "3", "--tau", "2", "--horizon", "10000"]) == EXIT_OK
@@ -171,6 +179,12 @@ def test_main_config_error_exit(tmp_path):
         "frequency": {"value": [0.3, 0.7]},
         "dioph": {"gamma": 3.0, "tau": 2.0, "horizon": 50}}))
     assert main(["run", "--config", str(cfg_path)]) == EXIT_CONFIG
+    # rho runs the front half of run, so it checks nu > tau too
+    cfg_path.write_text(json.dumps({"scheme": {"nu": 1.5}, "dioph": {"tau": 2.0}}))
+    for command in ("run", "rho"):
+        assert main([command, "--config", str(cfg_path)]) == EXIT_CONFIG
+        # n0 = 0 reaches SchemeParams, whose validation maps to the config exit
+        assert main([command, "--theta", "0.25", "--n0", "0"]) == EXIT_CONFIG
 
 
 def test_run_experiment_two_dimensional():

@@ -30,6 +30,7 @@ from su2kam.su2 import (
     quat_angle,
     quat_conj,
     quat_mul,
+    quat_normalize,
     torus_quat,
 )
 
@@ -78,7 +79,7 @@ def test_conjugate_empty_and_constant():
     same = conjugate(ConjugationChain((), 1), phi)
     assert c0_distance(phi, same) < 1e-12
     rng = np.random.default_rng(2)
-    p = GroupElement.projected(rng.standard_normal(4))
+    p = GroupElement(quat_normalize(rng.standard_normal(4)))
     moved = conjugate(ConjugationChain((ConstantFactor(p),), 1), constant_cocycle(0.3))
     expected = p * GroupElement(torus_quat(0.3)) * p.inverse()
     assert group_distance(moved.constant, expected) < 1e-12
@@ -155,7 +156,7 @@ def test_iterate_conjugation_identity():
         got = iterate(phi2, n, x).q
         assert np.max(np.abs(got - expected)) < 1e-9
 
-    p = GroupElement.projected(rng.standard_normal(4))
+    p = GroupElement(quat_normalize(rng.standard_normal(4)))
     phi3 = conjugate(ConjugationChain((ConstantFactor(p),), 1), phi)
     for x0 in (0.1, 0.52):
         x = np.array([x0])
@@ -176,7 +177,7 @@ def test_c0_distance_to_constant():
     assert direct == pytest.approx(eps, rel=1e-6)
     # invariance under constant conjugation
     rng = np.random.default_rng(13)
-    p = GroupElement.projected(rng.standard_normal(4))
+    p = GroupElement(quat_normalize(rng.standard_normal(4)))
     moved = conjugate(ConjugationChain((ConstantFactor(p),), 1), phi)
     assert abs(c0_distance_to_constant(moved) - c0_distance_to_constant(phi)) < 1e-10
 

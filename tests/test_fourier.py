@@ -12,7 +12,6 @@ from su2kam.fourier import (
     TorusMorphism,
     UndersampledGridError,
     analyze,
-    chain_evaluate,
     chain_sobolev_partial,
     random_map,
     sobolev_norm,
@@ -21,7 +20,7 @@ from su2kam.fourier import (
     translate,
     truncate,
 )
-from su2kam.su2 import GroupElement, group_distance, quat_mul, torus_quat
+from su2kam.su2 import GroupElement, group_distance, quat_mul, quat_normalize, torus_quat
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -163,14 +162,14 @@ def test_torus_morphism_lattice_to_center():
         assert abs(abs(q[0]) - 1.0) < 1e-12
 
 
-def test_chain_evaluate_and_inverse():
+def test_chain_value_and_inverse():
     rng = np.random.default_rng(8)
     y = random_map(1, 3, 0.05, rng)
-    p = GroupElement.projected(rng.standard_normal(4))
+    p = GroupElement(quat_normalize(rng.standard_normal(4)))
     chain = ConjugationChain((ConstantFactor(p), ExpFactor(y), TorusMorphism((2,))), 1)
     assert np.allclose(ConjugationChain((), 1).evaluate_at(np.array([0.3])), [1, 0, 0, 0])
-    assert group_distance(chain_evaluate(ConjugationChain((ConstantFactor(p),), 1),
-                                         np.array([0.9])), p) < 1e-14
+    single = ConjugationChain((ConstantFactor(p),), 1).evaluate_at(np.array([0.9]))
+    assert group_distance(GroupElement(single), p) < 1e-14
     inv = chain.inverse()
     for x in rng.uniform(0, 1, size=5):
         prod = quat_mul(chain.evaluate_at(np.array([x])), inv.evaluate_at(np.array([x])))
@@ -215,7 +214,7 @@ def test_chain_sobolev_undersampled_raises():
 def test_chain_serialization_roundtrip():
     rng = np.random.default_rng(10)
     y = random_map(1, 2, 0.05, rng)
-    p = GroupElement.projected(rng.standard_normal(4))
+    p = GroupElement(quat_normalize(rng.standard_normal(4)))
     chain = ConjugationChain((ConstantFactor(p), ExpFactor(y), TorusMorphism((3,))), 1)
     back = ConjugationChain.from_dict(chain.to_dict())
     for x in (0.0, 0.31, 0.77):

@@ -26,7 +26,6 @@ from su2kam.kam import (
 )
 from su2kam.su2 import (
     GroupElement,
-    TorusElement,
     quat_rotation_matrix,
     torus_quat,
 )
@@ -121,10 +120,10 @@ def test_solve_routes_small_divisors_to_remainder():
 def test_detect_resonance_cases():
     # planted winding inside the scale
     theta = (3 * GOLDEN + 1e-5) % 1.0
-    rec = detect_resonance(TorusElement(theta), ALPHA, 8, 4.0)
+    rec = detect_resonance(theta, ALPHA, 8, 4.0)
     assert rec is not None and rec.k == (3,)
     # theta = 0 over a Diophantine frequency: no resonance at N = 32
-    assert detect_resonance(TorusElement(0.0), ALPHA, 32, 4.0) is None
+    assert detect_resonance(0.0, ALPHA, 32, 4.0) is None
     # scan minimum at N = 32 for theta = 0 is |21 alpha|_Z ~ 0.0213
     from su2kam.arithmetic import relative_defect_minimum
 
@@ -140,7 +139,7 @@ def test_remove_resonance_bookkeeping_and_grid_oracle():
     theta = (5 * GOLDEN + delta) % 1.0
     f = random_map(1, 4, 1e-5, rng)
     state = SchemeState(alpha=ALPHA, theta=theta, perturbation=f, scale=n)
-    rec = detect_resonance(TorusElement(theta), ALPHA, n, nu)
+    rec = detect_resonance(theta, ALPHA, n, nu)
     assert rec is not None and rec.k == (5,)
     new = remove_resonance(state, rec)
     assert new.theta == pytest.approx(theta - 5 * GOLDEN, abs=1e-14)
@@ -173,7 +172,7 @@ def test_remove_resonance_mode_shift():
     e[4 - 1] = 1e-6
     f = AlgebraMap.from_fields(1, 4, e, w)
     state = SchemeState(alpha=ALPHA, theta=theta, perturbation=f, scale=8)
-    rec = detect_resonance(TorusElement(theta), ALPHA, 8, 4.0)
+    rec = detect_resonance(theta, ALPHA, 8, 4.0)
     new = remove_resonance(state, rec)
     nb = new.perturbation.band
     assert nb == 4 + k0

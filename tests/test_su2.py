@@ -1,53 +1,76 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from su2kam.su2 import (
-    AlgebraVector,
     CutLocusError,
     GroupElement,
-    TorusElement,
-    adjoint,
+    alg_exp_quat,
+    alg_log_quat,
     diagonalize,
-    exp_map,
     group_distance,
-    log_map,
-    root_value,
+    quat_normalize,
+    quat_rotation_matrix,
     torus_quat,
     weyl_element,
 )
 
+MINUS_IDENTITY = GroupElement(np.array([-1.0, 0.0, 0.0, 0.0]))
+
 
 def random_group(rng):
-    return GroupElement.projected(rng.standard_normal(4))
+    return GroupElement(quat_normalize(rng.standard_normal(4)))
 
 
 def random_vector(rng, scale=1.0):
-    return AlgebraVector(scale * rng.standard_normal(3))
+    return scale * rng.standard_normal(3)
 
 
 def test_exp_zero_and_e():
-    assert np.allclose(exp_map(AlgebraVector.zero()).q, [1, 0, 0, 0])
-    minus = exp_map(AlgebraVector.e())
-    assert group_distance(minus, GroupElement.minus_identity()) < 1e-15
+    assert np.allclose(alg_exp_quat(np.zeros(3)), [1, 0, 0, 0])
+    minus = GroupElement(alg_exp_quat(np.array([1.0, 0.0, 0.0])))
+    assert group_distance(minus, MINUS_IDENTITY) < 1e-15
 
 
 def test_exp_log_roundtrip():
     rng = np.random.default_rng(0)
     for _ in range(100):
         v = random_vector(rng)
-        n = v.norm()
+        n = np.linalg.norm(v)
         if n >= 0.9:
             v = (0.85 / n) * v
-        w = log_map(exp_map(v))
-        assert np.max(np.abs(w.coords - v.coords)) < 1e-12
+        w = alg_log_quat(alg_exp_quat(v))
+        assert np.max(np.abs(w - v)) < 1e-12
 
 
 def test_log_examples():
-    assert log_map(GroupElement.identity()).norm() == 0.0
-    v = log_map(exp_map(AlgebraVector(np.array([0.3, 0.0, 0.0]))))
-    assert np.allclose(v.coords, [0.3, 0, 0], atol=1e-14)
+    assert np.linalg.norm(alg_log_quat(GroupElement.identity().q)) == 0.0
+    v = alg_log_quat(alg_exp_quat(np.array([0.3, 0.0, 0.0])))
+    assert np.allclose(v, [0.3, 0, 0], atol=1e-14)
     with pytest.raises(CutLocusError):
-        log_map(GroupElement.minus_identity())
+        alg_log_quat(MINUS_IDENTITY.q)
+
+
+# directions bounded away from zero, so normalising them is well conditioned
+directions = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).map(np.array) \
+    .filter(lambda u: np.linalg.norm(u) > 0.1).map(lambda u: u / np.linalg.norm(u))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(u=directions, radius=st.floats(0.0, 1.0 - 1e-6))
+def test_exp_log_roundtrip_up_to_the_cut_locus(u, radius):
+    v = radius * u
+    assert np.max(np.abs(alg_log_quat(alg_exp_quat(v)) - v)) < 1e-12
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(u=directions, depth=st.floats(0.0, 0.5), margin=st.sampled_from([1e-9, 1e-6, 1e-3]))
+def test_log_raises_within_the_cut_margin(u, depth, margin):
+    # exp((1 - depth * margin) u) lies at distance depth * margin from -Id
+    q = alg_exp_quat((1.0 - depth * margin) * u)
+    with pytest.raises(CutLocusError):
+        alg_log_quat(q, cut_margin=margin)
 
 
 def test_exp_homomorphism_on_torus():
@@ -70,10 +93,10 @@ def test_center_lattice():
 def test_adjoint_identity_and_quarter_turn():
     rng = np.random.default_rng(2)
     v = random_vector(rng)
-    assert np.allclose(adjoint(GroupElement.identity(), v).coords, v.coords)
-    quarter = exp_map(AlgebraVector(np.array([0.25, 0.0, 0.0])))
-    out = adjoint(quarter, AlgebraVector(np.array([0.0, 1.0, 0.0])))
-    assert np.allclose(out.coords, [0.0, 0.0, 1.0], atol=1e-12)
+    assert np.allclose(quat_rotation_matrix(GroupElement.identity().q) @ v, v)
+    quarter = alg_exp_quat(np.array([0.25, 0.0, 0.0]))
+    out = quat_rotation_matrix(quarter) @ np.array([0.0, 1.0, 0.0])
+    assert np.allclose(out, [0.0, 0.0, 1.0], atol=1e-12)
 
 
 def test_adjoint_homomorphism_and_orthogonality():
@@ -81,15 +104,15 @@ def test_adjoint_homomorphism_and_orthogonality():
     for _ in range(50):
         a, b = random_group(rng), random_group(rng)
         v = random_vector(rng)
-        lhs = adjoint(a * b, v)
-        rhs = adjoint(a, adjoint(b, v))
-        assert np.max(np.abs(lhs.coords - rhs.coords)) < 1e-12
-        assert abs(adjoint(a, v).norm() - v.norm()) < 1e-12
+        lhs = quat_rotation_matrix((a * b).q) @ v
+        rhs = quat_rotation_matrix(a.q) @ (quat_rotation_matrix(b.q) @ v)
+        assert np.max(np.abs(lhs - rhs)) < 1e-12
+        assert abs(np.linalg.norm(quat_rotation_matrix(a.q) @ v) - np.linalg.norm(v)) < 1e-12
 
 
 def test_group_distance_properties():
     rng = np.random.default_rng(4)
-    assert group_distance(GroupElement.identity(), GroupElement.minus_identity()) == 1.0
+    assert group_distance(GroupElement.identity(), MINUS_IDENTITY) == 1.0
     for _ in range(50):
         a, b, p = random_group(rng), random_group(rng), random_group(rng)
         assert group_distance(a, a) < 1e-12
@@ -123,7 +146,7 @@ def test_diagonalize_range_and_centers():
         p, theta = diagonalize(a)
         assert 0.0 <= theta <= 1.0
         assert group_distance(p * a * p.inverse(), GroupElement(torus_quat(theta))) < 1e-12
-    p, theta = diagonalize(GroupElement.minus_identity())
+    p, theta = diagonalize(MINUS_IDENTITY)
     assert theta == 1.0 and np.allclose(p.q, [1, 0, 0, 0])
 
 
@@ -134,21 +157,21 @@ def test_weyl_reverses_torus():
         assert group_distance(lhs, GroupElement(torus_quat(-t))) < 1e-14
 
 
-def test_root_value_and_torus_element():
-    t = TorusElement(0.3)
-    assert root_value(t) == 0.3
-    assert group_distance(t.element(), GroupElement(torus_quat(0.3))) < 1e-15
-    assert root_value(TorusElement(0.0)) == 0.0
+def test_torus_quat_is_exp_of_its_root():
+    # exp(theta e) has root value theta, read back by the principal log
+    for theta in (0.3, 0.0, -0.45, 0.9):
+        q = torus_quat(theta)
+        assert np.max(np.abs(q - alg_exp_quat(np.array([theta, 0.0, 0.0])))) < 1e-15
+        assert np.max(np.abs(alg_log_quat(q) - [theta, 0.0, 0.0])) < 1e-14
 
 
-def test_root_value_consistent_with_adjoint():
+def test_torus_adjoint_rotates_by_the_root():
     # Ad(exp(theta e)) rotates the (jx, jy) plane by exactly 2 pi theta
     rng = np.random.default_rng(7)
     for theta in rng.uniform(-2, 2, size=20):
-        t = TorusElement(float(theta))
-        out = adjoint(t.element(), AlgebraVector(np.array([0.0, 1.0, 0.0])))
+        out = quat_rotation_matrix(torus_quat(float(theta))) @ np.array([0.0, 1.0, 0.0])
         expected = np.array([0.0, np.cos(2 * np.pi * theta), np.sin(2 * np.pi * theta)])
-        assert np.max(np.abs(out.coords - expected)) < 1e-12
+        assert np.max(np.abs(out - expected)) < 1e-12
 
 
 def test_group_element_validation():
