@@ -57,10 +57,6 @@ class Frequency:
                 raise ValueError("frequency components must lie in [0, 1)")
         object.__setattr__(self, "components", comps)
 
-    @classmethod
-    def from_preset(cls, name: str) -> "Frequency":
-        return cls((FREQUENCY_PRESETS[name],))
-
     @property
     def dimension(self) -> int:
         return len(self.components)

@@ -22,8 +22,9 @@ import argparse
 import hashlib
 import json
 import sys
+import typing
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -65,6 +66,22 @@ class ConfigError(ValueError):
     pass
 
 
+JSON_TYPE_NAMES = {dict: "an object", list: "a list", int: "an integer",
+                   float: "a number", str: "a string", type(None): "null"}
+
+
+def _check_json_type(name: str, value, hint) -> None:
+    """Raise ConfigError unless value has the JSON type of the field's
+    annotation; an integer counts as a number, a boolean as neither."""
+    allowed = typing.get_args(hint) or (hint,)
+    expected = " or ".join(JSON_TYPE_NAMES[t] for t in allowed)
+    if float in allowed:
+        allowed += (int,)
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        raise ConfigError("config field %r must be %s, got %s"
+                          % (name, expected, type(value).__name__))
+
+
 @dataclass
 class ExperimentConfig:
     """Declarative description of one synthetic experiment."""
@@ -96,13 +113,10 @@ class ExperimentConfig:
         raise ConfigError("frequency spec needs 'preset' or 'value'")
 
     def resolve_scheme(self) -> SchemeParams:
-        known = {f for f in SchemeParams.__dataclass_fields__}
-        extra = set(self.scheme) - known
+        extra = set(self.scheme) - set(SchemeParams.__dataclass_fields__)
         if extra:
             raise ConfigError("unknown scheme parameters: %s" % sorted(extra))
-        base = {"nu": self.resolve_dioph().tau + 2.0}
-        base.update(self.scheme)
-        return SchemeParams(**base)
+        return SchemeParams.for_dioph(self.resolve_dioph(), **self.scheme)
 
     def resolve_dioph(self) -> DiophParams:
         return DiophParams(float(self.dioph.get("gamma", 3.0)),
@@ -110,31 +124,26 @@ class ExperimentConfig:
                            int(self.dioph.get("horizon", 10000)))
 
     def to_dict(self) -> dict:
-        return {
-            "frequency": self.frequency,
-            "theta": self.theta,
-            "chain": self.chain,
-            "perturbation": self.perturbation,
-            "scheme": self.scheme,
-            "dioph": self.dioph,
-            "seed": self.seed,
-            "equivalence_horizon": self.equivalence_horizon,
-            "equivalence_tolerance": self.equivalence_tolerance,
-            "report_path": self.report_path,
-            "csv_path": self.csv_path,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(data) - known
+        extra = set(data) - set(CONFIG_FIELD_TYPES)
         if extra:
             raise ConfigError("unknown config fields: %s" % sorted(extra))
+        for name, value in data.items():
+            _check_json_type(name, value, CONFIG_FIELD_TYPES[name])
+        for i, spec in enumerate(data.get("chain", ())):
+            _check_json_type("chain[%d]" % i, spec, dict)
         return cls(**data)
 
     def digest(self) -> str:
         canon = json.dumps(self.to_dict(), sort_keys=True)
         return hashlib.sha256(canon.encode()).hexdigest()
+
+
+# the annotation of each config field, resolved once
+CONFIG_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
 
 
 def build_chain(cfg: ExperimentConfig, alpha: Frequency, rng) -> ConjugationChain:
@@ -276,6 +285,8 @@ def _load_config(args) -> ExperimentConfig:
     if getattr(args, "config", None):
         with open(args.config) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ConfigError("config file must hold an object")
     cfg = ExperimentConfig()
     # flags first, then the config file on top (file wins)
     for name in ("theta", "seed"):
@@ -293,6 +304,8 @@ def _load_config(args) -> ExperimentConfig:
     if getattr(args, "csv", None):
         cfg.csv_path = args.csv
     merged = cfg.to_dict()
+    if isinstance(data.get("scheme"), dict):
+        data = {**data, "scheme": {**cfg.scheme, **data["scheme"]}}
     merged.update(data)
     return ExperimentConfig.from_dict(merged)
 

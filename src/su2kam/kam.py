@@ -5,8 +5,9 @@ conjugation, solves the linearised (homological) equation below a
 small-divisor threshold, conjugates the cocycle exactly on a grid by the
 resulting close-to-identity factor, and renormalises back to constant-times-
 exponential form with the constant kept on the fixed maximal torus.  The
-ledger of resonant steps, the accumulated conjugation chain and per-step
-diagnostics form the normal form returned to the caller.
+normal form returned to the caller is the final scheme state: its ledger of
+resonant steps, accumulated conjugation chain and per-step diagnostics, the
+last row of which records the final perturbation.
 
 Scales grow like N -> N^(1+sigma); a mode is solved only when its denominator
 modulus is at least N^-nu, everything else is routed to the remainder and
@@ -15,7 +16,7 @@ reabsorbed by the exact nonlinear update.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -57,6 +58,7 @@ from .su2 import (
 )
 
 ALGEBRA_DIMENSION = 3  # d' for the negative-regularity diagnostic
+PREFIX_GRID_LIMIT = 1 << 16  # per-axis grid bound of the chain prefix norms
 
 
 class SchemeError(RuntimeError):
@@ -101,13 +103,7 @@ class SchemeParams:
         return cls(**overrides)
 
     def to_dict(self) -> dict:
-        return {
-            "n0": self.n0, "sigma": self.sigma, "nu": self.nu,
-            "max_steps": self.max_steps, "stop_tolerance": self.stop_tolerance,
-            "safety_exponent": self.safety_exponent,
-            "initial_bound": self.initial_bound,
-            "grid_factor": self.grid_factor, "max_scale": self.max_scale,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -187,21 +183,21 @@ class SchemeState:
         return Cocycle(self.alpha, self.constant, self.perturbation)
 
 
-@dataclass(frozen=True)
-class NormalForm:
-    """Output of the scheme: ledger, constants, chain and diagnostics."""
+@dataclass(frozen=True, kw_only=True)
+class NormalForm(SchemeState):
+    """Final scheme state, whose diagnostics end with the closing row, plus
+    the parameters and the source cocycle the scheme ran on."""
 
-    alpha: Frequency
     params: SchemeParams
     source: Cocycle
-    ledger: tuple
-    final_theta: float
-    final_map: AlgebraMap
-    chain: ConjugationChain
-    diagnostics: tuple
-    converged: bool
-    steps: int
-    sum_k_alpha: float
+
+    @property
+    def steps(self) -> int:
+        return self.step
+
+    @property
+    def converged(self) -> bool:
+        return self.diagnostics[-1].norm_f_h0 <= self.params.stop_tolerance
 
     @property
     def resonant_count(self) -> int:
@@ -212,31 +208,26 @@ class NormalForm:
         """Torus coordinates of the constants, one per recorded step."""
         return [row.theta for row in self.diagnostics]
 
-    @property
-    def final_cocycle(self) -> Cocycle:
-        return Cocycle(self.alpha, GroupElement(torus_quat(self.final_theta)), self.final_map)
-
-    def replay_error(self, m: int = None) -> float:
+    def replay_error(self) -> float:
         """sup distance between the chain applied to the source cocycle and
         the recorded final cocycle; the normal-form consistency invariant."""
-        if m is None:
-            m = 4 * self.final_map.band + 4
+        m = 4 * self.perturbation.band + 4
         replayed = conjugate_raw(self.chain, self.source, m)
-        recorded = self.final_cocycle.fiber_grid(m)
+        recorded = self.cocycle().fiber_grid(m)
         return float(np.max(quat_angle(quat_mul(replayed, quat_conj(recorded)))))
 
-    def chain_prefix_norms(self, s: float = None, max_grid: int = 1 << 16):
-        """H^s norms of the chain prefixes in application order, aligned so
-        that entry i is the full chain as it stood when i factors existed."""
-        if s is None:
-            s = -(self.alpha.dimension + ALGEBRA_DIMENSION)
+    def chain_prefix_norms(self):
+        """Negative-regularity norms of the chain prefixes in application
+        order, aligned so that entry i is the full chain as it stood when i
+        factors existed; nan when the grid would exceed PREFIX_GRID_LIMIT."""
         if len(self.chain) == 0:
             return []
         m = 2 * self.chain.content_bound() + 8
         m += m % 2
-        if m > max_grid:
+        if m > PREFIX_GRID_LIMIT:
             return [float("nan")] * len(self.chain)
-        return chain_sobolev_partial(self.chain, s, m)
+        return chain_sobolev_partial(
+            self.chain, -(self.alpha.dimension + ALGEBRA_DIMENSION), m)
 
     def to_dict(self) -> dict:
         return {
@@ -245,12 +236,12 @@ class NormalForm:
             "converged": self.converged,
             "steps": self.steps,
             "constants": self.constants,
-            "final_theta": self.final_theta,
+            "final_theta": self.theta,
             "sum_k_alpha": self.sum_k_alpha,
             "resonant_count": self.resonant_count,
             "ledger": [r.to_dict() for r in self.ledger],
             "diagnostics": [d.to_dict() for d in self.diagnostics],
-            "final_residual_h0": sobolev_norm(self.final_map, 0.0),
+            "final_residual_h0": self.diagnostics[-1].norm_f_h0,
             "chain": self.chain.to_dict(),
         }
 
@@ -522,24 +513,19 @@ def initial_state(phi: Cocycle, params: SchemeParams) -> SchemeState:
 def run_scheme(phi: Cocycle, params: SchemeParams = None,
                dioph: DiophParams = None) -> NormalForm:
     """Iterate kam_step until the perturbation falls below stop_tolerance or
-    max_steps is exhausted; returns the full normal form."""
+    max_steps is exhausted; returns the final state, closing row appended,
+    as the normal form."""
     if params is None:
         params = SchemeParams.for_dioph(dioph) if dioph is not None else SchemeParams()
     if dioph is not None and not params.nu > dioph.tau:
         raise ValueError("nu must exceed the declared tau")
     state = initial_state(phi, params)
-    if sobolev_norm(state.perturbation, 0.0) > params.initial_bound:
+    h0 = sobolev_norm(state.perturbation, 0.0)
+    if h0 > params.initial_bound:
         raise SchemeError("initial perturbation outside the perturbative regime")
-    while state.step < params.max_steps:
-        if sobolev_norm(state.perturbation, 0.0) <= params.stop_tolerance:
-            break
+    while state.step < params.max_steps and h0 > params.stop_tolerance:
         state = kam_step(state, params)
-    norms = _norms(state.perturbation)
-    return NormalForm(
-        alpha=state.alpha, params=params, source=phi,
-        ledger=state.ledger, final_theta=state.theta,
-        final_map=state.perturbation, chain=state.chain,
-        diagnostics=state.diagnostics + (_diagnostics_row(state, norms),),
-        converged=norms[0] <= params.stop_tolerance,
-        steps=state.step, sum_k_alpha=state.sum_k_alpha,
-    )
+        h0 = sobolev_norm(state.perturbation, 0.0)
+    closing = _diagnostics_row(state, _norms(state.perturbation))
+    return NormalForm(**{**vars(state), "diagnostics": state.diagnostics + (closing,)},
+                      params=params, source=phi)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .arithmetic import DiophParams, Frequency, ResonanceRecord, _centre, _least, _scan
 from .cocycle import Cocycle, c0_distance, conjugate
-from .fourier import AlgebraMap, ConjugationChain, ExpFactor, sobolev_norm
+from .fourier import AlgebraMap, ConjugationChain, ExpFactor
 from .kam import NormalForm, SchemeParams, run_scheme
 
 CLASS_DIOPHANTINE = "diophantine-wrt-alpha"
@@ -28,6 +28,7 @@ CLASS_RESONANT = "resonant-wrt-alpha"
 CLASS_UNDETERMINED = "undetermined"
 
 EXACT_RESONANCE_TOL = 1e-12
+CAUCHY_TOL = 1e-8  # largest accepted gap between the last two accumulators
 
 
 class UnresolvedRotation(RuntimeError):
@@ -48,11 +49,11 @@ class RotationVector:
         }
 
 
-def rotation_vector(nf: NormalForm, cauchy_tol: float = 1e-8) -> RotationVector:
+def rotation_vector(nf: NormalForm) -> RotationVector:
     """Accumulated torus coordinate of a converged normal form.
 
     The Cauchy certificate requires the accumulators of the last two
-    recorded steps to agree within `cauchy_tol`; otherwise the limit is not
+    recorded steps to agree within CAUCHY_TOL; otherwise the limit is not
     resolved at this horizon.
     """
     if not nf.converged:
@@ -60,20 +61,19 @@ def rotation_vector(nf: NormalForm, cauchy_tol: float = 1e-8) -> RotationVector:
     accumulators = [row.accumulator for row in nf.diagnostics]
     if len(accumulators) >= 2:
         gap = abs(accumulators[-1] - accumulators[-2])
-        if gap > cauchy_tol:
+        if gap > CAUCHY_TOL:
             raise UnresolvedRotation(
                 "rotation vector not resolved at this horizon (last gap %.3g)" % gap)
     else:
         gap = 0.0
-    representative = nf.final_theta + nf.sum_k_alpha
     provenance = {
         "steps": nf.steps,
         "resonant_steps": nf.resonant_count,
         "windings": [list(r.winding) for r in nf.ledger],
-        "final_residual_h0": sobolev_norm(nf.final_map, 0.0),
+        "final_residual_h0": nf.diagnostics[-1].norm_f_h0,
         "cauchy_gap": gap,
     }
-    return RotationVector(float(representative), nf.alpha, provenance)
+    return RotationVector(float(nf.accumulator), nf.alpha, provenance)
 
 
 def equivalence_witness(r1: RotationVector, r2: RotationVector,

@@ -174,6 +174,8 @@ def test_main_config_error_exit(tmp_path):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps({"frequency": {"preset": "nope"}}))
     assert main(["run", "--config", str(cfg_path)]) == EXIT_CONFIG
+    cfg_path.write_text("[1]")
+    assert main(["run", "--config", str(cfg_path)]) == EXIT_CONFIG
     # tau at or below the frequency dimension is invalid, mapped to config exit
     cfg_path.write_text(json.dumps({
         "frequency": {"value": [0.3, 0.7]},
@@ -185,6 +187,42 @@ def test_main_config_error_exit(tmp_path):
         assert main([command, "--config", str(cfg_path)]) == EXIT_CONFIG
         # n0 = 0 reaches SchemeParams, whose validation maps to the config exit
         assert main([command, "--theta", "0.25", "--n0", "0"]) == EXIT_CONFIG
+
+
+def test_main_flags_merge_into_the_config_scheme(tmp_path):
+    # the file's scheme entries win key by key; flags fill in the others
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"theta": 0.25, "scheme": {"n0": 8}}))
+    report_path = tmp_path / "report.json"
+    main(["run", "--config", str(cfg_path), "--max-steps", "0", "--n0", "4",
+          "--report", str(report_path)])
+    report = json.loads(report_path.read_text())
+    assert report["config"]["scheme"] == {"n0": 8, "max_steps": 0}
+    assert report["normal_form"]["params"]["max_steps"] == 0
+    assert report["normal_form"]["params"]["n0"] == 8
+
+
+@pytest.mark.parametrize("bad", [
+    {"scheme": 5},
+    {"frequency": 5},
+    {"theta": "a"},
+    {"dioph": [1]},
+    {"chain": [5]},
+    {"seed": 1.5},
+    {"seed": True},
+    {"report_path": ["r.json"]},
+])
+def test_main_wrongly_typed_config_field_exits_config(tmp_path, bad):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(bad))
+    assert main(["run", "--config", str(cfg_path)]) == EXIT_CONFIG
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict(bad)
+
+
+def test_config_accepts_an_integer_where_a_number_is_due():
+    cfg = ExperimentConfig.from_dict({"theta": 1, "equivalence_tolerance": 0})
+    assert cfg.theta == 1 and cfg.equivalence_tolerance == 0
 
 
 def test_run_experiment_two_dimensional():

@@ -24,6 +24,7 @@ from su2kam.kam import (
     run_scheme,
     solve_homological,
 )
+from su2kam.rotation import rotation_vector
 from su2kam.su2 import (
     GroupElement,
     quat_rotation_matrix,
@@ -203,7 +204,7 @@ def test_run_scheme_constant_cocycle():
     assert nf.converged
     assert nf.steps == 0
     assert nf.resonant_count == 0
-    assert nf.final_theta == pytest.approx(0.17, abs=1e-14)
+    assert nf.theta == pytest.approx(0.17, abs=1e-14)
 
 
 def test_run_scheme_contraction_and_replay():
@@ -268,7 +269,7 @@ def test_run_scheme_frequency_never_changes():
     phi = Cocycle(ALPHA, GroupElement(torus_quat(0.17)), random_map(1, 4, 1e-4, rng))
     nf = run_scheme(phi)
     assert nf.alpha == ALPHA
-    assert nf.final_cocycle.alpha == ALPHA
+    assert nf.cocycle().alpha == ALPHA
 
 
 def test_run_scheme_two_dimensional():
@@ -289,7 +290,7 @@ def test_run_scheme_identity_constant():
                       random_map(1, 4, 1e-4, rng))
         nf = run_scheme(phi)
         assert nf.converged
-        assert abs(nf.final_theta) < 1e-6
+        assert abs(nf.theta) < 1e-6
         assert nf.replay_error() < 1e-9
 
 
@@ -325,9 +326,14 @@ def test_normal_form_serialization_and_csv(tmp_path):
     rng = np.random.default_rng(9)
     phi = Cocycle(ALPHA, GroupElement(torus_quat(0.17)), random_map(1, 4, 1e-4, rng))
     nf = run_scheme(phi)
+    # the normal form is the final scheme state; the report reads its fields
+    assert isinstance(nf, SchemeState)
     doc = nf.to_dict()
     assert doc["converged"] and doc["resonant_count"] == 0
     assert len(doc["diagnostics"]) == nf.steps + 1
+    assert doc["final_residual_h0"] == sobolev_norm(nf.perturbation, 0.0)
+    assert doc["final_theta"] == nf.theta
+    assert rotation_vector(nf).representative == nf.accumulator
     csv_path = tmp_path / "diag.csv"
     nf.write_csv(str(csv_path))
     lines = csv_path.read_text().strip().splitlines()
