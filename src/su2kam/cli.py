@@ -82,6 +82,13 @@ def _check_json_type(name: str, value, hint) -> None:
                           % (name, expected, type(value).__name__))
 
 
+def _check_entries(prefix: str, data: dict, hints: dict) -> None:
+    """_check_json_type on each entry of data that hints annotates."""
+    for name, value in data.items():
+        if name in hints:
+            _check_json_type(prefix + name, value, hints[name])
+
+
 @dataclass
 class ExperimentConfig:
     """Declarative description of one synthetic experiment."""
@@ -131,10 +138,16 @@ class ExperimentConfig:
         extra = set(data) - set(CONFIG_FIELD_TYPES)
         if extra:
             raise ConfigError("unknown config fields: %s" % sorted(extra))
-        for name, value in data.items():
-            _check_json_type(name, value, CONFIG_FIELD_TYPES[name])
+        _check_entries("", data, CONFIG_FIELD_TYPES)
+        for section, hints in SECTION_FIELD_TYPES.items():
+            _check_entries(section + ".", data.get(section, {}), hints)
         for i, spec in enumerate(data.get("chain", ())):
             _check_json_type("chain[%d]" % i, spec, dict)
+            kind = spec.get("kind")
+            _check_json_type("chain[%d].kind" % i, kind, str)
+            if kind in CHAIN_REQUIRED and CHAIN_REQUIRED[kind] not in spec:
+                raise ConfigError("chain[%d] needs %r" % (i, CHAIN_REQUIRED[kind]))
+            _check_entries("chain[%d]." % i, spec, CHAIN_ENTRY_TYPES.get(kind, {}))
         return cls(**data)
 
     def digest(self) -> str:
@@ -142,8 +155,16 @@ class ExperimentConfig:
         return hashlib.sha256(canon.encode()).hexdigest()
 
 
-# the annotation of each config field, resolved once
+# JSON types resolved once: the config fields from their annotations, the
+# scheme and dioph entries from the parameters they feed, and the chain
+# entries build_chain reads, by factor kind, with the one each kind requires
 CONFIG_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
+SECTION_FIELD_TYPES = {"scheme": typing.get_type_hints(SchemeParams),
+                       "dioph": typing.get_type_hints(DiophParams)}
+CHAIN_ENTRY_TYPES = {"torus": {"winding": list | int, "frame": list},
+                     "exp": {"band": int, "amplitude": float},
+                     "constant": {"element": list}}
+CHAIN_REQUIRED = {"torus": "winding", "constant": "element"}
 
 
 def build_chain(cfg: ExperimentConfig, alpha: Frequency, rng) -> ConjugationChain:

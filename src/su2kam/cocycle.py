@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arithmetic import Frequency
-from .fourier import AlgebraMap, ConjugationChain, analyze, synthesize
+from .fourier import AlgebraMap, ConjugationChain, analyze, synthesize, translate
 from .su2 import (
     CutLocusError,
     GroupElement,
@@ -52,8 +52,6 @@ class Cocycle:
 
     def fiber_grid(self, m: int, offset=None) -> np.ndarray:
         """Quaternion samples of A exp(F) on the m^d grid, optionally shifted."""
-        from .fourier import translate
-
         amap = self.perturbation if offset is None else translate(self.perturbation, offset)
         return quat_mul(self.constant.q, alg_exp_quat(synthesize(amap, m)))
 

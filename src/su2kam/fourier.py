@@ -56,21 +56,22 @@ def field_synthesize(coeffs: np.ndarray, m: int, dimension: int = None) -> np.nd
     return np.fft.ifftn(buf, axes=tuple(range(d))) * float(m) ** d
 
 
-def field_analyze(values: np.ndarray, band: int, dimension: int) -> np.ndarray:
-    """Fourier coefficients of grid samples restricted to |k| <= band."""
-    values = np.asarray(values)
-    m = values.shape[0]
-    if any(values.shape[a] != m for a in range(dimension)):
-        raise ValueError("expected a cubic grid")
-    if m < 2 * band + 2:
-        raise UndersampledGridError("grid %d undersamples band %d" % (m, band))
-    hat = np.fft.fftn(values, axes=tuple(range(dimension))) / float(m) ** dimension
-    idx = np.ix_(*[_mode_range(band) % m] * dimension)
-    return hat[idx]
-
-
 def _flip_conj(coeffs: np.ndarray, dimension: int) -> np.ndarray:
     return np.conj(np.flip(coeffs, axis=tuple(range(dimension))))
+
+
+def _phases(dimension: int, band: int, x) -> np.ndarray:
+    """exp(2 pi i k.x) on the coefficient box |k| <= band, x a point of T^d."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.shape != (dimension,):
+        raise ValueError("point dimension mismatch")
+    phase = np.ones((1,) * dimension, dtype=complex)
+    for a in range(dimension):
+        pa = np.exp(2j * np.pi * _mode_range(band) * x[a])
+        shape = [1] * dimension
+        shape[a] = 2 * band + 1
+        phase = phase * pa.reshape(shape)
+    return phase
 
 
 def mode_norm_grid(dimension: int, band: int, kind: str = "euclid") -> np.ndarray:
@@ -128,9 +129,6 @@ class AlgebraMap:
         out.coeffs[..., 1] = 0.5 * (w_field + wm)
         out.coeffs[..., 2] = (w_field - wm) / 2j
         return out
-
-    def copy(self) -> "AlgebraMap":
-        return AlgebraMap(self.dimension, self.band, self.coeffs.copy())
 
     def _index(self, k) -> tuple:
         k = tuple(int(c) for c in k)
@@ -197,14 +195,8 @@ class AlgebraMap:
 
     def evaluate_at(self, x) -> np.ndarray:
         """Pointwise value by direct summation; x is a point of T^d."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        phase = np.ones((1,) * self.dimension, dtype=complex)
-        for a in range(self.dimension):
-            pa = np.exp(2j * np.pi * _mode_range(self.band) * x[a])
-            shape = [1] * self.dimension
-            shape[a] = 2 * self.band + 1
-            phase = phase * pa.reshape(shape)
-        return np.real(np.tensordot(phase, self.coeffs, axes=self.dimension))
+        return np.real(np.tensordot(_phases(self.dimension, self.band, x), self.coeffs,
+                                    axes=self.dimension))
 
     # -- serialization
 
@@ -239,36 +231,27 @@ class AlgebraMap:
 
 def synthesize(amap: AlgebraMap, m: int) -> np.ndarray:
     """Grid values as real 3-vectors; requires m >= 2*band+2."""
-    return np.real(synthesize_complex(amap, m))
-
-
-def synthesize_complex(amap: AlgebraMap, m: int) -> np.ndarray:
-    """Grid values before discarding the imaginary residue (diagnostics)."""
-    return field_synthesize(amap.coeffs, m, amap.dimension)
+    return np.real(field_synthesize(amap.coeffs, m, amap.dimension))
 
 
 def analyze(samples: np.ndarray, band: int) -> AlgebraMap:
-    """Inverse of synthesize on band-limited data, reality enforced."""
+    """Inverse of synthesize on band-limited data (modes |k| <= band), reality enforced."""
     samples = np.asarray(samples, dtype=float)
     dimension = samples.ndim - 1
-    coeffs = field_analyze(samples, band, dimension)
+    m = samples.shape[0]
+    if any(samples.shape[a] != m for a in range(dimension)):
+        raise ValueError("expected a cubic grid")
+    if m < 2 * band + 2:
+        raise UndersampledGridError("grid %d undersamples band %d" % (m, band))
+    hat = np.fft.fftn(samples, axes=tuple(range(dimension))) / float(m) ** dimension
+    coeffs = hat[np.ix_(*[_mode_range(band) % m] * dimension)]
     return AlgebraMap(dimension, band, coeffs).symmetrized()
 
 
 def translate(amap: AlgebraMap, alpha) -> AlgebraMap:
     """Composition with the shift x -> x + alpha: phases exp(2 pi i k.alpha)."""
-    if isinstance(alpha, Frequency):
-        offs = alpha.vector
-    else:
-        offs = np.atleast_1d(np.asarray(alpha, dtype=float))
-    if offs.shape != (amap.dimension,):
-        raise ValueError("offset dimension mismatch")
-    phase = np.ones((1,) * amap.dimension, dtype=complex)
-    for a in range(amap.dimension):
-        pa = np.exp(2j * np.pi * _mode_range(amap.band) * offs[a])
-        shape = [1] * amap.dimension
-        shape[a] = 2 * amap.band + 1
-        phase = phase * pa.reshape(shape)
+    offs = alpha.vector if isinstance(alpha, Frequency) else alpha
+    phase = _phases(amap.dimension, amap.band, offs)
     return AlgebraMap(amap.dimension, amap.band, amap.coeffs * phase[..., None])
 
 
@@ -372,8 +355,9 @@ class ConstantFactor:
     def evaluate_at(self, x) -> np.ndarray:
         return self.element.q.copy()
 
-    def grid(self, m: int, offset=None, span: float = 1.0, dimension: int = 1) -> np.ndarray:
-        return np.broadcast_to(self.element.q, (m,) * dimension + (4,))
+    def grid(self, m: int, offset=None, span: float = 1.0) -> np.ndarray:
+        """The quaternion itself; quat_mul broadcasts it over the grid."""
+        return self.element.q
 
     def inverse(self) -> "ConstantFactor":
         return ConstantFactor(self.element.inverse())
@@ -460,18 +444,21 @@ class ConjugationChain:
             q = quat_mul(q, f.evaluate_at(x))
         return q
 
-    def grid(self, m: int, offset=None, span: float = 1.0) -> np.ndarray:
+    def prefix_grids(self, m: int, offset=None, span: float = 1.0):
+        """Grids (read-only views) of the application-order prefixes: prefix
+        i+1 is the next newer factor's grid times prefix i."""
         acc = None
-        for f in self.factors:
-            if isinstance(f, ConstantFactor):
-                g = f.grid(m, offset, span, dimension=self.dimension)
-            else:
-                g = f.grid(m, offset, span)
-            acc = g if acc is None else quat_mul(acc, g)
-        if acc is None:
-            return np.broadcast_to(np.array([1.0, 0.0, 0.0, 0.0]),
-                                   (m,) * self.dimension + (4,)).copy()
-        return acc
+        for f in reversed(self.factors):
+            g = f.grid(m, offset, span)
+            acc = g if acc is None else quat_mul(g, acc)
+            yield np.broadcast_to(acc, (m,) * self.dimension + (4,))
+
+    def grid(self, m: int, offset=None, span: float = 1.0) -> np.ndarray:
+        """The whole product: the fold's last prefix (identity if empty)."""
+        last = np.broadcast_to(np.array([1.0, 0.0, 0.0, 0.0]), (m,) * self.dimension + (4,))
+        for last in self.prefix_grids(m, offset, span):
+            pass
+        return last
 
     def application_prefixes(self):
         """Partial products in the order the factors were applied: the i-th
@@ -520,8 +507,7 @@ def chain_sobolev_partial(chain: ConjugationChain, s: float, m: int):
     k2 = sum(g ** 2 for g in np.meshgrid(*[freqs] * d, indexing="ij"))
     weight = (1.0 + k2) ** s
     norms = []
-    for prefix in chain.application_prefixes():
-        samples = prefix.grid(m, span=2.0)
+    for samples in chain.prefix_grids(m, span=2.0):
         hat = np.fft.fftn(samples, axes=tuple(range(d))) / float(m) ** d
         norms.append(float(np.sqrt(np.sum(weight[..., None] * np.abs(hat) ** 2))))
     return norms

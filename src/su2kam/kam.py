@@ -245,16 +245,12 @@ class NormalForm(SchemeState):
             "chain": self.chain.to_dict(),
         }
 
-    def write_csv(self, stream) -> None:
+    def write_csv(self, path) -> None:
         """Per-step diagnostics with fixed column order:
         n,N,resonant,k,F_H0,F_H1,Hprefix_Hneg
         """
-        close = False
-        if isinstance(stream, (str, bytes)):
-            stream = open(stream, "w")
-            close = True
-        try:
-            prefix_norms = self.chain_prefix_norms()
+        prefix_norms = self.chain_prefix_norms()
+        with open(path, "w") as stream:
             stream.write("n,N,resonant,k,F_H0,F_H1,Hprefix_Hneg\n")
             for row in self.diagnostics:
                 kcol = "" if row.winding is None else ";".join(str(c) for c in row.winding)
@@ -265,9 +261,6 @@ class NormalForm(SchemeState):
                 stream.write("%d,%d,%d,%s,%.17g,%.17g,%.17g\n" % (
                     row.step, row.scale, int(row.resonant), kcol,
                     row.norm_f_h0, row.norm_f_h1, hnorm))
-        finally:
-            if close:
-                stream.close()
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,22 @@
-"""The benchmark's per-layer tracer must still find every function it wraps.
+"""The benchmark must still run against the package as it is.
 
 `perfbench/tracer.py` locates its targets by module and attribute name and
 silently skips a name that no longer exists, so a rename would drop a
-per-layer metric without any error.  This test imports the tracer as it is
-and checks that every target binds.
+per-layer metric without any error.  One test imports the tracer as it is
+and checks that every target binds; another runs one shortened benchmark
+pass and checks its verdict and metric names, never its timings.
 """
 
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import su2kam.cli  # noqa: F401  (imports every module the tracer wraps)
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def load_tracer():
@@ -32,3 +37,16 @@ def test_every_tracer_target_binds():
     names = [metric for metric, _module, _path in tracer_module.TARGETS]
     assert len(names) == 25
     assert [name for name in names if name not in bound] == []
+
+
+def test_benchmark_smoke_run_is_correct():
+    run = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "sweep-1d",
+         "--seconds", "1", "--limit", "1", "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    assert set(result["metrics"]) == {metric["name"] for metric in declared}

@@ -211,6 +211,11 @@ def test_main_flags_merge_into_the_config_scheme(tmp_path):
     {"seed": 1.5},
     {"seed": True},
     {"report_path": ["r.json"]},
+    {"scheme": {"n0": "8"}},
+    {"chain": [{"kind": "torus"}]},
+    {"dioph": {"gamma": [1]}},
+    {"chain": [{"kind": "exp", "band": [2]}]},
+    {"chain": [{"kind": ["torus"], "winding": [1]}]},
 ])
 def test_main_wrongly_typed_config_field_exits_config(tmp_path, bad):
     cfg_path = tmp_path / "bad.json"

@@ -13,10 +13,10 @@ from su2kam.fourier import (
     UndersampledGridError,
     analyze,
     chain_sobolev_partial,
+    field_synthesize,
     random_map,
     sobolev_norm,
     synthesize,
-    synthesize_complex,
     translate,
     truncate,
 )
@@ -46,7 +46,7 @@ def test_analyze_synthesize_roundtrip():
 def test_synthesize_reality_residue():
     rng = np.random.default_rng(1)
     f = random_map(1, 10, 1.0, rng)
-    vals = synthesize_complex(f, 40)
+    vals = field_synthesize(f.coeffs, 40, f.dimension)
     assert np.max(np.abs(vals.imag)) < 1e-12
 
 
@@ -176,16 +176,72 @@ def test_chain_value_and_inverse():
         assert group_distance(GroupElement(prod), GroupElement.identity()) < 1e-12
 
 
-def test_chain_grid_matches_pointwise():
+def _constant(rng) -> ConstantFactor:
+    return ConstantFactor(GroupElement(quat_normalize(rng.standard_normal(4))))
+
+
+def _grid_chain(kind: str) -> ConjugationChain:
     rng = np.random.default_rng(9)
-    y = random_map(1, 2, 0.1, rng)
-    chain = ConjugationChain((TorusMorphism((2,)), ExpFactor(y)), 1)
+    if kind == "constant-ends":
+        y = random_map(1, 2, 0.1, rng)
+        return ConjugationChain((_constant(rng), TorusMorphism((2,)), ExpFactor(y),
+                                 _constant(rng)), 1)
+    if kind == "constants-only":
+        return ConjugationChain((_constant(rng), _constant(rng), _constant(rng)), 1)
+    y = random_map(2, 2, 0.1, rng)
+    return ConjugationChain((TorusMorphism((1, 2)), ExpFactor(y), _constant(rng)), 2)
+
+
+@pytest.mark.parametrize("kind", ["constant-ends", "constants-only", "torus-exp-constant-2d"])
+def test_chain_grid_matches_pointwise(kind):
+    chain = _grid_chain(kind)
+    d = chain.dimension
     m = 16
+    offset = np.full(d, GOLDEN)
     grid = chain.grid(m)
+    shifted = chain.grid(m, offset=offset)
+    assert grid.shape == shifted.shape == (m,) * d + (4,)
     for j in (0, 5, 11):
-        assert np.max(np.abs(grid[j] - chain.evaluate_at(np.array([j / m])))) < 1e-12
-    shifted = chain.grid(m, offset=np.array([GOLDEN]))
-    assert np.max(np.abs(shifted[3] - chain.evaluate_at(np.array([3 / m + GOLDEN])))) < 1e-12
+        idx = (j,) + (3,) * (d - 1)
+        x = np.array(idx) / m
+        assert np.max(np.abs(grid[idx] - chain.evaluate_at(x))) < 1e-12
+        assert np.max(np.abs(shifted[idx] - chain.evaluate_at(x + offset))) < 1e-12
+
+
+def _mixed_chain(d: int) -> ConjugationChain:
+    # newest factor first: five factors of all three kinds
+    rng = np.random.default_rng(12)
+    y1 = random_map(d, 2, 0.05, rng)
+    y2 = random_map(d, 1, 0.08, rng)
+    return ConjugationChain((ExpFactor(y1), TorusMorphism((3,) + (1,) * (d - 1)),
+                             _constant(rng), ExpFactor(y2), TorusMorphism((1,) * d)), d)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_chain_sobolev_partial_matches_per_prefix_reference(d):
+    chain = _mixed_chain(d)
+    m = 2 * chain.content_bound() + 8
+    s = -3.0
+    norms = chain_sobolev_partial(chain, s, m)
+    freqs = np.fft.fftfreq(m, d=1.0 / m) / 2.0
+    weight = (1.0 + sum(g ** 2 for g in np.meshgrid(*[freqs] * d, indexing="ij"))) ** s
+    assert len(norms) == len(chain)
+    for norm, prefix in zip(norms, chain.application_prefixes()):
+        hat = np.fft.fftn(prefix.grid(m, span=2.0), axes=tuple(range(d))) / float(m) ** d
+        ref = float(np.sqrt(np.sum(weight[..., None] * np.abs(hat) ** 2)))
+        assert abs(norm - ref) <= 1e-13 * ref
+
+
+def test_chain_sobolev_partial_builds_each_factor_grid_once(monkeypatch):
+    calls = []
+    for cls in (ConstantFactor, ExpFactor, TorusMorphism):
+        def counted(self, *args, _grid=cls.grid, **kwargs):
+            calls.append(self)
+            return _grid(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "grid", counted)
+    chain = _mixed_chain(1)
+    chain_sobolev_partial(chain, -2.0, 2 * chain.content_bound() + 8)
+    assert len(calls) == len(chain)
 
 
 def test_chain_sobolev_constants_constant():
