@@ -140,7 +140,11 @@ class ExperimentConfig:
             raise ConfigError("unknown config fields: %s" % sorted(extra))
         _check_entries("", data, CONFIG_FIELD_TYPES)
         for section, hints in SECTION_FIELD_TYPES.items():
-            _check_entries(section + ".", data.get(section, {}), hints)
+            _check_entries(section + ".", data.get(section) or {}, hints)
+        values = data.get("frequency", {}).get("value")
+        if isinstance(values, list):
+            for i, value in enumerate(values):
+                _check_json_type("frequency.value[%d]" % i, value, float)
         for i, spec in enumerate(data.get("chain", ())):
             _check_json_type("chain[%d]" % i, spec, dict)
             kind = spec.get("kind")
@@ -156,11 +160,14 @@ class ExperimentConfig:
 
 
 # JSON types resolved once: the config fields from their annotations, the
-# scheme and dioph entries from the parameters they feed, and the chain
-# entries build_chain reads, by factor kind, with the one each kind requires
+# scheme and dioph entries from the parameters they feed, the perturbation
+# and frequency entries and the chain entries (by factor kind, with the one
+# each kind requires) from what synthesize_cocycle and build_chain read
 CONFIG_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
 SECTION_FIELD_TYPES = {"scheme": typing.get_type_hints(SchemeParams),
-                       "dioph": typing.get_type_hints(DiophParams)}
+                       "dioph": typing.get_type_hints(DiophParams),
+                       "perturbation": {"band": int, "amplitude": float},
+                       "frequency": {"preset": str, "value": float | list}}
 CHAIN_ENTRY_TYPES = {"torus": {"winding": list | int, "frame": list},
                      "exp": {"band": int, "amplitude": float},
                      "constant": {"element": list}}

@@ -58,7 +58,7 @@ from .su2 import (
 )
 
 ALGEBRA_DIMENSION = 3  # d' for the negative-regularity diagnostic
-PREFIX_GRID_LIMIT = 1 << 16  # per-axis grid bound of the chain prefix norms
+PREFIX_GRID_POINTS = 1 << 22  # bound on m^d of the chain prefix-norm grid
 
 
 class SchemeError(RuntimeError):
@@ -219,12 +219,12 @@ class NormalForm(SchemeState):
     def chain_prefix_norms(self):
         """Negative-regularity norms of the chain prefixes in application
         order, aligned so that entry i is the full chain as it stood when i
-        factors existed; nan when the grid would exceed PREFIX_GRID_LIMIT."""
+        factors existed; nan when the grid's m^d points would exceed
+        PREFIX_GRID_POINTS."""
         if len(self.chain) == 0:
             return []
         m = 2 * self.chain.content_bound() + 8
-        m += m % 2
-        if m > PREFIX_GRID_LIMIT:
+        if m ** self.alpha.dimension > PREFIX_GRID_POINTS:
             return [float("nan")] * len(self.chain)
         return chain_sobolev_partial(
             self.chain, -(self.alpha.dimension + ALGEBRA_DIMENSION), m)
@@ -277,7 +277,9 @@ def solve_homological(theta: float, f: AlgebraMap, alpha: Frequency, n: int, nu:
     solved only when |k| <= n and its denominator modulus is at least n^-nu;
     everything else lands in the remainder.
 
-    Returns (y, constant_update, remainder) with f == L(y) + obstruction +
+    Returns (y, obstruction, remainder).  y lives on the solve box
+    |k| <= min(n, f.band), outside of which it has no modes; obstruction and
+    remainder live on f's box, and f == L(y.padded(f.band)) + obstruction +
     remainder exactly in coefficients.
     """
     if n < 1:
@@ -318,7 +320,9 @@ def solve_homological(theta: float, f: AlgebraMap, alpha: Frequency, n: int, nu:
 
     obstruction = np.array([float(np.real(fe[(band,) * d])), 0.0, 0.0])
 
-    y = AlgebraMap.from_fields(d, band, ye, yw)
+    box = min(n, band)
+    inner = (slice(band - box, band + box + 1),) * d
+    y = AlgebraMap.from_fields(d, box, ye[inner], yw[inner])
     remainder = AlgebraMap.from_fields(d, band, re, rw)
     return y, obstruction, remainder
 
@@ -436,8 +440,7 @@ def kam_step(state: SchemeState, params: SchemeParams) -> SchemeState:
     n_next = max(state.scale + 1, int(round(float(state.scale) ** (1.0 + params.sigma))))
     if n_next > params.max_scale:
         raise SchemeError("scale %d exceeds max_scale without convergence" % n_next)
-    solve_box = min(state.scale, state.perturbation.band)
-    band_next = max(n_next, state.perturbation.band + 2 * solve_box)
+    band_next = max(n_next, state.perturbation.band + 2 * y.band)
     m = params.grid_factor * band_next + 4
     m += m % 2
 

@@ -4,7 +4,8 @@
 silently skips a name that no longer exists, so a rename would drop a
 per-layer metric without any error.  One test imports the tracer as it is
 and checks that every target binds; another runs one shortened benchmark
-pass and checks its verdict and metric names, never its timings.
+pass of the 1D workload and of the 2D workload with an exp factor, and
+checks its verdict and metric names, never its timings.
 """
 
 import importlib.util
@@ -12,6 +13,8 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import su2kam.cli  # noqa: F401  (imports every module the tracer wraps)
 
@@ -39,9 +42,10 @@ def test_every_tracer_target_binds():
     assert [name for name in names if name not in bound] == []
 
 
-def test_benchmark_smoke_run_is_correct():
+@pytest.mark.parametrize("workload", ["sweep-1d", "exp-2d"])
+def test_benchmark_smoke_run_is_correct(workload):
     run = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "sweep-1d",
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seconds", "1", "--limit", "1", "--trace", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr

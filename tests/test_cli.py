@@ -216,6 +216,9 @@ def test_main_flags_merge_into_the_config_scheme(tmp_path):
     {"dioph": {"gamma": [1]}},
     {"chain": [{"kind": "exp", "band": [2]}]},
     {"chain": [{"kind": ["torus"], "winding": [1]}]},
+    {"perturbation": {"band": [2]}},
+    {"frequency": {"value": [[1]]}},
+    {"frequency": {"preset": ["golden"]}},
 ])
 def test_main_wrongly_typed_config_field_exits_config(tmp_path, bad):
     cfg_path = tmp_path / "bad.json"
@@ -228,6 +231,11 @@ def test_main_wrongly_typed_config_field_exits_config(tmp_path, bad):
 def test_config_accepts_an_integer_where_a_number_is_due():
     cfg = ExperimentConfig.from_dict({"theta": 1, "equivalence_tolerance": 0})
     assert cfg.theta == 1 and cfg.equivalence_tolerance == 0
+    cfg = ExperimentConfig.from_dict({"perturbation": {"band": 2, "amplitude": 0},
+                                      "frequency": {"value": [0, 1]}})
+    assert cfg.perturbation["amplitude"] == 0 and cfg.frequency["value"] == [0, 1]
+    assert ExperimentConfig.from_dict({"frequency": {"value": 0}}).frequency["value"] == 0
+    assert ExperimentConfig.from_dict({"perturbation": None}).perturbation is None
 
 
 def test_run_experiment_two_dimensional():

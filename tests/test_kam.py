@@ -2,13 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from su2kam import kam
 from su2kam.arithmetic import DiophParams, Frequency, dist_to_Z
+from su2kam.cli import ExperimentConfig, synthesize_cocycle
 from su2kam.cocycle import Cocycle, conjugate_raw
 from su2kam.fourier import (
     AlgebraMap,
     ConjugationChain,
+    ExpFactor,
     TorusMorphism,
+    chain_sobolev_partial,
+    mode_norm_grid,
     random_map,
     sobolev_norm,
     synthesize,
@@ -104,6 +111,48 @@ def test_solve_two_dimensional():
     solved = f - remainder
     solved.coeffs[(4, 4, 0)] -= obstruction[0]
     assert np.max(np.abs(lhs - synthesize(solved, m))) < 1e-10
+
+
+def _full_box_solve(theta, f, alpha, n, nu):
+    """Y on f's whole box by the solve's own masks: the reference the solve
+    box is trimmed from."""
+    d, band = f.dimension, f.band
+    axes = np.meshgrid(*[np.arange(-band, band + 1)] * d, indexing="ij")
+    unit = np.exp(2j * np.pi * sum(k * a for k, a in zip(axes, alpha.components)))
+    e_den, w_den = unit - 1.0, unit - np.exp(2j * np.pi * theta)
+    maxnorm = mode_norm_grid(d, band, "max")
+    thr = float(n) ** -nu
+    e_keep = (maxnorm <= n) & (maxnorm > 0) & (np.abs(e_den) >= thr)
+    w_keep = (maxnorm <= n) & (np.abs(w_den) >= thr)
+    ye = np.zeros_like(unit)
+    np.divide(f.e_field(), e_den, out=ye, where=e_keep)
+    yw = np.zeros_like(unit)
+    np.divide(f.w_field(), w_den, out=yw, where=w_keep)
+    return AlgebraMap.from_fields(d, band, ye, yw), maxnorm
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(d=st.sampled_from([1, 2]), band=st.integers(0, 6), dn=st.integers(-5, 3),
+       theta=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_homological_identity_on_the_solve_box(d, band, dn, theta, seed):
+    # scales n below, at and above the map's band
+    alpha = ALPHA if d == 1 else Frequency((GOLDEN, math.sqrt(2.0) - 1.0))
+    n = max(1, band + dn)
+    f = random_map(d, band, 1.0, np.random.default_rng(seed), mean_free=False)
+    y, obstruction, remainder = solve_homological(theta, f, alpha, n, 4.0)
+    assert y.band == min(n, f.band)
+    assert remainder.band == f.band
+    # f == L(y) + obstruction + remainder, coefficientwise, with y padded
+    full = y.padded(f.band)
+    rot = quat_rotation_matrix(torus_quat(theta))
+    rebuilt = translate(full, alpha).coeffs - full.rotated(rot).coeffs + remainder.coeffs
+    rebuilt[(f.band,) * d] += obstruction
+    assert np.max(np.abs(rebuilt - f.coeffs)) < 1e-12
+    # the full-box solve has no mode outside the solve box, and the trim
+    # keeps every other coefficient bit for bit
+    reference, maxnorm = _full_box_solve(theta, f, alpha, n, 4.0)
+    assert np.all(reference.coeffs[maxnorm > y.band] == 0)
+    assert np.array_equal(reference.coeffs, full.coeffs)
 
 
 def test_solve_routes_small_divisors_to_remainder():
@@ -320,6 +369,64 @@ def test_scheme_params_validation():
         run_scheme(
             Cocycle(ALPHA, GroupElement(torus_quat(0.1)), AlgebraMap.zeros(1, 1)),
             SchemeParams(nu=1.5), dioph=DiophParams(3.0, 2.0, 100))
+
+
+def _two_freq_exp_config():
+    # the two-dimensional config of test_cli.py with an exp factor
+    return ExperimentConfig.from_dict({
+        "frequency": {"value": [GOLDEN, math.sqrt(2.0) - 1.0]},
+        "theta": 0.1,
+        "chain": [{"kind": "torus", "winding": [1, 1]},
+                  {"kind": "exp", "band": 3, "amplitude": 1e-3}],
+        "perturbation": {"band": 2, "amplitude": 1e-5},
+        "scheme": {"n0": 4, "max_steps": 8, "stop_tolerance": 1e-12},
+        "dioph": {"gamma": 32.0, "tau": 3.0, "horizon": 60},
+        "seed": 5,
+    })
+
+
+def test_exp_factors_are_stored_on_their_solve_box(monkeypatch):
+    solves = []
+
+    def recorded(theta, f, alpha, n, nu):
+        solves.append((n, f.band))
+        return solve_homological(theta, f, alpha, n, nu)
+
+    monkeypatch.setattr(kam, "solve_homological", recorded)
+    cfg = _two_freq_exp_config()
+    phi, _truth = synthesize_cocycle(cfg)
+    nf = run_scheme(phi, cfg.resolve_scheme(), cfg.resolve_dioph())
+    assert nf.converged
+    # application order: the oldest factor is the last one
+    exps = [f for f in reversed(nf.chain.factors) if isinstance(f, ExpFactor)]
+    assert [f.map.band for f in exps] == [min(n, band) for n, band in solves]
+    assert any(n < band for n, band in solves)
+    windings = sum(max(abs(c) for c in f.winding)
+                   for f in nf.chain.factors if isinstance(f, TorusMorphism))
+    assert nf.chain.content_bound() == windings + sum(2 * f.map.band for f in exps)
+    # the same prefix norms as the chain stored on the perturbations' boxes
+    wide_band = {id(f): band for f, (_n, band) in zip(exps, solves)}
+    wide = ConjugationChain(
+        tuple(ExpFactor(f.map.padded(wide_band[id(f)])) if isinstance(f, ExpFactor) else f
+              for f in nf.chain.factors), nf.chain.dimension)
+    assert wide.content_bound() > nf.chain.content_bound()
+    reference = chain_sobolev_partial(wide, -(nf.alpha.dimension + kam.ALGEBRA_DIMENSION),
+                                      2 * wide.content_bound() + 8)
+    assert np.allclose(nf.chain_prefix_norms(), reference, rtol=1e-14, atol=0.0)
+
+
+def test_prefix_norms_are_nan_past_the_grid_point_bound(monkeypatch):
+    alpha2 = Frequency((GOLDEN, math.sqrt(2.0) - 1.0))
+    rng = np.random.default_rng(8)
+    phi = Cocycle(alpha2, GroupElement(torus_quat(0.23)), random_map(2, 2, 1e-5, rng))
+    nf = run_scheme(phi, SchemeParams(n0=4, max_steps=6))
+    m = 2 * nf.chain.content_bound() + 8
+    assert len(nf.chain) > 0 and np.all(np.isfinite(nf.chain_prefix_norms()))
+    # the bound is on m^d points, not on the axis length m
+    monkeypatch.setattr(kam, "PREFIX_GRID_POINTS", m ** 2 - 1)
+    assert m < kam.PREFIX_GRID_POINTS
+    norms = nf.chain_prefix_norms()
+    assert len(norms) == len(nf.chain) and np.all(np.isnan(norms))
 
 
 def test_normal_form_serialization_and_csv(tmp_path):
