@@ -13,7 +13,7 @@ Reports are deterministic: identical configs (including seeds) produce
 byte-identical JSON.
 
 Exit codes: 0 success, 1 ground-truth mismatch, 2 invalid config,
-3 scheme failure, 4 rotation unresolved, 5 I/O failure.
+3 scheme failure or grid budget exceeded, 4 rotation unresolved, 5 I/O failure.
 """
 
 from __future__ import annotations
@@ -40,7 +40,9 @@ from .fourier import (
     ConjugationChain,
     ConstantFactor,
     ExpFactor,
+    GridBudgetError,
     TorusMorphism,
+    grid_size,
     random_map,
     synthesize as synthesize_map,
 )
@@ -214,7 +216,7 @@ def synthesize_cocycle(cfg: ExperimentConfig):
     content = chain.content_bound()
     pert_band = int(cfg.perturbation.get("band", 4)) if cfg.perturbation else 0
     band = max(cfg.resolve_scheme().n0, 2 * content + pert_band + 8)
-    m = 4 * band + 4
+    m = grid_size(band, alpha.dimension)
 
     samples = conjugate_raw(chain, base, m)
     if cfg.perturbation:
@@ -308,6 +310,15 @@ def _dump_report(report: dict, fh) -> None:
     fh.write("\n")
 
 
+def _emit(doc: dict, path) -> None:
+    """_dump_report to the file at path, or to stdout when there is none."""
+    if path:
+        with open(path, "w") as fh:
+            _dump_report(doc, fh)
+    else:
+        _dump_report(doc, sys.stdout)
+
+
 def _load_config(args) -> ExperimentConfig:
     data = {}
     if getattr(args, "config", None):
@@ -393,6 +404,9 @@ def main(argv=None) -> int:
     except SchemeError as exc:
         print("scheme error: %s" % exc, file=sys.stderr)
         return EXIT_SCHEME
+    except GridBudgetError as exc:
+        print("grid budget error: %s" % exc, file=sys.stderr)
+        return EXIT_SCHEME
     except UnresolvedRotation as exc:
         print("rotation error: %s" % exc, file=sys.stderr)
         return EXIT_ROTATION
@@ -405,13 +419,8 @@ def _dispatch(args) -> int:
     if args.command == "synthesize":
         cfg = _load_config(args)
         phi, truth = synthesize_cocycle(cfg)
-        doc = {"config_sha256": cfg.digest(), "cocycle": phi.to_dict(),
-               "ground_truth": truth}
-        if args.output:
-            with open(args.output, "w") as fh:
-                _dump_report(doc, fh)
-        else:
-            _dump_report(doc, sys.stdout)
+        _emit({"config_sha256": cfg.digest(), "cocycle": phi.to_dict(),
+               "ground_truth": truth}, args.output)
         return EXIT_OK
 
     if args.command == "run":
@@ -425,12 +434,7 @@ def _dispatch(args) -> int:
         cfg = _load_config(args)
         _report, nf = solve_experiment(cfg)
         rho = rotation_vector(nf)
-        doc = {"config_sha256": cfg.digest(), "rotation": rho.to_dict()}
-        if getattr(args, "report", None):
-            with open(args.report, "w") as fh:
-                _dump_report(doc, fh)
-        else:
-            _dump_report(doc, sys.stdout)
+        _emit({"config_sha256": cfg.digest(), "rotation": rho.to_dict()}, args.report)
         return EXIT_OK
 
     if args.command == "check-dioph":
@@ -439,7 +443,7 @@ def _dispatch(args) -> int:
         alpha = cfg.resolve_frequency()
         p = DiophParams(args.gamma, args.tau, args.horizon)
         witness = diophantine_witness(alpha, p)
-        doc = {
+        _emit({
             "alpha": list(alpha.components),
             "gamma": p.gamma, "tau": p.tau, "horizon": p.horizon,
             "diophantine_at_horizon": witness is None,
@@ -448,8 +452,7 @@ def _dispatch(args) -> int:
                 "threshold": witness.threshold,
                 "near_rational": witness.near_rational,
             },
-        }
-        _dump_report(doc, sys.stdout)
+        }, None)
         return EXIT_OK
 
     if args.command == "report-merge":
@@ -457,8 +460,7 @@ def _dispatch(args) -> int:
         for path in args.inputs:
             with open(path) as fh:
                 reports.append(json.load(fh))
-        with open(args.output, "w") as fh:
-            _dump_report({"reports": reports}, fh)
+        _emit({"reports": reports}, args.output)
         return EXIT_OK
 
     raise ConfigError("unknown command %r" % args.command)

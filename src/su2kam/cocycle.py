@@ -16,7 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arithmetic import Frequency
-from .fourier import AlgebraMap, ConjugationChain, analyze, synthesize, translate
+from .fourier import (
+    AlgebraMap,
+    ConjugationChain,
+    analyze,
+    grid_size,
+    synthesize,
+    translate,
+)
 from .su2 import (
     CutLocusError,
     GroupElement,
@@ -27,6 +34,8 @@ from .su2 import (
     quat_mul,
     quat_normalize,
 )
+
+RESYNTHESIS_TOL = 1e-10  # largest synthesis error of F against the sampled log
 
 
 class NormalizationError(RuntimeError):
@@ -46,9 +55,6 @@ class Cocycle:
     @property
     def dimension(self) -> int:
         return self.alpha.dimension
-
-    def default_grid(self) -> int:
-        return 4 * self.perturbation.band + 4
 
     def fiber_grid(self, m: int, offset=None) -> np.ndarray:
         """Quaternion samples of A exp(F) on the m^d grid, optionally shifted."""
@@ -74,14 +80,13 @@ class Cocycle:
         )
 
 
-def normalize(samples: np.ndarray, alpha: Frequency, band: int,
-              resynthesis_tol: float = 1e-10) -> Cocycle:
+def normalize(samples: np.ndarray, alpha: Frequency, band: int) -> Cocycle:
     """Extract (A, F) from raw fiber samples: A is the renormalised quaternion
     mean, F the band-limited analysis of log(A^-1 fiber).
 
     The fiber must stay within the cut-locus margin of its mean; the
     synthesis error of F against the sampled logarithm must be below
-    `resynthesis_tol`, otherwise the band does not resolve the fiber.
+    RESYNTHESIS_TOL, otherwise the band does not resolve the fiber.
     """
     samples = np.asarray(samples, dtype=float)
     axes = tuple(range(samples.ndim - 1))
@@ -96,7 +101,7 @@ def normalize(samples: np.ndarray, alpha: Frequency, band: int,
     amap = analyze(logs, band)
     m = samples.shape[0]
     err = float(np.max(np.abs(synthesize(amap, m) - logs)))
-    if err > resynthesis_tol:
+    if err > RESYNTHESIS_TOL:
         raise NormalizationError(
             "band %d does not resolve the fiber (resynthesis error %.3g)" % (band, err))
     return Cocycle(alpha, GroupElement(a), amap)
@@ -112,7 +117,7 @@ def conjugate_raw(chain: ConjugationChain, phi: Cocycle, m: int) -> np.ndarray:
 
 
 def conjugate(chain: ConjugationChain, phi: Cocycle, band: int = None,
-              m: int = None, resynthesis_tol: float = 1e-10) -> Cocycle:
+              m: int = None) -> Cocycle:
     """Fibered conjugation followed by normalisation; alpha is untouched.
 
     The default band doubles the chain's linear spectral content plus a
@@ -122,9 +127,9 @@ def conjugate(chain: ConjugationChain, phi: Cocycle, band: int = None,
     if band is None:
         band = phi.perturbation.band + 2 * chain.content_bound() + 8
     if m is None:
-        m = 4 * band + 4
+        m = grid_size(band, phi.dimension)
     samples = conjugate_raw(chain, phi, m)
-    return normalize(samples, phi.alpha, band, resynthesis_tol)
+    return normalize(samples, phi.alpha, band)
 
 
 def iterate(phi: Cocycle, n: int, x) -> GroupElement:
@@ -141,7 +146,7 @@ def iterate(phi: Cocycle, n: int, x) -> GroupElement:
 def c0_distance_to_constant(phi: Cocycle, m: int = None) -> float:
     """max_x d(A^-1 fiber(x), Id): the largest rotation angle of exp(F(x))."""
     if m is None:
-        m = phi.default_grid()
+        m = grid_size(phi.perturbation.band, phi.dimension)
     return float(np.max(quat_angle(alg_exp_quat(synthesize(phi.perturbation, m)))))
 
 
@@ -150,7 +155,7 @@ def c0_distance(phi1: Cocycle, phi2: Cocycle, m: int = None) -> float:
     if phi1.alpha != phi2.alpha:
         raise ValueError("cocycles live over different frequencies")
     if m is None:
-        m = max(phi1.default_grid(), phi2.default_grid())
+        m = grid_size(max(phi1.perturbation.band, phi2.perturbation.band), phi1.dimension)
     f1 = phi1.fiber_grid(m)
     f2 = phi2.fiber_grid(m)
     return float(np.max(quat_angle(quat_mul(f1, quat_conj(f2)))))

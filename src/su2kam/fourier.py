@@ -22,8 +22,26 @@ from .arithmetic import Frequency
 from .su2 import GroupElement, alg_exp_quat, quat_mul, quat_rotation_matrix
 
 
+GRID_POINTS = 1 << 22  # bound on the total points m^d of any grid
+
+
 class UndersampledGridError(ValueError):
     """Grid too small to resolve the requested band."""
+
+
+class GridBudgetError(RuntimeError):
+    """Grid would exceed GRID_POINTS points in total."""
+
+
+def grid_size(band: int, dimension: int) -> int:
+    """Points per axis of the single-cover grid for a band: 4*band + 4, twice
+    the 2*band + 2 that resolves the band.  Raises GridBudgetError, before
+    anything is allocated, when the m^d points would exceed GRID_POINTS."""
+    m = 4 * band + 4
+    if m ** dimension > GRID_POINTS:
+        raise GridBudgetError("a %d^%d grid for band %d exceeds the budget of %d points"
+                              % (m, dimension, band, GRID_POINTS))
+    return m
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,8 @@ from .arithmetic import (
     relative_defect_minimum,
     relative_resonance,
 )
-from .cocycle import Cocycle, conjugate_raw
+from . import fourier
+from .cocycle import RESYNTHESIS_TOL, Cocycle, conjugate_raw
 from .fourier import (
     AlgebraMap,
     ConjugationChain,
@@ -37,15 +38,14 @@ from .fourier import (
     TorusMorphism,
     analyze,
     chain_sobolev_partial,
+    grid_size,
     mode_norm_grid,
     sobolev_norm,
     synthesize,
-    translate,
 )
 from .su2 import (
     CutLocusError,
     GroupElement,
-    alg_exp_quat,
     alg_log_quat,
     diagonalize,
     quat_angle,
@@ -58,7 +58,6 @@ from .su2 import (
 )
 
 ALGEBRA_DIMENSION = 3  # d' for the negative-regularity diagnostic
-PREFIX_GRID_POINTS = 1 << 22  # bound on m^d of the chain prefix-norm grid
 
 
 class SchemeError(RuntimeError):
@@ -86,7 +85,6 @@ class SchemeParams:
     stop_tolerance: float = 1e-12
     safety_exponent: float = 2.0
     initial_bound: float = 1e-2
-    grid_factor: int = 4
     max_scale: int = 10**6
 
     def __post_init__(self):
@@ -211,7 +209,7 @@ class NormalForm(SchemeState):
     def replay_error(self) -> float:
         """sup distance between the chain applied to the source cocycle and
         the recorded final cocycle; the normal-form consistency invariant."""
-        m = 4 * self.perturbation.band + 4
+        m = grid_size(self.perturbation.band, self.alpha.dimension)
         replayed = conjugate_raw(self.chain, self.source, m)
         recorded = self.cocycle().fiber_grid(m)
         return float(np.max(quat_angle(quat_mul(replayed, quat_conj(recorded)))))
@@ -220,11 +218,11 @@ class NormalForm(SchemeState):
         """Negative-regularity norms of the chain prefixes in application
         order, aligned so that entry i is the full chain as it stood when i
         factors existed; nan when the grid's m^d points would exceed
-        PREFIX_GRID_POINTS."""
+        fourier.GRID_POINTS."""
         if len(self.chain) == 0:
             return []
         m = 2 * self.chain.content_bound() + 8
-        if m ** self.alpha.dimension > PREFIX_GRID_POINTS:
+        if m ** self.alpha.dimension > fourier.GRID_POINTS:
             return [float("nan")] * len(self.chain)
         return chain_sobolev_partial(
             self.chain, -(self.alpha.dimension + ALGEBRA_DIMENSION), m)
@@ -419,6 +417,31 @@ def _select_branch(theta_prev: float, theta_raw: float):
     return best[1], best[2]
 
 
+def _renormalize(samples: np.ndarray, p_frame: GroupElement, theta: float,
+                 band: int, chain: ConjugationChain):
+    """Constant-times-exponential form of fiber samples on the fixed torus:
+    straighten the samples by the frame p, take the logarithm relative to
+    exp(theta e) and analyse it on the band.  Returns the perturbation and
+    the chain with ConstantFactor(p) prepended unless p is the identity.
+
+    Whatever part of the straightened constant lies off the torus goes into
+    the perturbation, so the renormalisation is exact up to the resynthesis
+    error, which must stay below RESYNTHESIS_TOL.  Raises CutLocusError when
+    a sample is too far from exp(theta e) for the logarithm.
+    """
+    straightened = quat_mul(p_frame.q, quat_mul(samples, quat_conj(p_frame.q)))
+    logs = alg_log_quat(quat_mul(quat_conj(torus_quat(theta)), straightened))
+    del straightened  # one grid fewer alive through the analysis
+    f = analyze(logs, band)
+    resynth = float(np.max(np.abs(synthesize(f, samples.shape[0]) - logs)))
+    if resynth > RESYNTHESIS_TOL:
+        raise SchemeError("band %d failed to resolve the conjugated fiber (error %.3g)"
+                          % (band, resynth))
+    if not np.array_equal(p_frame.q, np.array([1.0, 0.0, 0.0, 0.0])):
+        chain = chain.prepended(ConstantFactor(p_frame))
+    return f, chain
+
+
 def kam_step(state: SchemeState, params: SchemeParams) -> SchemeState:
     """One scheme step: resonance handling, homological solve, exact grid
     conjugation by exp(Y), renormalisation, scale growth."""
@@ -441,44 +464,28 @@ def kam_step(state: SchemeState, params: SchemeParams) -> SchemeState:
     if n_next > params.max_scale:
         raise SchemeError("scale %d exceeds max_scale without convergence" % n_next)
     band_next = max(n_next, state.perturbation.band + 2 * y.band)
-    m = params.grid_factor * band_next + 4
-    m += m % 2
-
-    y_here = alg_exp_quat(synthesize(y, m))
-    y_ahead = alg_exp_quat(synthesize(translate(y, state.alpha), m))
-    fiber = quat_mul(torus_quat(state.theta),
-                     alg_exp_quat(synthesize(state.perturbation, m)))
-    conjugated = quat_mul(y_ahead, quat_mul(fiber, quat_conj(y_here)))
+    d = state.alpha.dimension
+    conjugated = conjugate_raw(ConjugationChain((ExpFactor(y),), d), state.cocycle(),
+                               grid_size(band_next, d))
 
     mean = quat_normalize(np.mean(conjugated.reshape(-1, 4), axis=0))
     p_frame, theta_raw = diagonalize(GroupElement(mean))
     theta_next, flipped = _select_branch(state.theta, theta_raw)
     if flipped:
         p_frame = weyl_element() * p_frame
-    straightened = quat_mul(p_frame.q, quat_mul(conjugated, quat_conj(p_frame.q)))
+    chain = state.chain
+    if np.any(y.coeffs != 0):
+        chain = chain.prepended(ExpFactor(y))
     try:
-        logs = alg_log_quat(quat_mul(quat_conj(torus_quat(theta_next)), straightened))
+        f_next, chain = _renormalize(conjugated, p_frame, theta_next, band_next, chain)
     except CutLocusError as exc:
         raise DivergenceError(
             "conjugated fiber left the perturbative neighborhood at step %d: %s"
             % (state.step, exc), state=state) from exc
-    f_next = analyze(logs, band_next)
-    resynth = float(np.max(np.abs(synthesize(f_next, m) - logs)))
-    if resynth > 1e-10:
-        raise SchemeError("band %d failed to resolve the conjugated fiber (error %.3g)"
-                          % (band_next, resynth))
-
-    norm_f1 = sobolev_norm(f_next, 0.0)
-    chain = state.chain
-    if np.any(y.coeffs != 0):
-        chain = chain.prepended(ExpFactor(y))
-    if not np.array_equal(p_frame.q, np.array([1.0, 0.0, 0.0, 0.0])):
-        chain = chain.prepended(ConstantFactor(p_frame))
 
     state = replace(state, chain=chain)
     row = _diagnostics_row(state, norms, record, y)
-
-    new_state = replace(
+    return replace(
         state,
         theta=theta_next,
         perturbation=f_next,
@@ -486,20 +493,16 @@ def kam_step(state: SchemeState, params: SchemeParams) -> SchemeState:
         step=state.step + 1,
         diagnostics=state.diagnostics + (row,),
     )
-    if norm_f1 > norms[0] and norm_f1 > params.stop_tolerance:
-        raise DivergenceError(
-            "perturbation grew from %.3g to %.3g at step %d"
-            % (norms[0], norm_f1, state.step), state=new_state)
-    return new_state
 
 
 def initial_state(phi: Cocycle, params: SchemeParams) -> SchemeState:
-    """Diagonalise the constant part and set up an empty normal form."""
+    """Diagonalise the constant part and renormalise the source fiber onto
+    the fixed torus as every step does; the normal form starts empty."""
     p_frame, theta = diagonalize(phi.constant)
-    perturbation = phi.perturbation.rotated(quat_rotation_matrix(p_frame.q))
-    chain = ConjugationChain((), phi.dimension)
-    if not np.array_equal(p_frame.q, np.array([1.0, 0.0, 0.0, 0.0])):
-        chain = chain.prepended(ConstantFactor(p_frame))
+    band = phi.perturbation.band
+    perturbation, chain = _renormalize(
+        phi.fiber_grid(grid_size(band, phi.dimension)), p_frame, theta, band,
+        ConjugationChain((), phi.dimension))
     return SchemeState(
         alpha=phi.alpha, theta=theta, perturbation=perturbation,
         scale=params.n0, chain=chain,
@@ -515,13 +518,17 @@ def run_scheme(phi: Cocycle, params: SchemeParams = None,
         params = SchemeParams.for_dioph(dioph) if dioph is not None else SchemeParams()
     if dioph is not None and not params.nu > dioph.tau:
         raise ValueError("nu must exceed the declared tau")
+    if sobolev_norm(phi.perturbation, 0.0) > params.initial_bound:
+        raise SchemeError("initial perturbation outside the perturbative regime")
     state = initial_state(phi, params)
     h0 = sobolev_norm(state.perturbation, 0.0)
-    if h0 > params.initial_bound:
-        raise SchemeError("initial perturbation outside the perturbative regime")
     while state.step < params.max_steps and h0 > params.stop_tolerance:
-        state = kam_step(state, params)
-        h0 = sobolev_norm(state.perturbation, 0.0)
+        step_state = kam_step(state, params)
+        h0_next = sobolev_norm(step_state.perturbation, 0.0)
+        if h0_next > h0 and h0_next > params.stop_tolerance:
+            raise DivergenceError("perturbation grew from %.3g to %.3g at step %d"
+                                  % (h0, h0_next, state.step), state=step_state)
+        state, h0 = step_state, h0_next
     closing = _diagnostics_row(state, _norms(state.perturbation))
     return NormalForm(**{**vars(state), "diagnostics": state.diagnostics + (closing,)},
                       params=params, source=phi)

@@ -161,7 +161,14 @@ def diagonalize(a: GroupElement):
 
     theta = 0 or 1 corresponds to the center (a = +-Id, p = Id).  The axis
     sign is canonicalised (sin(pi*theta) >= 0); the flip, when needed, is
-    realised inside p, so the stated conjugation identity is always exact.
+    realised inside p.
+
+    The identity holds only up to a small part of p * a * p^-1 left off the
+    torus.  An axis within about 1.4e-7 rad of the torus direction is taken
+    as on it (p = Id), which leaves up to 1.4e-7 off the torus; just past
+    that, arccos is ill-conditioned and leaves up to about 1e-10.  The
+    scheme's renormalisation takes the logarithm relative to exp(theta*e),
+    so it absorbs that remainder into the perturbation F.
     """
     w = float(a.q[0])
     vec = a.q[1:]

@@ -4,8 +4,8 @@
 silently skips a name that no longer exists, so a rename would drop a
 per-layer metric without any error.  One test imports the tracer as it is
 and checks that every target binds; another runs one shortened benchmark
-pass of the 1D workload and of the 2D workload with an exp factor, and
-checks its verdict and metric names, never its timings.
+pass of each workload and checks its verdict and metric names, never its
+timings.
 """
 
 import importlib.util
@@ -42,7 +42,7 @@ def test_every_tracer_target_binds():
     assert [name for name in names if name not in bound] == []
 
 
-@pytest.mark.parametrize("workload", ["sweep-1d", "exp-2d"])
+@pytest.mark.parametrize("workload", ["sweep-1d", "two-freq-2d", "exp-2d"])
 def test_benchmark_smoke_run_is_correct(workload):
     run = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,

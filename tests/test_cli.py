@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from su2kam import fourier
 from su2kam.cli import (
     EXIT_CONFIG,
     EXIT_OK,
+    EXIT_SCHEME,
     ConfigError,
     ExperimentConfig,
     main,
@@ -15,6 +17,16 @@ from su2kam.cli import (
 )
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+TWO_FREQ_CONFIG = {
+    "frequency": {"value": [GOLDEN, math.sqrt(2.0) - 1.0]},
+    "theta": 0.1,
+    "chain": [{"kind": "torus", "winding": [1, 1]}],
+    "perturbation": {"band": 2, "amplitude": 1e-5},
+    "scheme": {"n0": 4, "max_steps": 8},
+    "dioph": {"gamma": 32.0, "tau": 3.0, "horizon": 60},
+    "seed": 5,
+}
 
 
 def recovery_config(**overrides):
@@ -45,6 +57,8 @@ def test_config_rejects_unknown_fields():
         ExperimentConfig.from_dict({"nonsense": 1})
     with pytest.raises(ConfigError):
         recovery_config(scheme={"bogus_knob": 3}).resolve_scheme()
+    with pytest.raises(ConfigError):
+        recovery_config(scheme={"grid_factor": 4}).resolve_scheme()
     with pytest.raises(ConfigError):
         ExperimentConfig(frequency={"preset": "unknown"}).resolve_frequency()
 
@@ -239,16 +253,32 @@ def test_config_accepts_an_integer_where_a_number_is_due():
 
 
 def test_run_experiment_two_dimensional():
-    cfg = ExperimentConfig.from_dict({
-        "frequency": {"value": [GOLDEN, math.sqrt(2.0) - 1.0]},
-        "theta": 0.1,
-        "chain": [{"kind": "torus", "winding": [1, 1]}],
-        "perturbation": {"band": 2, "amplitude": 1e-5},
-        "scheme": {"n0": 4, "max_steps": 8},
-        "dioph": {"gamma": 32.0, "tau": 3.0, "horizon": 60},
-        "seed": 5,
-    })
+    cfg = ExperimentConfig.from_dict(TWO_FREQ_CONFIG)
     report, code = run_experiment(cfg)
     assert code == EXIT_OK
     assert report["truth_comparison"]["equivalent"]
     assert "frequency_warning" not in report
+
+
+def test_main_grid_past_the_budget_exits_scheme(tmp_path, monkeypatch, capsys):
+    # the source and initial grids are 52^2 points, the first step's 84^2
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(TWO_FREQ_CONFIG))
+    monkeypatch.setattr(fourier, "GRID_POINTS", 84 ** 2 - 1)
+    assert main(["run", "--config", str(cfg_path)]) == EXIT_SCHEME
+    err = capsys.readouterr().err
+    assert err.startswith("grid budget error: a 84^2 grid")
+    assert len(err.splitlines()) == 1
+
+
+def test_main_output_files_match_stdout(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(ExperimentConfig(
+        theta=0.25, chain=[], perturbation={"band": 3, "amplitude": 1e-5}).to_dict()))
+    for command, flag in (("synthesize", "--output"), ("rho", "--report")):
+        out = tmp_path / (command + ".json")
+        assert main([command, "--config", str(cfg_path)]) == EXIT_OK
+        printed = capsys.readouterr().out
+        assert main([command, "--config", str(cfg_path), flag, str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == printed.encode()

@@ -3,17 +3,20 @@ import math
 import numpy as np
 import pytest
 
+from su2kam import fourier
 from su2kam.arithmetic import Frequency
 from su2kam.fourier import (
     AlgebraMap,
     ConjugationChain,
     ConstantFactor,
     ExpFactor,
+    GridBudgetError,
     TorusMorphism,
     UndersampledGridError,
     analyze,
     chain_sobolev_partial,
     field_synthesize,
+    grid_size,
     random_map,
     sobolev_norm,
     synthesize,
@@ -285,3 +288,16 @@ def test_random_map_scaling_and_reality():
     sym = f.symmetrized()
     assert np.max(np.abs(sym.coeffs - f.coeffs)) < 1e-15
     assert np.all(f.mode((0,)) == 0)
+
+
+def test_grid_size_and_its_budget_in_total_points(monkeypatch):
+    assert [grid_size(band, 1) for band in (0, 1, 7)] == [4, 8, 32]
+    assert grid_size(7, 2) == 32 and grid_size(7, 3) == 32
+    # the budget counts m^d points, so it binds on the dimension too
+    monkeypatch.setattr(fourier, "GRID_POINTS", 32 ** 2)
+    assert grid_size(7, 2) == 32
+    with pytest.raises(GridBudgetError):
+        grid_size(7, 3)
+    monkeypatch.setattr(fourier, "GRID_POINTS", 32 ** 2 - 1)
+    with pytest.raises(GridBudgetError):
+        grid_size(7, 2)

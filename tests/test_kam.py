@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from su2kam import kam
+from su2kam import fourier, kam
 from su2kam.arithmetic import DiophParams, Frequency, dist_to_Z
 from su2kam.cli import ExperimentConfig, synthesize_cocycle
-from su2kam.cocycle import Cocycle, conjugate_raw
+from su2kam.cocycle import Cocycle, conjugate, conjugate_raw
 from su2kam.fourier import (
     AlgebraMap,
     ConjugationChain,
@@ -268,7 +268,7 @@ def test_run_scheme_contraction_and_replay():
     for a, b in zip(norms, norms[1:]):
         if b > 0:
             assert b <= a**1.4
-    assert nf.replay_error() < 1e-9
+    assert nf.replay_error() < 1e-12
     # scales strictly increase
     scales = [row.scale for row in nf.diagnostics]
     assert all(b > a for a, b in zip(scales, scales[1:]))
@@ -290,7 +290,7 @@ def test_run_scheme_planted_resonance():
     assert max(abs(c) for c in entry.winding) <= entry.scale
     assert entry.defect_before == pytest.approx(delta, rel=1e-6)
     assert entry.defect_after < entry.threshold
-    assert nf.replay_error() < 1e-9
+    assert nf.replay_error() < 1e-12
 
 
 def test_run_scheme_nonperturbative_rejected():
@@ -327,7 +327,7 @@ def test_run_scheme_two_dimensional():
     phi = Cocycle(alpha2, GroupElement(torus_quat(0.23)), random_map(2, 2, 1e-5, rng))
     nf = run_scheme(phi, SchemeParams(n0=4, max_steps=6))
     assert nf.converged
-    assert nf.replay_error() < 1e-9
+    assert nf.replay_error() < 1e-12
 
 
 def test_run_scheme_identity_constant():
@@ -340,7 +340,7 @@ def test_run_scheme_identity_constant():
         nf = run_scheme(phi)
         assert nf.converged
         assert abs(nf.theta) < 1e-6
-        assert nf.replay_error() < 1e-9
+        assert nf.replay_error() < 1e-12
 
 
 @pytest.mark.parametrize("theta", [0.01, 0.17, 0.33, 0.499, 0.93])
@@ -353,9 +353,61 @@ def test_run_scheme_stress_angles(theta):
                       random_map(1, 4, 1e-4, rng))
         nf = run_scheme(phi)
         assert nf.converged, "theta=%r seed=%d" % (theta, seed)
-        assert nf.replay_error() < 1e-9
+        assert nf.replay_error() < 1e-12
         assert abs(nf.diagnostics[-1].accumulator -
                    nf.diagnostics[-2].accumulator) < 1e-8
+
+
+ALPHA2 = Frequency((GOLDEN, math.sqrt(2.0) - 1.0))
+
+
+def _replay_params(d, max_steps):
+    # nu = tau + 2 for the tau the configs declare (2 in 1D, 3 in 2D), as
+    # SchemeParams.for_dioph sets it; it keeps resonances at n0 = 4 unique
+    return SchemeParams(n0=4, nu=d + 3.0, max_steps=max_steps)
+
+
+def _tilted_constant(theta, tilt, azimuth):
+    """exp(theta e) with its axis tilted off the torus by the angle tilt."""
+    axis = np.array([math.cos(tilt), math.sin(tilt) * math.cos(azimuth),
+                     math.sin(tilt) * math.sin(azimuth)])
+    half = math.pi * theta
+    return GroupElement(np.concatenate([[math.cos(half)], math.sin(half) * axis]))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(d=st.sampled_from([1, 2]), theta=st.floats(0.05, 0.95),
+       log_tilt=st.floats(-9.0, -3.0), azimuth=st.floats(0.0, 2 * math.pi),
+       band=st.integers(1, 3), log_amplitude=st.floats(-9.0, -4.0),
+       seed=st.integers(0, 2**32 - 1), max_steps=st.sampled_from([0, 2]))
+@example(d=1, theta=0.17, log_tilt=-7.0, azimuth=0.0, band=2, log_amplitude=-6.0,
+         seed=0, max_steps=0)
+def test_replay_of_a_tilted_constant(d, theta, log_tilt, azimuth, band,
+                                     log_amplitude, seed, max_steps):
+    # the part of the constant that diagonalize leaves off the torus must
+    # reach the recorded perturbation, from the initial state on
+    alpha = ALPHA if d == 1 else ALPHA2
+    f = random_map(d, band, 10.0 ** log_amplitude, np.random.default_rng(seed))
+    phi = Cocycle(alpha, _tilted_constant(theta, 10.0 ** log_tilt, azimuth), f)
+    nf = run_scheme(phi, _replay_params(d, max_steps))
+    assert nf.replay_error() <= 1e-13
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(d=st.sampled_from([1, 2]), theta=st.floats(0.05, 0.95),
+       winding=st.lists(st.integers(-3, 3), min_size=2, max_size=2),
+       band=st.integers(0, 3), log_amplitude=st.floats(-8.0, -3.0),
+       seed=st.integers(0, 2**32 - 1), max_steps=st.sampled_from([0, 2]))
+def test_replay_of_a_conjugated_constant(d, theta, winding, band, log_amplitude,
+                                         seed, max_steps):
+    alpha = ALPHA if d == 1 else ALPHA2
+    rng = np.random.default_rng(seed)
+    chain = ConjugationChain(
+        (TorusMorphism(tuple(winding[:d])),
+         ExpFactor(random_map(d, band, 10.0 ** log_amplitude, rng))), d)
+    base = Cocycle(alpha, GroupElement(torus_quat(theta)), AlgebraMap.zeros(d, 0))
+    nf = run_scheme(conjugate(chain, base), _replay_params(d, max_steps))
+    assert nf.replay_error() <= 1e-13
 
 
 def test_scheme_params_validation():
@@ -423,8 +475,8 @@ def test_prefix_norms_are_nan_past_the_grid_point_bound(monkeypatch):
     m = 2 * nf.chain.content_bound() + 8
     assert len(nf.chain) > 0 and np.all(np.isfinite(nf.chain_prefix_norms()))
     # the bound is on m^d points, not on the axis length m
-    monkeypatch.setattr(kam, "PREFIX_GRID_POINTS", m ** 2 - 1)
-    assert m < kam.PREFIX_GRID_POINTS
+    monkeypatch.setattr(fourier, "GRID_POINTS", m ** 2 - 1)
+    assert m < fourier.GRID_POINTS
     norms = nf.chain_prefix_norms()
     assert len(norms) == len(nf.chain) and np.all(np.isnan(norms))
 
