@@ -73,9 +73,9 @@ class Frequency:
 class DiophParams:
     """Diophantine constants (gamma, tau) with a finite search horizon."""
 
-    gamma: float
-    tau: float
-    horizon: int
+    gamma: float = 3.0
+    tau: float = 2.0
+    horizon: int = 10000
 
     def __post_init__(self):
         if not self.gamma > 0:

@@ -22,6 +22,7 @@ import argparse
 import hashlib
 import json
 import sys
+import types
 import typing
 import warnings
 from dataclasses import asdict, dataclass, field
@@ -74,21 +75,34 @@ JSON_TYPE_NAMES = {dict: "an object", list: "a list", int: "an integer",
 
 def _check_json_type(name: str, value, hint) -> None:
     """Raise ConfigError unless value has the JSON type of the field's
-    annotation; an integer counts as a number, a boolean as neither."""
-    allowed = typing.get_args(hint) or (hint,)
-    expected = " or ".join(JSON_TYPE_NAMES[t] for t in allowed)
-    if float in allowed:
-        allowed += (int,)
-    if isinstance(value, bool) or not isinstance(value, allowed):
+    annotation, each entry of a list[T] included; an integer counts as a
+    number, a boolean as neither, and a number must be finite."""
+    options = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
+    for option in options:
+        kind = typing.get_origin(option) or option
+        if isinstance(value, (int, float) if kind is float else kind) \
+                and not isinstance(value, bool):
+            break
+    else:
+        expected = " or ".join(JSON_TYPE_NAMES[typing.get_origin(t) or t] for t in options)
         raise ConfigError("config field %r must be %s, got %s"
                           % (name, expected, type(value).__name__))
+    if isinstance(value, float) and not np.isfinite(value):
+        raise ConfigError("config field %r must be finite, got %r" % (name, value))
+    for entry_hint in typing.get_args(option):
+        for i, entry in enumerate(value):
+            _check_json_type("%s[%d]" % (name, i), entry, entry_hint)
 
 
 def _check_entries(prefix: str, data: dict, hints: dict) -> None:
-    """_check_json_type on each entry of data that hints annotates."""
+    """Reject any key of data that hints does not list, and
+    _check_json_type on the others."""
+    extra = set(data) - set(hints)
+    if extra:
+        raise ConfigError("unknown %s keys: %s" % (prefix.rstrip(".") or "config",
+                                                  sorted(extra)))
     for name, value in data.items():
-        if name in hints:
-            _check_json_type(prefix + name, value, hints[name])
+        _check_json_type(prefix + name, value, hints[name])
 
 
 @dataclass
@@ -100,7 +114,7 @@ class ExperimentConfig:
     chain: list = field(default_factory=list)
     perturbation: dict | None = None
     scheme: dict = field(default_factory=dict)
-    dioph: dict = field(default_factory=lambda: {"gamma": 3.0, "tau": 2.0, "horizon": 10000})
+    dioph: dict = field(default_factory=lambda: asdict(DiophParams()))
     seed: int = 0
     equivalence_horizon: int = 50
     equivalence_tolerance: float = 1e-6
@@ -114,65 +128,61 @@ class ExperimentConfig:
             if name not in FREQUENCY_PRESETS:
                 raise ConfigError("unknown frequency preset %r" % name)
             return Frequency((FREQUENCY_PRESETS[name],))
-        if "value" in spec:
-            vals = spec["value"]
-            if isinstance(vals, (int, float)):
-                vals = [vals]
-            return Frequency(tuple(float(v) for v in vals))
-        raise ConfigError("frequency spec needs 'preset' or 'value'")
+        return Frequency(tuple(float(v) for v in np.atleast_1d(spec["value"])))
 
     def resolve_scheme(self) -> SchemeParams:
-        extra = set(self.scheme) - set(SchemeParams.__dataclass_fields__)
-        if extra:
-            raise ConfigError("unknown scheme parameters: %s" % sorted(extra))
         return SchemeParams.for_dioph(self.resolve_dioph(), **self.scheme)
 
     def resolve_dioph(self) -> DiophParams:
-        return DiophParams(float(self.dioph.get("gamma", 3.0)),
-                           float(self.dioph.get("tau", 2.0)),
-                           int(self.dioph.get("horizon", 10000)))
+        return DiophParams(**self.dioph)
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        extra = set(data) - set(CONFIG_FIELD_TYPES)
-        if extra:
-            raise ConfigError("unknown config fields: %s" % sorted(extra))
+        """Config from its JSON object, checked against what the code reads."""
         _check_entries("", data, CONFIG_FIELD_TYPES)
         for section, hints in SECTION_FIELD_TYPES.items():
             _check_entries(section + ".", data.get(section) or {}, hints)
-        values = data.get("frequency", {}).get("value")
-        if isinstance(values, list):
-            for i, value in enumerate(values):
-                _check_json_type("frequency.value[%d]" % i, value, float)
+        if "frequency" in data and \
+                ("preset" in data["frequency"]) == ("value" in data["frequency"]):
+            raise ConfigError("frequency needs exactly one of 'preset' or 'value'")
         for i, spec in enumerate(data.get("chain", ())):
             _check_json_type("chain[%d]" % i, spec, dict)
             kind = spec.get("kind")
             _check_json_type("chain[%d].kind" % i, kind, str)
+            if kind not in CHAIN_ENTRY_TYPES:
+                raise ConfigError("unknown chain factor kind %r" % kind)
             if kind in CHAIN_REQUIRED and CHAIN_REQUIRED[kind] not in spec:
                 raise ConfigError("chain[%d] needs %r" % (i, CHAIN_REQUIRED[kind]))
-            _check_entries("chain[%d]." % i, spec, CHAIN_ENTRY_TYPES.get(kind, {}))
-        return cls(**data)
+            _check_entries("chain[%d]." % i, spec, CHAIN_ENTRY_TYPES[kind])
+        cfg = cls(**data)
+        try:
+            cfg.resolve_scheme()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        return cfg
 
     def digest(self) -> str:
         canon = json.dumps(self.to_dict(), sort_keys=True)
         return hashlib.sha256(canon.encode()).hexdigest()
 
 
-# JSON types resolved once: the config fields from their annotations, the
-# scheme and dioph entries from the parameters they feed, the perturbation
-# and frequency entries and the chain entries (by factor kind, with the one
-# each kind requires) from what synthesize_cocycle and build_chain read
+# The keys each section may hold, with their JSON types, resolved once: the
+# config fields from their annotations, the scheme and dioph entries from
+# the parameters they feed, the perturbation and frequency entries and the
+# chain entries (by factor kind, with the one each kind requires) from what
+# synthesize_cocycle and build_chain read
 CONFIG_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
 SECTION_FIELD_TYPES = {"scheme": typing.get_type_hints(SchemeParams),
                        "dioph": typing.get_type_hints(DiophParams),
                        "perturbation": {"band": int, "amplitude": float},
-                       "frequency": {"preset": str, "value": float | list}}
-CHAIN_ENTRY_TYPES = {"torus": {"winding": list | int, "frame": list},
-                     "exp": {"band": int, "amplitude": float},
-                     "constant": {"element": list}}
+                       "frequency": {"preset": str, "value": list[float] | float}}
+CHAIN_ENTRY_TYPES = {"torus": {"kind": str, "winding": list[int] | int,
+                               "frame": list[float]},
+                     "exp": {"kind": str, "band": int, "amplitude": float},
+                     "constant": {"kind": str, "element": list[float]}}
 CHAIN_REQUIRED = {"torus": "winding", "constant": "element"}
 
 
@@ -192,9 +202,8 @@ def build_chain(cfg: ExperimentConfig, alpha: Frequency, rng) -> ConjugationChai
                 else GroupElement.identity()
             factors.append(TorusMorphism(tuple(winding), frame))
         elif kind == "exp":
-            band = int(spec.get("band", 2))
-            amplitude = float(spec.get("amplitude", 1e-3))
-            factors.append(ExpFactor(random_map(alpha.dimension, band, amplitude, rng)))
+            factors.append(ExpFactor(random_map(alpha.dimension, spec.get("band", 2),
+                                                spec.get("amplitude", 1e-3), rng)))
         elif kind == "constant":
             factors.append(ConstantFactor(GroupElement(np.asarray(spec["element"]))))
         else:
@@ -213,15 +222,14 @@ def synthesize_cocycle(cfg: ExperimentConfig):
         [np.cos(np.pi * cfg.theta), np.sin(np.pi * cfg.theta), 0.0, 0.0])),
         AlgebraMap.zeros(alpha.dimension, 0))
 
-    content = chain.content_bound()
-    pert_band = int(cfg.perturbation.get("band", 4)) if cfg.perturbation else 0
-    band = max(cfg.resolve_scheme().n0, 2 * content + pert_band + 8)
+    pert_band = cfg.perturbation.get("band", 4) if cfg.perturbation else 0
+    band = 2 * chain.content_bound() + pert_band + 8
     m = grid_size(band, alpha.dimension)
 
     samples = conjugate_raw(chain, base, m)
     if cfg.perturbation:
-        amplitude = float(cfg.perturbation.get("amplitude", 1e-4))
-        pert = random_map(alpha.dimension, pert_band, amplitude, rng)
+        pert = random_map(alpha.dimension, pert_band,
+                          cfg.perturbation.get("amplitude", 1e-4), rng)
         samples = quat_mul(samples, alg_exp_quat(synthesize_map(pert, m)))
     try:
         phi = normalize(samples, alpha, band)
@@ -387,9 +395,10 @@ def main(argv=None) -> int:
 
     p_chk = sub.add_parser("check-dioph", help="Diophantine witness scan")
     p_chk.add_argument("--frequency", required=True)
-    p_chk.add_argument("--gamma", type=float, default=3.0)
-    p_chk.add_argument("--tau", type=float, default=2.0)
-    p_chk.add_argument("--horizon", type=int, default=10000)
+    dioph = DiophParams()
+    p_chk.add_argument("--gamma", type=float, default=dioph.gamma)
+    p_chk.add_argument("--tau", type=float, default=dioph.tau)
+    p_chk.add_argument("--horizon", type=int, default=dioph.horizon)
 
     p_mrg = sub.add_parser("report-merge", help="merge run reports")
     p_mrg.add_argument("inputs", nargs="+")

@@ -116,16 +116,14 @@ def conjugate_raw(chain: ConjugationChain, phi: Cocycle, m: int) -> np.ndarray:
     return quat_mul(shifted, quat_mul(phi.fiber_grid(m), quat_conj(here)))
 
 
-def conjugate(chain: ConjugationChain, phi: Cocycle, band: int = None,
-              m: int = None) -> Cocycle:
+def conjugate(chain: ConjugationChain, phi: Cocycle, m: int = None) -> Cocycle:
     """Fibered conjugation followed by normalisation; alpha is untouched.
 
-    The default band doubles the chain's linear spectral content plus a
-    margin, enough for close-to-identity exponential factors whose series
-    tails must clear the resynthesis tolerance.
+    The band doubles the chain's linear spectral content plus a margin,
+    enough for close-to-identity exponential factors whose series tails
+    must clear the resynthesis tolerance.
     """
-    if band is None:
-        band = phi.perturbation.band + 2 * chain.content_bound() + 8
+    band = phi.perturbation.band + 2 * chain.content_bound() + 8
     if m is None:
         m = grid_size(band, phi.dimension)
     samples = conjugate_raw(chain, phi, m)
@@ -150,12 +148,11 @@ def c0_distance_to_constant(phi: Cocycle, m: int = None) -> float:
     return float(np.max(quat_angle(alg_exp_quat(synthesize(phi.perturbation, m)))))
 
 
-def c0_distance(phi1: Cocycle, phi2: Cocycle, m: int = None) -> float:
+def c0_distance(phi1: Cocycle, phi2: Cocycle) -> float:
     """max_x d(fiber_1(x), fiber_2(x)) for two cocycles over the same alpha."""
     if phi1.alpha != phi2.alpha:
         raise ValueError("cocycles live over different frequencies")
-    if m is None:
-        m = grid_size(max(phi1.perturbation.band, phi2.perturbation.band), phi1.dimension)
+    m = grid_size(max(phi1.perturbation.band, phi2.perturbation.band), phi1.dimension)
     f1 = phi1.fiber_grid(m)
     f2 = phi2.fiber_grid(m)
     return float(np.max(quat_angle(quat_mul(f1, quat_conj(f2)))))

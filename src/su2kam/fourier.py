@@ -219,28 +219,29 @@ class AlgebraMap:
     # -- serialization
 
     def to_dict(self) -> dict:
+        """Nonzero rows [k_1, ..., k_d, re, im] per component, in argwhere's
+        (lexicographic) order of k."""
         comps = {}
-        names = ("e", "jx", "jy")
-        nz = np.argwhere(np.any(self.coeffs != 0, axis=-1))
-        for ci, name in enumerate(names):
-            rows = []
-            for idx in nz:
-                c = self.coeffs[tuple(idx) + (ci,)]
-                if c == 0:
-                    continue
-                k = [int(i) - self.band for i in idx]
-                rows.append(k + [float(c.real), float(c.imag)])
-            rows.sort()
-            comps[name] = rows
+        for ci, name in enumerate(("e", "jx", "jy")):
+            c = self.coeffs[..., ci]
+            idx = np.argwhere(c != 0)
+            values = c[tuple(idx.T)]
+            comps[name] = [k + [re, im] for k, re, im in zip(
+                (idx - self.band).tolist(), values.real.tolist(), values.imag.tolist())]
         return {"dimension": self.dimension, "band": self.band, "components": comps}
 
     @classmethod
     def from_dict(cls, data: dict) -> "AlgebraMap":
         out = cls(int(data["dimension"]), int(data["band"]))
+        d = out.dimension
         for ci, name in enumerate(("e", "jx", "jy")):
-            for row in data["components"].get(name, []):
-                k = tuple(int(c) for c in row[: out.dimension])
-                out.coeffs[out._index(k) + (ci,)] = complex(row[-2], row[-1])
+            rows = data["components"].get(name, [])
+            rows = np.asarray(rows, dtype=float).reshape(len(rows), d + 2)
+            k = rows[:, :d].astype(int)
+            outside = np.abs(k).max(axis=1, initial=0) > out.band
+            if outside.any():
+                raise KeyError("mode %r outside the box" % (tuple(k[outside.argmax()].tolist()),))
+            out.coeffs[tuple((k + out.band).T) + (ci,)] = rows[:, d] + 1j * rows[:, d + 1]
         return out
 
 
@@ -291,14 +292,14 @@ def truncate(amap: AlgebraMap, band: int):
 
 
 def random_map(dimension: int, band: int, amplitude: float, rng,
-               mean_free: bool = True, norm_order: float = 0.0) -> AlgebraMap:
-    """Seeded random real map scaled to the requested H^norm_order norm."""
+               mean_free: bool = True) -> AlgebraMap:
+    """Seeded random real map scaled to the requested H^0 norm."""
     shape = (2 * band + 1,) * dimension + (3,)
     raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     amap = AlgebraMap(dimension, band, raw).symmetrized()
     if mean_free:
         amap.coeffs[(band,) * dimension] = 0.0
-    norm = sobolev_norm(amap, norm_order)
+    norm = sobolev_norm(amap, 0.0)
     if norm > 0:
         amap = (amplitude / norm) * amap
     return amap

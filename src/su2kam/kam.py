@@ -58,6 +58,8 @@ from .su2 import (
 )
 
 ALGEBRA_DIMENSION = 3  # d' for the negative-regularity diagnostic
+SAFETY_EXPONENT = 2.0  # a step at scale N needs |F|_H0 <= N^-SAFETY_EXPONENT
+INITIAL_BOUND = 1e-2   # largest |F|_H0 of a source cocycle the scheme accepts
 
 
 class SchemeError(RuntimeError):
@@ -83,9 +85,6 @@ class SchemeParams:
     nu: float = 4.0
     max_steps: int = 20
     stop_tolerance: float = 1e-12
-    safety_exponent: float = 2.0
-    initial_bound: float = 1e-2
-    max_scale: int = 10**6
 
     def __post_init__(self):
         if not (0.0 < self.sigma < 1.0):
@@ -446,7 +445,7 @@ def kam_step(state: SchemeState, params: SchemeParams) -> SchemeState:
     """One scheme step: resonance handling, homological solve, exact grid
     conjugation by exp(Y), renormalisation, scale growth."""
     norms = _norms(state.perturbation)
-    safety = float(state.scale) ** -params.safety_exponent
+    safety = float(state.scale) ** -SAFETY_EXPONENT
     if norms[0] > safety:
         raise SchemeError("perturbation %.3g above the step safety bound %.3g"
                           % (norms[0], safety))
@@ -461,8 +460,7 @@ def kam_step(state: SchemeState, params: SchemeParams) -> SchemeState:
     y = (-1.0) * w.rotated(rot)
 
     n_next = max(state.scale + 1, int(round(float(state.scale) ** (1.0 + params.sigma))))
-    if n_next > params.max_scale:
-        raise SchemeError("scale %d exceeds max_scale without convergence" % n_next)
+    # band_next >= n_next, so grid_size's budget is also the cap on the scale
     band_next = max(n_next, state.perturbation.band + 2 * y.band)
     d = state.alpha.dimension
     conjugated = conjugate_raw(ConjugationChain((ExpFactor(y),), d), state.cocycle(),
@@ -518,7 +516,7 @@ def run_scheme(phi: Cocycle, params: SchemeParams = None,
         params = SchemeParams.for_dioph(dioph) if dioph is not None else SchemeParams()
     if dioph is not None and not params.nu > dioph.tau:
         raise ValueError("nu must exceed the declared tau")
-    if sobolev_norm(phi.perturbation, 0.0) > params.initial_bound:
+    if sobolev_norm(phi.perturbation, 0.0) > INITIAL_BOUND:
         raise SchemeError("initial perturbation outside the perturbative regime")
     state = initial_state(phi, params)
     h0 = sobolev_norm(state.perturbation, 0.0)

@@ -195,24 +195,18 @@ def finite_resonance_audit(nf: NormalForm, r: RotationVector,
     checks = []
     for entry in nf.ledger:
         knorm = max(abs(c) for c in entry.winding)
-        ok_scale = knorm <= entry.scale
-        ok_defect = entry.defect_before <= entry.threshold
         nu = -np.log(entry.threshold) / np.log(entry.scale) if entry.scale > 1 else float("inf")
-        ok_knorm = entry.defect_before < float(knorm) ** -nu + 1e-15
-        ok_after = entry.defect_after <= entry.threshold + 1e-12
-        checks.append({
-            "step": entry.step, "winding": list(entry.winding),
-            "winding_within_scale": bool(ok_scale),
-            "defect_below_threshold": bool(ok_defect),
-            "defect_below_winding_power": bool(ok_knorm),
-            "post_removal_defect_ok": bool(ok_after),
-        })
-        for name, ok in (("winding_within_scale", ok_scale),
-                         ("defect_below_threshold", ok_defect),
-                         ("defect_below_winding_power", ok_knorm),
-                         ("post_removal_defect_ok", ok_after)):
-            if not ok:
-                issues.append("step %d: %s failed" % (entry.step, name))
+        flags = {
+            "winding_within_scale": bool(knorm <= entry.scale),
+            "defect_below_threshold": bool(entry.defect_before <= entry.threshold),
+            "defect_below_winding_power":
+                bool(entry.defect_before < float(knorm) ** -nu + 1e-15),
+            "post_removal_defect_ok": bool(entry.defect_after <= entry.threshold + 1e-12),
+        }
+        checks.append({"step": entry.step, "winding": list(entry.winding), **flags})
+        issues.extend("step %d: %s failed" % (entry.step, name)
+                      for name, ok in flags.items() if not ok)
+    all_hold = not issues  # so far the issues are exactly the false flags
     classification = classify_arithmetic(r, p)
     last_resonant = max((e.step for e in nf.ledger), default=None)
     ceased = last_resonant is None or last_resonant < nf.steps - 1 or nf.converged
@@ -220,7 +214,7 @@ def finite_resonance_audit(nf: NormalForm, r: RotationVector,
         issues.append("Diophantine class but resonances persist to the horizon")
     return {
         "ledger_checks": checks,
-        "all_inequalities_hold": not any("failed" in s for s in issues),
+        "all_inequalities_hold": all_hold,
         "classification": classification.to_dict(),
         "resonant_steps": nf.resonant_count,
         "last_resonant_step": last_resonant,

@@ -1,10 +1,13 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from su2kam import fourier
+from su2kam.arithmetic import DiophParams
 from su2kam.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -233,6 +236,28 @@ def test_main_flags_merge_into_the_config_scheme(tmp_path):
     {"perturbation": {"band": [2]}},
     {"frequency": {"value": [[1]]}},
     {"frequency": {"preset": ["golden"]}},
+    # unknown keys in every section, including the removed scheme options
+    {"dioph": {"gama": 1e-9}},
+    {"perturbation": {"band": 4, "amp": 0.5}},
+    {"chain": [{"kind": "exp", "bnd": 40}]},
+    {"scheme": {"max_scale": 5}},
+    {"scheme": {"safety_exponent": 2.0}},
+    {"scheme": {"initial_bound": 1e-2}},
+    # entries of list-typed fields
+    {"chain": [{"kind": "torus", "winding": [1.5]}]},
+    {"chain": [{"kind": "torus", "winding": [True]}]},
+    {"chain": [{"kind": "torus", "winding": [1], "frame": [1, 0, 0, "0"]}]},
+    {"chain": [{"kind": "constant", "element": [None, 0, 0, 0]}]},
+    # a frequency needs exactly one of preset and value
+    {"frequency": {"preset": "golden", "value": [0.3, 0.4]}},
+    {"frequency": {}},
+    # non-finite numbers, which the json module reads as NaN and Infinity
+    {"theta": math.nan},
+    {"theta": math.inf},
+    {"perturbation": {"amplitude": math.nan}},
+    {"scheme": {"stop_tolerance": math.nan}},
+    {"equivalence_tolerance": math.nan},
+    {"frequency": {"value": [GOLDEN, -math.inf]}},
 ])
 def test_main_wrongly_typed_config_field_exits_config(tmp_path, bad):
     cfg_path = tmp_path / "bad.json"
@@ -240,6 +265,34 @@ def test_main_wrongly_typed_config_field_exits_config(tmp_path, bad):
     assert main(["run", "--config", str(cfg_path)]) == EXIT_CONFIG
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(bad)
+
+
+def test_readme_example_config_loads():
+    # the README's example config is documentation of the config keys, so a
+    # removed or misspelt key there fails here
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"Example config.*?```json\n(.*?)```", readme, re.S).group(1)
+    cfg = ExperimentConfig.from_dict(json.loads(block))
+    assert cfg.resolve_scheme().n0 == 8 and cfg.resolve_dioph().horizon == 10000
+
+
+def test_synthesize_reads_no_scheme_parameter(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"theta": 0.25, "perturbation": {"band": 3}}))
+    outputs = []
+    for n0 in ("4", "64"):
+        assert main(["synthesize", "--config", str(cfg_path), "--n0", n0]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        outputs.append((doc["cocycle"], doc["ground_truth"]))
+    assert outputs[0] == outputs[1]
+    # the scheme section is still checked when the config is read
+    assert main(["synthesize", "--config", str(cfg_path), "--n0", "0"]) == EXIT_CONFIG
+
+
+def test_dioph_defaults_live_in_dioph_params():
+    assert ExperimentConfig().resolve_dioph() == DiophParams()
+    partial = ExperimentConfig.from_dict({"dioph": {"gamma": 5.0}}).resolve_dioph()
+    assert partial == DiophParams(gamma=5.0)
 
 
 def test_config_accepts_an_integer_where_a_number_is_due():

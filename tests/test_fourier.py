@@ -125,6 +125,34 @@ def test_algebra_map_serialization_roundtrip():
         assert np.array_equal(g.coeffs, f.coeffs)
 
 
+def test_algebra_map_serialization_rows():
+    f = AlgebraMap.zeros(2, 1)
+    f.set_mode((1, -1), [0.0, 2.0 + 1.0j, 0.0])
+    f.set_mode((-1, 1), [0.0, 3.0, 0.0])
+    f.set_mode((0, 0), [0.5, 0.0, -1.0j])
+    rows = f.to_dict()["components"]
+    # nonzero coefficients only, one table per component, rows in the
+    # lexicographic order of k
+    assert rows == {"e": [[0, 0, 0.5, 0.0]],
+                    "jx": [[-1, 1, 3.0, 0.0], [1, -1, 2.0, 1.0]],
+                    "jy": [[0, 0, 0.0, -1.0]]}
+    # against the mode-by-mode loop, on maps with zero and one-sided modes
+    rng = np.random.default_rng(9)
+    for d, band in ((1, 5), (2, 3)):
+        g = random_map(d, band, 1.0, rng)
+        g.coeffs[rng.random(g.coeffs.shape) < 0.4] = 0.0
+        expected = {name: [] for name in ("e", "jx", "jy")}
+        for idx in np.ndindex(g.coeffs.shape[:-1]):
+            for ci, name in enumerate(("e", "jx", "jy")):
+                c = g.coeffs[idx + (ci,)]
+                if c != 0:
+                    expected[name].append([i - band for i in idx] + [c.real, c.imag])
+        assert g.to_dict()["components"] == expected
+    outside = {"dimension": 2, "band": 1, "components": {"jx": [[0, 2, 1.0, 0.0]]}}
+    with pytest.raises(KeyError, match=r"\(0, 2\)"):
+        AlgebraMap.from_dict(outside)
+
+
 def test_evaluate_at_matches_synthesize():
     rng = np.random.default_rng(6)
     f = random_map(2, 3, 0.8, rng)

@@ -247,6 +247,22 @@ def test_kam_step_safety_bound():
         kam_step(state, SchemeParams())
 
 
+def test_grid_budget_stops_the_scale(monkeypatch):
+    # at scale 300 the next scale is about 1661 > 511, so the next grid
+    # (4 * band + 4)^2 passes GRID_POINTS and the step raises before any
+    # grid of it is built; no separate cap on the scale is needed
+    def no_grid(*args):
+        raise AssertionError("the step built a grid past the budget")
+
+    monkeypatch.setattr(kam, "conjugate_raw", no_grid)
+    alpha2 = Frequency((GOLDEN, math.sqrt(2.0) - 1.0))
+    f = random_map(2, 2, 1e-7, np.random.default_rng(8))
+    assert sobolev_norm(f, 0.0) < 300.0 ** -kam.SAFETY_EXPONENT
+    state = SchemeState(alpha=alpha2, theta=0.1, perturbation=f, scale=300)
+    with pytest.raises(fourier.GridBudgetError, match="for band 1661 "):
+        kam_step(state, SchemeParams())
+
+
 def test_run_scheme_constant_cocycle():
     phi = Cocycle(ALPHA, GroupElement(torus_quat(0.17)), AlgebraMap.zeros(1, 2))
     nf = run_scheme(phi)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from su2kam.arithmetic import DiophParams, Frequency
 from su2kam.cocycle import Cocycle, c0_distance, conjugate
@@ -103,6 +105,48 @@ def test_equivalence_transitive_with_combined_horizon():
         assert equivalence_check(rv(x), rv(y), 6)
         assert equivalence_check(rv(y), rv(z), 6)
         assert equivalence_check(rv(x), rv(z), 12)
+
+
+ALPHA2 = Frequency((GOLDEN, math.sqrt(2.0) - 1.0))
+
+
+@st.composite
+def class_moves(draw, dimension, h):
+    """A reflection sign, a winding shift n (k.alpha) and a period shift 2m,
+    with |n|, |k|, |m| <= h."""
+    ints = st.integers(-h, h)
+    return (draw(st.sampled_from([1, -1])), draw(ints),
+            tuple(draw(ints) for _ in range(dimension)), draw(ints))
+
+
+def moved(r, move):
+    sign, n, k, m = move
+    return rv(sign * r.representative + n * r.alpha.dot(k) + 2 * m, r.alpha)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(data=st.data(), alpha=st.sampled_from([ALPHA, ALPHA2]), h=st.integers(1, 3),
+       x=st.floats(-3.0, 3.0), related=st.booleans())
+def test_equivalence_check_is_symmetric(data, alpha, h, x, related):
+    r1 = rv(x, alpha)
+    if related:
+        r2 = moved(r1, data.draw(class_moves(alpha.dimension, h)))
+        assert equivalence_check(r1, r2, h)
+    else:
+        r2 = rv(data.draw(st.floats(-3.0, 3.0)), alpha)
+    assert equivalence_check(r1, r2, h) == equivalence_check(r2, r1, h)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(data=st.data(), alpha=st.sampled_from([ALPHA, ALPHA2]), h=st.integers(1, 3),
+       x=st.floats(-3.0, 3.0))
+def test_equivalence_check_is_transitive(data, alpha, h, x):
+    r1 = rv(x, alpha)
+    r2 = moved(r1, data.draw(class_moves(alpha.dimension, h)))
+    r3 = moved(r2, data.draw(class_moves(alpha.dimension, h)))
+    assert equivalence_check(r1, r2, h) and equivalence_check(r2, r3, h)
+    # n1 k1 +- n2 k2 is one winding of max-norm <= 2 h^2, taken with n = 1
+    assert equivalence_check(r1, r3, 2 * h * h)
 
 
 def test_equivalence_witness_details():
