@@ -157,6 +157,15 @@ class ExperimentConfig:
             if kind in CHAIN_REQUIRED and CHAIN_REQUIRED[kind] not in spec:
                 raise ConfigError("chain[%d] needs %r" % (i, CHAIN_REQUIRED[kind]))
             _check_entries("chain[%d]." % i, spec, CHAIN_ENTRY_TYPES[kind])
+        counts = [("seed", data.get("seed")),
+                  ("equivalence_horizon", data.get("equivalence_horizon")),
+                  ("perturbation.band", (data.get("perturbation") or {}).get("band"))]
+        counts += [("chain[%d].band" % i, spec.get("band"))
+                   for i, spec in enumerate(data.get("chain", ()))]
+        for name, value in counts:
+            if value is not None and value < 0:
+                raise ConfigError("config field %r must be non-negative, got %r"
+                                  % (name, value))
         cfg = cls(**data)
         try:
             cfg.resolve_scheme()

@@ -188,6 +188,24 @@ class AlgebraMap:
         out.coeffs[sl] = self.coeffs
         return out
 
+    def trimmed(self, tol: float):
+        """Same map on the smallest box |k| <= b whose dropped modes have l1
+        mass sum_{|k| > b} |c(k)| at most tol, |c(k)| the Euclidean norm of
+        the coefficient 3-vector; returns (map, dropped mass).  The dropped
+        modes move the map by at most that mass in sup norm.  A map with
+        nothing to drop comes back as itself, with mass 0."""
+        if not tol >= 0:
+            raise ValueError("trim tolerance must be non-negative")
+        shell = mode_norm_grid(self.dimension, self.band, "max").ravel()
+        mass = np.linalg.norm(self.coeffs, axis=-1).ravel()
+        # above[b]: mass of the shells b+1..band, what keeping |k| <= b drops
+        above = np.append(np.cumsum(np.bincount(shell, mass)[:0:-1])[::-1], 0.0)
+        band = int(np.argmax(above <= tol))
+        if band == self.band:
+            return self, 0.0
+        inner = (slice(self.band - band, self.band + band + 1),) * self.dimension
+        return AlgebraMap(self.dimension, band, self.coeffs[inner].copy()), float(above[band])
+
     # -- arithmetic
 
     def __add__(self, other: "AlgebraMap") -> "AlgebraMap":

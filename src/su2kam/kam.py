@@ -60,6 +60,7 @@ from .su2 import (
 ALGEBRA_DIMENSION = 3  # d' for the negative-regularity diagnostic
 SAFETY_EXPONENT = 2.0  # a step at scale N needs |F|_H0 <= N^-SAFETY_EXPONENT
 INITIAL_BOUND = 1e-2   # largest |F|_H0 of a source cocycle the scheme accepts
+TAIL_SHARE = 1e-2      # a renormalisation drops l1 mass <= TAIL_SHARE * stop_tolerance
 
 
 class SchemeError(RuntimeError):
@@ -93,6 +94,8 @@ class SchemeParams:
             raise ValueError("nu must be positive")
         if self.n0 < 1:
             raise ValueError("initial scale must be positive")
+        if not self.stop_tolerance >= 0:
+            raise ValueError("stop_tolerance must be non-negative")
 
     @classmethod
     def for_dioph(cls, p: DiophParams, **overrides) -> "SchemeParams":
@@ -141,6 +144,9 @@ class StepDiagnostics:
     theta: float
     accumulator: float
     chain_length: int
+    band_next: int                # band the step analysed its fiber on
+    band_stored: int              # band of the perturbation it stored
+    tail_l1: float                # l1 mass of the modes it dropped
 
     def to_dict(self) -> dict:
         d = self.__dict__.copy()
@@ -161,6 +167,7 @@ class SchemeState:
     ledger: tuple = ()
     diagnostics: tuple = ()
     sum_k_alpha: float = 0.0
+    initial_tail_l1: float = 0.0  # l1 mass the initial renormalisation dropped
 
     def __post_init__(self):
         if self.chain is None:
@@ -207,8 +214,11 @@ class NormalForm(SchemeState):
 
     def replay_error(self) -> float:
         """sup distance between the chain applied to the source cocycle and
-        the recorded final cocycle; the normal-form consistency invariant."""
-        m = grid_size(self.perturbation.band, self.alpha.dimension)
+        the recorded final cocycle; the normal-form consistency invariant.
+        The grid resolves the replayed fiber by the band rule of
+        cocycle.conjugate, or the final band if that is larger."""
+        band = self.source.perturbation.band + 2 * self.chain.content_bound() + 8
+        m = grid_size(max(band, self.perturbation.band), self.alpha.dimension)
         replayed = conjugate_raw(self.chain, self.source, m)
         recorded = self.cocycle().fiber_grid(m)
         return float(np.max(quat_angle(quat_mul(replayed, quat_conj(recorded)))))
@@ -239,6 +249,7 @@ class NormalForm(SchemeState):
             "ledger": [r.to_dict() for r in self.ledger],
             "diagnostics": [d.to_dict() for d in self.diagnostics],
             "final_residual_h0": self.diagnostics[-1].norm_f_h0,
+            "initial_tail_l1": self.initial_tail_l1,
             "chain": self.chain.to_dict(),
         }
 
@@ -386,11 +397,14 @@ def _norms(f: AlgebraMap):
             sobolev_norm(f, -(f.dimension + ALGEBRA_DIMENSION)))
 
 
-def _diagnostics_row(state: SchemeState, norms, record: ResonanceRecord = None,
+def _diagnostics_row(state: SchemeState, norms, band_next: int, band_stored: int,
+                     tail_l1: float = 0.0, record: ResonanceRecord = None,
                      y: AlgebraMap = None) -> StepDiagnostics:
     """Row for one step: the perturbation norms it started from, the removed
-    resonance and the generator Y it solved (none on the closing row), and
-    the constant, accumulator and chain length it left."""
+    resonance and the generator Y it solved (none on the closing row), the
+    constant, accumulator and chain length it left, and the band it analysed
+    on, the band it stored and the l1 mass it dropped (on the closing row,
+    which renormalises nothing, the final band twice and 0)."""
     return StepDiagnostics(
         step=state.step, scale=state.scale,
         resonant=record is not None,
@@ -400,6 +414,7 @@ def _diagnostics_row(state: SchemeState, norms, record: ResonanceRecord = None,
         norm_y_h1=sobolev_norm(y, 1.0) if y is not None else 0.0,
         theta=state.theta, accumulator=state.accumulator,
         chain_length=len(state.chain),
+        band_next=band_next, band_stored=band_stored, tail_l1=tail_l1,
     )
 
 
@@ -417,16 +432,27 @@ def _select_branch(theta_prev: float, theta_raw: float):
 
 
 def _renormalize(samples: np.ndarray, p_frame: GroupElement, theta: float,
-                 band: int, chain: ConjugationChain):
+                 band: int, chain: ConjugationChain, params: SchemeParams):
     """Constant-times-exponential form of fiber samples on the fixed torus:
     straighten the samples by the frame p, take the logarithm relative to
-    exp(theta e) and analyse it on the band.  Returns the perturbation and
-    the chain with ConstantFactor(p) prepended unless p is the identity.
+    exp(theta e), analyse it on the band and store it on its content box.
+    Returns the perturbation, the l1 mass its trim dropped, and the chain
+    with ConstantFactor(p) prepended unless p is the identity.
 
     Whatever part of the straightened constant lies off the torus goes into
     the perturbation, so the renormalisation is exact up to the resynthesis
-    error, which must stay below RESYNTHESIS_TOL.  Raises CutLocusError when
-    a sample is too far from exp(theta e) for the logarithm.
+    error, which must stay below RESYNTHESIS_TOL on the full band, and up to
+    the trim.  Raises CutLocusError when a sample is too far from
+    exp(theta e) for the logarithm.
+
+    The trim keeps the smallest box whose dropped modes have l1 mass at most
+    TAIL_SHARE * stop_tolerance.  That mass bounds the sup-norm change of
+    the logarithm, and exp and fibered conjugation move a fiber by no more
+    than that in the metric of replay_error.  So each renormalisation adds
+    at most TAIL_SHARE * stop_tolerance to replay_error, and a converged
+    run's true residual is at most the reported one plus
+    (max_steps + 1) * TAIL_SHARE * stop_tolerance, the initial state's trim
+    included.
     """
     straightened = quat_mul(p_frame.q, quat_mul(samples, quat_conj(p_frame.q)))
     logs = alg_log_quat(quat_mul(quat_conj(torus_quat(theta)), straightened))
@@ -436,9 +462,10 @@ def _renormalize(samples: np.ndarray, p_frame: GroupElement, theta: float,
     if resynth > RESYNTHESIS_TOL:
         raise SchemeError("band %d failed to resolve the conjugated fiber (error %.3g)"
                           % (band, resynth))
+    f, dropped = f.trimmed(TAIL_SHARE * params.stop_tolerance)
     if not np.array_equal(p_frame.q, np.array([1.0, 0.0, 0.0, 0.0])):
         chain = chain.prepended(ConstantFactor(p_frame))
-    return f, chain
+    return f, dropped, chain
 
 
 def kam_step(state: SchemeState, params: SchemeParams) -> SchemeState:
@@ -460,7 +487,8 @@ def kam_step(state: SchemeState, params: SchemeParams) -> SchemeState:
     y = (-1.0) * w.rotated(rot)
 
     n_next = max(state.scale + 1, int(round(float(state.scale) ** (1.0 + params.sigma))))
-    # band_next >= n_next, so grid_size's budget is also the cap on the scale
+    # band_next >= n_next, so grid_size's budget is also the cap on the scale;
+    # the band starts from the trimmed one, so it grows only with content
     band_next = max(n_next, state.perturbation.band + 2 * y.band)
     d = state.alpha.dimension
     conjugated = conjugate_raw(ConjugationChain((ExpFactor(y),), d), state.cocycle(),
@@ -475,14 +503,15 @@ def kam_step(state: SchemeState, params: SchemeParams) -> SchemeState:
     if np.any(y.coeffs != 0):
         chain = chain.prepended(ExpFactor(y))
     try:
-        f_next, chain = _renormalize(conjugated, p_frame, theta_next, band_next, chain)
+        f_next, dropped, chain = _renormalize(conjugated, p_frame, theta_next,
+                                              band_next, chain, params)
     except CutLocusError as exc:
         raise DivergenceError(
             "conjugated fiber left the perturbative neighborhood at step %d: %s"
             % (state.step, exc), state=state) from exc
 
     state = replace(state, chain=chain)
-    row = _diagnostics_row(state, norms, record, y)
+    row = _diagnostics_row(state, norms, band_next, f_next.band, dropped, record, y)
     return replace(
         state,
         theta=theta_next,
@@ -498,12 +527,12 @@ def initial_state(phi: Cocycle, params: SchemeParams) -> SchemeState:
     the fixed torus as every step does; the normal form starts empty."""
     p_frame, theta = diagonalize(phi.constant)
     band = phi.perturbation.band
-    perturbation, chain = _renormalize(
+    perturbation, dropped, chain = _renormalize(
         phi.fiber_grid(grid_size(band, phi.dimension)), p_frame, theta, band,
-        ConjugationChain((), phi.dimension))
+        ConjugationChain((), phi.dimension), params)
     return SchemeState(
         alpha=phi.alpha, theta=theta, perturbation=perturbation,
-        scale=params.n0, chain=chain,
+        scale=params.n0, chain=chain, initial_tail_l1=dropped,
     )
 
 
@@ -527,6 +556,7 @@ def run_scheme(phi: Cocycle, params: SchemeParams = None,
             raise DivergenceError("perturbation grew from %.3g to %.3g at step %d"
                                   % (h0, h0_next, state.step), state=step_state)
         state, h0 = step_state, h0_next
-    closing = _diagnostics_row(state, _norms(state.perturbation))
+    band = state.perturbation.band
+    closing = _diagnostics_row(state, _norms(state.perturbation), band, band)
     return NormalForm(**{**vars(state), "diagnostics": state.diagnostics + (closing,)},
                       params=params, source=phi)

@@ -258,6 +258,12 @@ def test_main_flags_merge_into_the_config_scheme(tmp_path):
     {"scheme": {"stop_tolerance": math.nan}},
     {"equivalence_tolerance": math.nan},
     {"frequency": {"value": [GOLDEN, -math.inf]}},
+    # negative counts, rejected by name before any work
+    {"equivalence_horizon": -5},
+    {"perturbation": {"band": -1}},
+    {"chain": [{"kind": "exp", "band": -1}]},
+    {"seed": -1},
+    {"scheme": {"stop_tolerance": -1e-12}},
 ])
 def test_main_wrongly_typed_config_field_exits_config(tmp_path, bad):
     cfg_path = tmp_path / "bad.json"
@@ -265,6 +271,21 @@ def test_main_wrongly_typed_config_field_exits_config(tmp_path, bad):
     assert main(["run", "--config", str(cfg_path)]) == EXIT_CONFIG
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(bad)
+
+
+def test_config_rejects_a_negative_count_by_name():
+    def counts(value):
+        return [{"seed": value}, {"equivalence_horizon": value},
+                {"perturbation": {"band": value}},
+                {"chain": [{"kind": "torus", "winding": [2]},
+                           {"kind": "exp", "band": value}]}]
+
+    names = ["seed", "equivalence_horizon", "perturbation.band", "chain[1].band"]
+    for bad, name in zip(counts(-1), names):
+        with pytest.raises(ConfigError, match=re.escape("%r must be non-negative" % name)):
+            ExperimentConfig.from_dict(bad)
+    for zero in counts(0):
+        ExperimentConfig.from_dict(zero)
 
 
 def test_readme_example_config_loads():
@@ -314,13 +335,14 @@ def test_run_experiment_two_dimensional():
 
 
 def test_main_grid_past_the_budget_exits_scheme(tmp_path, monkeypatch, capsys):
-    # the source and initial grids are 52^2 points, the first step's 84^2
+    # the source and initial grids are 52^2 points; the trimmed perturbation
+    # makes the first step's grid 28^2 and the second step's, the largest, 76^2
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(TWO_FREQ_CONFIG))
-    monkeypatch.setattr(fourier, "GRID_POINTS", 84 ** 2 - 1)
+    monkeypatch.setattr(fourier, "GRID_POINTS", 76 ** 2 - 1)
     assert main(["run", "--config", str(cfg_path)]) == EXIT_SCHEME
     err = capsys.readouterr().err
-    assert err.startswith("grid budget error: a 84^2 grid")
+    assert err.startswith("grid budget error: a 76^2 grid")
     assert len(err.splitlines()) == 1
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from su2kam import fourier
 from su2kam.arithmetic import Frequency
@@ -115,6 +117,48 @@ def test_truncate_exact_split_and_tail_bound():
         for s in (0.5, 1.0, 2.5):
             bound = (1.0 + nprime**2) ** (-s / 2.0) * sobolev_norm(f, s)
             assert sobolev_norm(high, 0.0) <= bound + 1e-12
+
+
+def _l1_mass(amap):
+    return math.fsum(np.linalg.norm(amap.coeffs, axis=-1).ravel())
+
+
+def test_trimmed_drops_whole_shells():
+    f = AlgebraMap.zeros(1, 3)
+    f.set_mode_pair((1,), [0.5, 0.0, 0.0])
+    f.set_mode_pair((3,), [0.0, 6e-4, 8e-4])    # |c(+-3)| = 1e-3
+    kept, dropped = f.trimmed(2e-3)
+    assert kept.band == 1 and dropped == 2e-3
+    assert np.array_equal(kept.coeffs, f.coeffs[2:5])
+    assert f.trimmed(1.9e-3) == (f, 0.0)
+    assert AlgebraMap.zeros(2, 4).trimmed(0.0)[0].band == 0
+    with pytest.raises(ValueError):
+        f.trimmed(-1.0)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(d=st.sampled_from([1, 2]), band=st.integers(0, 8),
+       log_decay=st.floats(-4.0, 0.0), log_tol=st.floats(-22.0, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_trimmed_keeps_the_smallest_box_within_the_tolerance(d, band, log_decay,
+                                                             log_tol, seed):
+    # a spectrum decaying like decay^|k|, trimmed at a tolerance from far
+    # below its last shell to above its whole mass
+    f = random_map(d, band, 1.0, np.random.default_rng(seed), mean_free=False)
+    decay = 10.0 ** (log_decay * fourier.mode_norm_grid(d, band, "max"))
+    f = AlgebraMap(d, band, f.coeffs * decay[..., None])
+    tol = 10.0 ** log_tol
+    kept, dropped = f.trimmed(tol)
+    low, high = truncate(f, kept.band)
+    assert np.array_equal(kept.padded(band).coeffs, low.coeffs)
+    assert np.array_equal(kept.padded(band).coeffs + high.coeffs, f.coeffs)
+    assert dropped <= tol
+    assert dropped == pytest.approx(_l1_mass(high), rel=1e-12, abs=0.0)
+    if kept.band > 0:
+        # one shell fewer would drop more than the tolerance
+        assert _l1_mass(truncate(f, kept.band - 1)[1]) > tol
+    if kept.band == band:
+        assert kept is f and dropped == 0.0
 
 
 def test_algebra_map_serialization_roundtrip():

@@ -431,6 +431,8 @@ def test_scheme_params_validation():
         SchemeParams(sigma=1.5)
     with pytest.raises(ValueError):
         SchemeParams(nu=-1.0)
+    with pytest.raises(ValueError):
+        SchemeParams(stop_tolerance=-1e-12)
     p = SchemeParams.for_dioph(DiophParams(3.0, 2.0, 100))
     assert p.nu == 4.0
     with pytest.raises(ValueError):
@@ -481,6 +483,45 @@ def test_exp_factors_are_stored_on_their_solve_box(monkeypatch):
     reference = chain_sobolev_partial(wide, -(nf.alpha.dimension + kam.ALGEBRA_DIMENSION),
                                       2 * wide.content_bound() + 8)
     assert np.allclose(nf.chain_prefix_norms(), reference, rtol=1e-14, atol=0.0)
+
+
+def test_renormalisation_stores_the_perturbation_on_its_content_box():
+    cfg = _two_freq_exp_config()
+    phi, _truth = synthesize_cocycle(cfg)
+    params = cfg.resolve_scheme()
+    nf = run_scheme(phi, params, cfg.resolve_dioph())
+    assert nf.converged
+    steps, closing = nf.diagnostics[:-1], nf.diagnostics[-1]
+    assert all(row.band_stored <= row.band_next for row in steps)
+    assert any(row.band_stored < row.band_next for row in steps)
+    assert steps[-1].band_stored == nf.perturbation.band
+    assert (closing.band_next, closing.band_stored, closing.tail_l1) == \
+        (nf.perturbation.band, nf.perturbation.band, 0.0)
+    drops = [nf.initial_tail_l1] + [row.tail_l1 for row in steps]
+    assert all(0.0 <= t <= kam.TAIL_SHARE * params.stop_tolerance for t in drops)
+    assert sum(drops) < params.stop_tolerance
+    assert nf.replay_error() <= 1e-13
+    doc = nf.to_dict()
+    assert doc["initial_tail_l1"] == nf.initial_tail_l1
+    assert [row["tail_l1"] for row in doc["diagnostics"][:-1]] == drops[1:]
+
+
+def test_scheme_grids_follow_the_content(monkeypatch):
+    # the scheme of the first exp-2d benchmark experiment (config seed 5,
+    # stop_tolerance 1e-12), whose grids reached 420^2 while the stored band
+    # grew at every step
+    sizes = []
+
+    def recorded(band, d):
+        m = fourier.grid_size(band, d)
+        sizes.append(m)
+        return m
+
+    monkeypatch.setattr(kam, "grid_size", recorded)
+    cfg = _two_freq_exp_config()
+    phi, _truth = synthesize_cocycle(cfg)
+    run_scheme(phi, cfg.resolve_scheme(), cfg.resolve_dioph())
+    assert len(sizes) > 1 and max(sizes) <= 200
 
 
 def test_prefix_norms_are_nan_past_the_grid_point_bound(monkeypatch):
