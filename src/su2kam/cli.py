@@ -323,8 +323,9 @@ def run_experiment(cfg: ExperimentConfig):
 
 
 def _dump_report(report: dict, fh) -> None:
-    json.dump(report, fh, sort_keys=True, indent=1)
-    fh.write("\n")
+    """One line of JSON with sorted keys, through json's C encoder (json.dump
+    and indent both fall back to the pure-Python one)."""
+    fh.write(json.dumps(report, sort_keys=True) + "\n")
 
 
 def _emit(doc: dict, path) -> None:

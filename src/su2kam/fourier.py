@@ -53,7 +53,9 @@ def _mode_range(band: int) -> np.ndarray:
 
 
 def field_synthesize(coeffs: np.ndarray, m: int, dimension: int = None) -> np.ndarray:
-    """Values of sum_k c(k) exp(2 pi i k.x) on the uniform m^d grid.
+    """Values of sum_k c(k) exp(2 pi i k.x) on the uniform m^d grid, by a
+    full complex FFT: the reference that synthesize's real FFT is tested
+    against.
 
     `coeffs` has shape (2N+1,)*dimension (+ optional trailing axes, carried
     along); requires m >= 2N+2 so box modes occupy distinct FFT bins.
@@ -266,13 +268,28 @@ class AlgebraMap:
 # -- module-level operations on AlgebraMap -----------------------------------
 
 
+def _half_index(band: int, m: int, dimension: int) -> tuple:
+    """Bins of the modes |k| <= band with k_last >= 0 in an rfftn spectrum of
+    an m^d grid."""
+    return np.ix_(*[_mode_range(band) % m] * (dimension - 1) + [np.arange(band + 1)])
+
+
 def synthesize(amap: AlgebraMap, m: int) -> np.ndarray:
-    """Grid values as real 3-vectors; requires m >= 2*band+2."""
-    return np.real(field_synthesize(amap.coeffs, m, amap.dimension))
+    """Grid values as real 3-vectors; requires m >= 2*band+2.  A real inverse
+    FFT of the k_last >= 0 half of the box: the map is real, so that half
+    determines it."""
+    d, band = amap.dimension, amap.band
+    if m < 2 * band + 2:
+        raise UndersampledGridError("grid %d undersamples band %d" % (m, band))
+    buf = np.zeros((m,) * (d - 1) + (m // 2 + 1, 3), dtype=complex)
+    buf[_half_index(band, m, d)] = amap.coeffs[..., band:, :]
+    return np.fft.irfftn(buf, s=(m,) * d, axes=tuple(range(d))) * float(m) ** d
 
 
 def analyze(samples: np.ndarray, band: int) -> AlgebraMap:
-    """Inverse of synthesize on band-limited data (modes |k| <= band), reality enforced."""
+    """Inverse of synthesize on band-limited data (modes |k| <= band), reality
+    enforced: a real FFT gives the k_last >= 0 half, the other half is its
+    flipped conjugate, and symmetrizing evens out the k_last = 0 plane."""
     samples = np.asarray(samples, dtype=float)
     dimension = samples.ndim - 1
     m = samples.shape[0]
@@ -280,8 +297,9 @@ def analyze(samples: np.ndarray, band: int) -> AlgebraMap:
         raise ValueError("expected a cubic grid")
     if m < 2 * band + 2:
         raise UndersampledGridError("grid %d undersamples band %d" % (m, band))
-    hat = np.fft.fftn(samples, axes=tuple(range(dimension))) / float(m) ** dimension
-    coeffs = hat[np.ix_(*[_mode_range(band) % m] * dimension)]
+    hat = np.fft.rfftn(samples, axes=tuple(range(dimension))) / float(m) ** dimension
+    half = hat[_half_index(band, m, dimension)]
+    coeffs = np.concatenate([_flip_conj(half[..., 1:, :], dimension), half], axis=dimension - 1)
     return AlgebraMap(dimension, band, coeffs).symmetrized()
 
 
@@ -540,11 +558,15 @@ def chain_sobolev_partial(chain: ConjugationChain, s: float, m: int):
     if m < need:
         raise UndersampledGridError("grid %d undersamples chain content (need >= %d)" % (m, need))
     d = chain.dimension
-    freqs = np.fft.fftfreq(m, d=1.0 / m) / 2.0
-    k2 = sum(g ** 2 for g in np.meshgrid(*[freqs] * d, indexing="ij"))
-    weight = (1.0 + k2) ** s
+    # real FFTs keep the k_last >= 0 half; the interior bins of the last axis
+    # stand for their conjugate partners too, so they count twice
+    freqs = [np.fft.fftfreq(m, d=1.0 / m) / 2.0] * (d - 1) + [np.fft.rfftfreq(m, d=1.0 / m) / 2.0]
+    k2 = sum(g ** 2 for g in np.meshgrid(*freqs, indexing="ij"))
+    twice = np.full(m // 2 + 1, 2.0)
+    twice[[0, -1]] = 1.0
+    weight = (1.0 + k2) ** s * twice
     norms = []
     for samples in chain.prefix_grids(m, span=2.0):
-        hat = np.fft.fftn(samples, axes=tuple(range(d))) / float(m) ** d
+        hat = np.fft.rfftn(samples, axes=tuple(range(d))) / float(m) ** d
         norms.append(float(np.sqrt(np.sum(weight[..., None] * np.abs(hat) ** 2))))
     return norms

@@ -391,9 +391,10 @@ def remove_resonance(state: SchemeState, record: ResonanceRecord) -> SchemeState
     return new_state
 
 
-def _norms(f: AlgebraMap):
-    """H^0, H^1 and negative-regularity norms of a perturbation."""
-    return (sobolev_norm(f, 0.0), sobolev_norm(f, 1.0),
+def _norms(f: AlgebraMap, h0: float = None):
+    """H^0, H^1 and negative-regularity norms of a perturbation; h0, when
+    given, is its H^0 norm, already computed."""
+    return (sobolev_norm(f, 0.0) if h0 is None else h0, sobolev_norm(f, 1.0),
             sobolev_norm(f, -(f.dimension + ALGEBRA_DIMENSION)))
 
 
@@ -557,6 +558,6 @@ def run_scheme(phi: Cocycle, params: SchemeParams = None,
                                   % (h0, h0_next, state.step), state=step_state)
         state, h0 = step_state, h0_next
     band = state.perturbation.band
-    closing = _diagnostics_row(state, _norms(state.perturbation), band, band)
+    closing = _diagnostics_row(state, _norms(state.perturbation, h0), band, band)
     return NormalForm(**{**vars(state), "diagnostics": state.diagnostics + (closing,)},
                       params=params, source=phi)

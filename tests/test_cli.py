@@ -111,6 +111,41 @@ def test_run_experiment_deterministic(tmp_path):
     assert p.read_bytes() == first
 
 
+def test_report_is_one_line_of_sorted_json(tmp_path):
+    p = tmp_path / "report.json"
+    cfg = recovery_config(report_path=str(p))
+    run_experiment(cfg)
+    text = p.read_text()
+    assert text.count("\n") == 1 and text.endswith("\n")
+    assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+    first = p.read_bytes()
+    run_experiment(cfg)
+    assert p.read_bytes() == first
+
+
+def test_run_experiment_uses_real_ffts_and_the_c_json_encoder(tmp_path, monkeypatch):
+    # every grid is real, so no complex n-d FFT runs, and the report goes
+    # through json's C encoder, never the pure-Python one that
+    # _make_iterencode builds
+    def forbidden(*args, **kwargs):
+        raise AssertionError("complex FFT or pure-Python JSON encoder used")
+
+    monkeypatch.setattr(np.fft, "fftn", forbidden)
+    monkeypatch.setattr(np.fft, "ifftn", forbidden)
+    monkeypatch.setattr(json.encoder, "_make_iterencode", forbidden)
+    cfg = ExperimentConfig.from_dict({
+        **TWO_FREQ_CONFIG,
+        "chain": TWO_FREQ_CONFIG["chain"] + [{"kind": "exp", "band": 3, "amplitude": 1e-3}],
+        "report_path": str(tmp_path / "report.json"),
+        "csv_path": str(tmp_path / "diag.csv"),
+    })
+    report, code = run_experiment(cfg)
+    assert code == EXIT_OK
+    assert report["normal_form"]["converged"]
+    assert json.loads((tmp_path / "report.json").read_text()) == json.loads(json.dumps(report))
+    assert (tmp_path / "diag.csv").read_text().startswith("n,N,resonant,k,")
+
+
 def test_run_experiment_constant_cocycle():
     cfg = ExperimentConfig(theta=0.29, chain=[], perturbation=None)
     report, code = run_experiment(cfg)

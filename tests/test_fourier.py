@@ -48,11 +48,28 @@ def test_analyze_synthesize_roundtrip():
         assert np.max(np.abs(g.coeffs - f.coeffs)) < 1e-12
 
 
-def test_synthesize_reality_residue():
-    rng = np.random.default_rng(1)
-    f = random_map(1, 10, 1.0, rng)
-    vals = field_synthesize(f.coeffs, 40, f.dimension)
-    assert np.max(np.abs(vals.imag)) < 1e-12
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(d=st.integers(1, 3), band=st.integers(0, 4), extra=st.integers(0, 5),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_real_transforms_match_the_complex_reference(d, band, extra, seed):
+    # extra runs over even and odd grids: ExpFactor.grid(span=2) synthesises
+    # at m // 2, which can be odd
+    rng = np.random.default_rng(seed)
+    f = random_map(d, band, 1.0, rng, mean_free=False)
+    m = 2 * band + 2 + extra
+    reference = np.real(field_synthesize(f.coeffs, m, d))
+    assert np.max(np.abs(synthesize(f, m) - reference)) < 1e-14
+    # any real grid, band-limited or not: the box of a full complex FFT,
+    # symmetrized
+    samples = rng.standard_normal((m,) * d + (3,))
+    hat = np.fft.fftn(samples, axes=tuple(range(d))) / float(m) ** d
+    box = hat[np.ix_(*[np.arange(-band, band + 1) % m] * d)]
+    box = 0.5 * (box + np.conj(np.flip(box, axis=tuple(range(d)))))
+    assert np.max(np.abs(analyze(samples, band).coeffs - box)) < 1e-14
+    with pytest.raises(UndersampledGridError):
+        synthesize(f, 2 * band + 1)
+    with pytest.raises(UndersampledGridError):
+        analyze(samples[(slice(0, 2 * band + 1),) * d], band)
 
 
 def test_undersampled_grid_rejected():
@@ -294,17 +311,24 @@ def _mixed_chain(d: int) -> ConjugationChain:
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_chain_sobolev_partial_matches_per_prefix_reference(d):
+    # a full complex FFT of each prefix's double-cover grid; the odd windings
+    # (3, 1) and (1, 1) live only on the double cover, and the two pads give
+    # an even and an odd count of the last-axis bins between 0 and the
+    # Nyquist bin, which the real FFT counts twice
     chain = _mixed_chain(d)
-    m = 2 * chain.content_bound() + 8
-    s = -3.0
-    norms = chain_sobolev_partial(chain, s, m)
-    freqs = np.fft.fftfreq(m, d=1.0 / m) / 2.0
-    weight = (1.0 + sum(g ** 2 for g in np.meshgrid(*[freqs] * d, indexing="ij"))) ** s
-    assert len(norms) == len(chain)
-    for norm, prefix in zip(norms, chain.application_prefixes()):
-        hat = np.fft.fftn(prefix.grid(m, span=2.0), axes=tuple(range(d))) / float(m) ** d
-        ref = float(np.sqrt(np.sum(weight[..., None] * np.abs(hat) ** 2)))
-        assert abs(norm - ref) <= 1e-13 * ref
+    for pad in (8, 10):
+        m = 2 * chain.content_bound() + pad
+        freqs = np.fft.fftfreq(m, d=1.0 / m) / 2.0
+        k2 = sum(g ** 2 for g in np.meshgrid(*[freqs] * d, indexing="ij"))
+        hats = [np.fft.fftn(prefix.grid(m, span=2.0), axes=tuple(range(d))) / float(m) ** d
+                for prefix in chain.application_prefixes()]
+        for s in (-3.0, 0.0, 1.5):
+            norms = chain_sobolev_partial(chain, s, m)
+            assert len(norms) == len(chain)
+            weight = (1.0 + k2) ** s
+            for norm, hat in zip(norms, hats):
+                ref = float(np.sqrt(np.sum(weight[..., None] * np.abs(hat) ** 2)))
+                assert abs(norm - ref) <= 1e-13 * ref
 
 
 def test_chain_sobolev_partial_builds_each_factor_grid_once(monkeypatch):

@@ -555,3 +555,20 @@ def test_normal_form_serialization_and_csv(tmp_path):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "n,N,resonant,k,F_H0,F_H1,Hprefix_Hneg"
     assert len(lines) == nf.steps + 2
+
+
+def test_final_perturbation_h0_is_computed_once(monkeypatch):
+    # the loop test already holds the final H^0 norm; the closing row reuses it
+    calls = []
+
+    def recorded(amap, s):
+        calls.append((amap, s))
+        return sobolev_norm(amap, s)
+
+    monkeypatch.setattr(kam, "sobolev_norm", recorded)
+    cfg = _two_freq_exp_config()
+    phi, _truth = synthesize_cocycle(cfg)
+    nf = run_scheme(phi, cfg.resolve_scheme(), cfg.resolve_dioph())
+    assert nf.converged
+    assert sum(1 for amap, s in calls if amap is nf.perturbation and s == 0.0) == 1
+    assert nf.diagnostics[-1].norm_f_h0 == sobolev_norm(nf.perturbation, 0.0)
