@@ -55,7 +55,7 @@ from .rotation import (
     finite_resonance_audit,
     rotation_vector,
 )
-from .su2 import GroupElement, alg_exp_quat, quat_mul
+from .su2 import GroupElement, alg_exp_quat, quat_mul, torus_quat
 
 EXIT_OK = 0
 EXIT_TRUTH_MISMATCH = 1
@@ -227,12 +227,11 @@ def synthesize_cocycle(cfg: ExperimentConfig):
     alpha = cfg.resolve_frequency()
     rng = np.random.default_rng(cfg.seed)
     chain = build_chain(cfg, alpha, rng)
-    base = Cocycle(alpha, GroupElement(np.asarray(
-        [np.cos(np.pi * cfg.theta), np.sin(np.pi * cfg.theta), 0.0, 0.0])),
-        AlgebraMap.zeros(alpha.dimension, 0))
+    base = Cocycle(alpha, GroupElement(torus_quat(cfg.theta)),
+                   AlgebraMap.zeros(alpha.dimension, 0))
 
     pert_band = cfg.perturbation.get("band", 4) if cfg.perturbation else 0
-    band = 2 * chain.content_bound() + pert_band + 8
+    band = chain.conjugated_band(pert_band)
     m = grid_size(band, alpha.dimension)
 
     samples = conjugate_raw(chain, base, m)
@@ -289,30 +288,30 @@ def solve_experiment(cfg: ExperimentConfig):
 
 
 def run_experiment(cfg: ExperimentConfig):
-    """Full pipeline; returns (report dict, exit code)."""
+    """Full pipeline; returns (report dict, exit code), and writes the report
+    and the CSV on each of the exit codes 0, 1 and 4 it returns."""
     report, nf = solve_experiment(cfg)
     report["normal_form"] = nf.to_dict()
 
-    code = EXIT_OK
     try:
         rho = rotation_vector(nf)
     except UnresolvedRotation as exc:
         report["rotation"] = {"error": str(exc)}
-        return report, EXIT_ROTATION
-    report["rotation"] = rho.to_dict()
-    report["audit"] = finite_resonance_audit(nf, rho, cfg.resolve_dioph())
-    report["classification"] = report["audit"]["classification"]
+        code = EXIT_ROTATION
+    else:
+        report["rotation"] = rho.to_dict()
+        report["audit"] = finite_resonance_audit(nf, rho, cfg.resolve_dioph())
+        report["classification"] = report["audit"]["classification"]
 
-    truth_vector = RotationVector(report["ground_truth"]["class_representative"],
-                                  nf.alpha, {"source": "ground-truth"})
-    match = equivalence_witness(rho, truth_vector, cfg.equivalence_horizon,
-                                tol=cfg.equivalence_tolerance)
-    report["truth_comparison"] = {
-        "equivalent": match is not None,
-        "witness": match,
-    }
-    if match is None:
-        code = EXIT_TRUTH_MISMATCH
+        truth_vector = RotationVector(report["ground_truth"]["class_representative"],
+                                      nf.alpha, {"source": "ground-truth"})
+        match = equivalence_witness(rho, truth_vector, cfg.equivalence_horizon,
+                                    tol=cfg.equivalence_tolerance)
+        report["truth_comparison"] = {
+            "equivalent": match is not None,
+            "witness": match,
+        }
+        code = EXIT_OK if match is not None else EXIT_TRUTH_MISMATCH
 
     if cfg.csv_path:
         nf.write_csv(cfg.csv_path)

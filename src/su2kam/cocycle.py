@@ -22,7 +22,6 @@ from .fourier import (
     analyze,
     grid_size,
     synthesize,
-    translate,
 )
 from .su2 import (
     CutLocusError,
@@ -56,10 +55,9 @@ class Cocycle:
     def dimension(self) -> int:
         return self.alpha.dimension
 
-    def fiber_grid(self, m: int, offset=None) -> np.ndarray:
-        """Quaternion samples of A exp(F) on the m^d grid, optionally shifted."""
-        amap = self.perturbation if offset is None else translate(self.perturbation, offset)
-        return quat_mul(self.constant.q, alg_exp_quat(synthesize(amap, m)))
+    def fiber_grid(self, m: int) -> np.ndarray:
+        """Quaternion samples of A exp(F) on the m^d grid."""
+        return quat_mul(self.constant.q, alg_exp_quat(synthesize(self.perturbation, m)))
 
     def fiber_at(self, x) -> np.ndarray:
         return quat_mul(self.constant.q, alg_exp_quat(self.perturbation.evaluate_at(x)))
@@ -80,30 +78,41 @@ class Cocycle:
         )
 
 
-def normalize(samples: np.ndarray, alpha: Frequency, band: int) -> Cocycle:
-    """Extract (A, F) from raw fiber samples: A is the renormalised quaternion
-    mean, F the band-limited analysis of log(A^-1 fiber).
-
-    The fiber must stay within the cut-locus margin of its mean; the
-    synthesis error of F against the sampled logarithm must be below
-    RESYNTHESIS_TOL, otherwise the band does not resolve the fiber.
-    """
-    samples = np.asarray(samples, dtype=float)
-    axes = tuple(range(samples.ndim - 1))
+def fiber_mean(samples: np.ndarray) -> np.ndarray:
+    """Renormalised quaternion mean of fiber samples; raises
+    NormalizationError when the mean collapses, the fiber far from constant."""
     mean = np.mean(samples.reshape(-1, 4), axis=0)
     if np.linalg.norm(mean) < 1e-3:
         raise NormalizationError("fiber mean collapses; fiber is far from constant")
-    a = quat_normalize(mean)
-    try:
-        logs = alg_log_quat(quat_mul(quat_conj(a), samples))
-    except CutLocusError as exc:
-        raise NormalizationError("fiber not close to a constant: %s" % exc) from exc
-    amap = analyze(logs, band)
+    return quat_normalize(mean)
+
+
+def fiber_log(samples: np.ndarray, reference: np.ndarray, band: int) -> AlgebraMap:
+    """F with fiber = reference exp(F): the logarithm of reference^-1 fiber,
+    analysed on the band.  Raises CutLocusError when a sample is too far
+    from the reference for the logarithm, and NormalizationError when the
+    synthesis error of F against the sampled logarithm exceeds
+    RESYNTHESIS_TOL: the band does not resolve the fiber."""
     m = samples.shape[0]
+    logs = alg_log_quat(quat_mul(quat_conj(reference), samples))
+    del samples  # a grid passed inline is freed before the analysis
+    amap = analyze(logs, band)
     err = float(np.max(np.abs(synthesize(amap, m) - logs)))
     if err > RESYNTHESIS_TOL:
         raise NormalizationError(
             "band %d does not resolve the fiber (resynthesis error %.3g)" % (band, err))
+    return amap
+
+
+def normalize(samples: np.ndarray, alpha: Frequency, band: int) -> Cocycle:
+    """Extract (A, F) from raw fiber samples: A is their fiber_mean, F their
+    fiber_log relative to A.  Every failure raises NormalizationError."""
+    samples = np.asarray(samples, dtype=float)
+    a = fiber_mean(samples)
+    try:
+        amap = fiber_log(samples, a, band)
+    except CutLocusError as exc:
+        raise NormalizationError("fiber not close to a constant: %s" % exc) from exc
     return Cocycle(alpha, GroupElement(a), amap)
 
 
@@ -117,13 +126,9 @@ def conjugate_raw(chain: ConjugationChain, phi: Cocycle, m: int) -> np.ndarray:
 
 
 def conjugate(chain: ConjugationChain, phi: Cocycle, m: int = None) -> Cocycle:
-    """Fibered conjugation followed by normalisation; alpha is untouched.
-
-    The band doubles the chain's linear spectral content plus a margin,
-    enough for close-to-identity exponential factors whose series tails
-    must clear the resynthesis tolerance.
-    """
-    band = phi.perturbation.band + 2 * chain.content_bound() + 8
+    """Fibered conjugation followed by normalisation on the chain's
+    conjugated_band; alpha is untouched."""
+    band = chain.conjugated_band(phi.perturbation.band)
     if m is None:
         m = grid_size(band, phi.dimension)
     samples = conjugate_raw(chain, phi, m)

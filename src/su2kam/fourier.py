@@ -533,6 +533,13 @@ class ConjugationChain:
                 total += 2 * f.map.band
         return total
 
+    def conjugated_band(self, band: int) -> int:
+        """Band that resolves a fiber of the given band after conjugation by
+        the chain: twice the content bound plus a margin, enough for
+        close-to-identity exponential factors whose series tails must clear
+        the resynthesis tolerance."""
+        return band + 2 * self.content_bound() + 8
+
     def to_dict(self) -> dict:
         return {"dimension": self.dimension,
                 "factors": [f.to_dict() for f in self.factors]}

@@ -29,29 +29,25 @@ from .arithmetic import (
     relative_resonance,
 )
 from . import fourier
-from .cocycle import RESYNTHESIS_TOL, Cocycle, conjugate_raw
+from .cocycle import Cocycle, NormalizationError, conjugate_raw, fiber_log, fiber_mean
 from .fourier import (
     AlgebraMap,
     ConjugationChain,
     ConstantFactor,
     ExpFactor,
     TorusMorphism,
-    analyze,
     chain_sobolev_partial,
     grid_size,
     mode_norm_grid,
     sobolev_norm,
-    synthesize,
 )
 from .su2 import (
     CutLocusError,
     GroupElement,
-    alg_log_quat,
     diagonalize,
     quat_angle,
     quat_conj,
     quat_mul,
-    quat_normalize,
     quat_rotation_matrix,
     torus_quat,
     weyl_element,
@@ -215,9 +211,9 @@ class NormalForm(SchemeState):
     def replay_error(self) -> float:
         """sup distance between the chain applied to the source cocycle and
         the recorded final cocycle; the normal-form consistency invariant.
-        The grid resolves the replayed fiber by the band rule of
-        cocycle.conjugate, or the final band if that is larger."""
-        band = self.source.perturbation.band + 2 * self.chain.content_bound() + 8
+        The grid resolves the replayed fiber on the chain's conjugated_band,
+        or on the final band if that is larger."""
+        band = self.chain.conjugated_band(self.source.perturbation.band)
         m = grid_size(max(band, self.perturbation.band), self.alpha.dimension)
         replayed = conjugate_raw(self.chain, self.source, m)
         recorded = self.cocycle().fiber_grid(m)
@@ -353,17 +349,10 @@ def remove_resonance(state: SchemeState, record: ResonanceRecord) -> SchemeState
     delta = shifted - np.rint(shifted)
     lam = state.theta - delta       # resonant constant on the same torus
 
-    f = state.perturbation
-    d, band = f.dimension, f.band
-    grow = max(abs(c) for c in k)
-    nb = band + grow
-    e_new = np.zeros((2 * nb + 1,) * d, dtype=complex)
-    w_new = np.zeros((2 * nb + 1,) * d, dtype=complex)
-    center = tuple(slice(nb - band, nb + band + 1) for _ in range(d))
-    e_new[center] = f.e_field()
-    target = tuple(slice(nb - band - kc, nb + band + 1 - kc) for kc in k)
-    w_new[target] = f.w_field()
-    f_new = AlgebraMap.from_fields(d, nb, e_new, w_new)
+    # the padding by |k| makes the shift of w by -k wrap only zeros
+    f = state.perturbation.padded(state.perturbation.band + record.knorm)
+    w_new = np.roll(f.w_field(), tuple(-c for c in k), axis=tuple(range(f.dimension)))
+    f_new = AlgebraMap.from_fields(f.dimension, f.band, f.e_field(), w_new)
 
     defect_after = float(dist_to_Z(shifted))
     if defect_after > record.threshold + 1e-12:
@@ -435,14 +424,14 @@ def _select_branch(theta_prev: float, theta_raw: float):
 def _renormalize(samples: np.ndarray, p_frame: GroupElement, theta: float,
                  band: int, chain: ConjugationChain, params: SchemeParams):
     """Constant-times-exponential form of fiber samples on the fixed torus:
-    straighten the samples by the frame p, take the logarithm relative to
-    exp(theta e), analyse it on the band and store it on its content box.
+    straighten the samples by the frame p, take their cocycle.fiber_log
+    relative to exp(theta e) on the band and store it on its content box.
     Returns the perturbation, the l1 mass its trim dropped, and the chain
     with ConstantFactor(p) prepended unless p is the identity.
 
     Whatever part of the straightened constant lies off the torus goes into
     the perturbation, so the renormalisation is exact up to the resynthesis
-    error, which must stay below RESYNTHESIS_TOL on the full band, and up to
+    error, which fiber_log bounds (a failure raises SchemeError), and up to
     the trim.  Raises CutLocusError when a sample is too far from
     exp(theta e) for the logarithm.
 
@@ -455,24 +444,23 @@ def _renormalize(samples: np.ndarray, p_frame: GroupElement, theta: float,
     (max_steps + 1) * TAIL_SHARE * stop_tolerance, the initial state's trim
     included.
     """
-    straightened = quat_mul(p_frame.q, quat_mul(samples, quat_conj(p_frame.q)))
-    logs = alg_log_quat(quat_mul(quat_conj(torus_quat(theta)), straightened))
-    del straightened  # one grid fewer alive through the analysis
-    f = analyze(logs, band)
-    resynth = float(np.max(np.abs(synthesize(f, samples.shape[0]) - logs)))
-    if resynth > RESYNTHESIS_TOL:
-        raise SchemeError("band %d failed to resolve the conjugated fiber (error %.3g)"
-                          % (band, resynth))
+    try:
+        # the straightened grid goes inline, so that fiber_log frees it
+        f = fiber_log(quat_mul(p_frame.q, quat_mul(samples, quat_conj(p_frame.q))),
+                      torus_quat(theta), band)
+    except NormalizationError as exc:
+        raise SchemeError(str(exc)) from exc
     f, dropped = f.trimmed(TAIL_SHARE * params.stop_tolerance)
     if not np.array_equal(p_frame.q, np.array([1.0, 0.0, 0.0, 0.0])):
         chain = chain.prepended(ConstantFactor(p_frame))
     return f, dropped, chain
 
 
-def kam_step(state: SchemeState, params: SchemeParams) -> SchemeState:
+def kam_step(state: SchemeState, params: SchemeParams, h0: float = None) -> SchemeState:
     """One scheme step: resonance handling, homological solve, exact grid
-    conjugation by exp(Y), renormalisation, scale growth."""
-    norms = _norms(state.perturbation)
+    conjugation by exp(Y), renormalisation, scale growth; h0, when given, is
+    the H^0 norm of the state's perturbation, already computed."""
+    norms = _norms(state.perturbation, h0)
     safety = float(state.scale) ** -SAFETY_EXPONENT
     if norms[0] > safety:
         raise SchemeError("perturbation %.3g above the step safety bound %.3g"
@@ -495,18 +483,17 @@ def kam_step(state: SchemeState, params: SchemeParams) -> SchemeState:
     conjugated = conjugate_raw(ConjugationChain((ExpFactor(y),), d), state.cocycle(),
                                grid_size(band_next, d))
 
-    mean = quat_normalize(np.mean(conjugated.reshape(-1, 4), axis=0))
-    p_frame, theta_raw = diagonalize(GroupElement(mean))
-    theta_next, flipped = _select_branch(state.theta, theta_raw)
-    if flipped:
-        p_frame = weyl_element() * p_frame
     chain = state.chain
     if np.any(y.coeffs != 0):
         chain = chain.prepended(ExpFactor(y))
     try:
+        p_frame, theta_raw = diagonalize(GroupElement(fiber_mean(conjugated)))
+        theta_next, flipped = _select_branch(state.theta, theta_raw)
+        if flipped:
+            p_frame = weyl_element() * p_frame
         f_next, dropped, chain = _renormalize(conjugated, p_frame, theta_next,
                                               band_next, chain, params)
-    except CutLocusError as exc:
+    except (NormalizationError, CutLocusError) as exc:
         raise DivergenceError(
             "conjugated fiber left the perturbative neighborhood at step %d: %s"
             % (state.step, exc), state=state) from exc
@@ -551,7 +538,7 @@ def run_scheme(phi: Cocycle, params: SchemeParams = None,
     state = initial_state(phi, params)
     h0 = sobolev_norm(state.perturbation, 0.0)
     while state.step < params.max_steps and h0 > params.stop_tolerance:
-        step_state = kam_step(state, params)
+        step_state = kam_step(state, params, h0)
         h0_next = sobolev_norm(step_state.perturbation, 0.0)
         if h0_next > h0 and h0_next > params.stop_tolerance:
             raise DivergenceError("perturbation grew from %.3g to %.3g at step %d"

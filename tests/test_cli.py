@@ -11,6 +11,7 @@ from su2kam.arithmetic import DiophParams
 from su2kam.cli import (
     EXIT_CONFIG,
     EXIT_OK,
+    EXIT_ROTATION,
     EXIT_SCHEME,
     ConfigError,
     ExperimentConfig,
@@ -171,6 +172,25 @@ def test_main_run_subcommand(tmp_path):
     assert main(["run", "--config", str(cfg_path)]) == EXIT_OK
     report = json.loads((tmp_path / "r.json").read_text())
     assert report["truth_comparison"]["equivalent"]
+
+
+def test_main_unresolved_run_still_writes_its_outputs(tmp_path, capsys):
+    # one step leaves the rotation unresolved (exit 4); the report and the
+    # CSV are written all the same
+    report_path, csv_path = tmp_path / "report.json", tmp_path / "diag.csv"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "theta": 0.17, "perturbation": {"band": 4, "amplitude": 1e-4},
+        "scheme": {"max_steps": 1}, "seed": 3,
+        "report_path": str(report_path), "csv_path": str(csv_path)}))
+    assert main(["run", "--config", str(cfg_path)]) == EXIT_ROTATION
+    assert capsys.readouterr().out == ""
+    report = json.loads(report_path.read_text())
+    assert report["rotation"]["error"]
+    assert "truth_comparison" not in report
+    rows = csv_path.read_text().splitlines()
+    assert rows[0] == "n,N,resonant,k,F_H0,F_H1,Hprefix_Hneg"
+    assert len(rows) - 1 == report["normal_form"]["steps"] + 1
 
 
 def test_main_rho_subcommand(tmp_path, capsys):

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from su2kam import fourier, kam
+from su2kam import cocycle, fourier, kam
 from su2kam.arithmetic import DiophParams, Frequency, dist_to_Z
 from su2kam.cli import ExperimentConfig, synthesize_cocycle
-from su2kam.cocycle import Cocycle, conjugate, conjugate_raw
+from su2kam.cocycle import Cocycle, NormalizationError, conjugate, conjugate_raw, normalize
 from su2kam.fourier import (
     AlgebraMap,
     ConjugationChain,
@@ -22,6 +22,7 @@ from su2kam.fourier import (
     translate,
 )
 from su2kam.kam import (
+    DivergenceError,
     SchemeError,
     SchemeParams,
     SchemeState,
@@ -558,7 +559,8 @@ def test_normal_form_serialization_and_csv(tmp_path):
 
 
 def test_final_perturbation_h0_is_computed_once(monkeypatch):
-    # the loop test already holds the final H^0 norm; the closing row reuses it
+    # the loop test already holds each H^0 norm; the step and the closing row
+    # reuse it, so no perturbation's H^0 norm is computed twice
     calls = []
 
     def recorded(amap, s):
@@ -571,4 +573,35 @@ def test_final_perturbation_h0_is_computed_once(monkeypatch):
     nf = run_scheme(phi, cfg.resolve_scheme(), cfg.resolve_dioph())
     assert nf.converged
     assert sum(1 for amap, s in calls if amap is nf.perturbation and s == 0.0) == 1
+    h0_maps = [id(amap) for amap, s in calls if s == 0.0]  # calls keeps them alive
+    assert nf.steps >= 2 and len(h0_maps) == len(set(h0_maps))
     assert nf.diagnostics[-1].norm_f_h0 == sobolev_norm(nf.perturbation, 0.0)
+
+
+def test_resynthesis_tolerance_has_one_home(monkeypatch):
+    # normalize and the scheme's renormalisation both read cocycle's
+    # tolerance, so at 0 both reject the round-off of a perturbed fiber
+    phi = Cocycle(ALPHA, GroupElement(torus_quat(0.17)),
+                  random_map(1, 4, 1e-4, np.random.default_rng(9)))
+    monkeypatch.setattr(cocycle, "RESYNTHESIS_TOL", 0.0)
+    with pytest.raises(NormalizationError, match="does not resolve"):
+        normalize(phi.fiber_grid(32), ALPHA, 4)
+    with pytest.raises(SchemeError, match="does not resolve"):
+        run_scheme(phi)
+
+
+def test_collapsed_step_mean_diverges_with_the_state(monkeypatch):
+    # a conjugated fiber of Id on one half of the grid and -Id on the other
+    # has a zero mean: the step diverges instead of renormalising NaNs
+    def split_fiber(chain, phi, m):
+        q = np.zeros((m,) * phi.dimension + (4,))
+        q[..., 0] = 1.0
+        q[m // 2:, ..., 0] = -1.0
+        return q
+
+    monkeypatch.setattr(kam, "conjugate_raw", split_fiber)
+    f = random_map(1, 4, 1e-6, np.random.default_rng(9))
+    state = SchemeState(alpha=ALPHA, theta=0.17, perturbation=f, scale=8)
+    with pytest.raises(DivergenceError, match="mean collapses") as info:
+        kam_step(state, SchemeParams())
+    assert info.value.state is state
