@@ -157,12 +157,12 @@ class ExperimentConfig:
             if kind in CHAIN_REQUIRED and CHAIN_REQUIRED[kind] not in spec:
                 raise ConfigError("chain[%d] needs %r" % (i, CHAIN_REQUIRED[kind]))
             _check_entries("chain[%d]." % i, spec, CHAIN_ENTRY_TYPES[kind])
-        counts = [("seed", data.get("seed")),
-                  ("equivalence_horizon", data.get("equivalence_horizon")),
-                  ("perturbation.band", (data.get("perturbation") or {}).get("band"))]
-        counts += [("chain[%d].band" % i, spec.get("band"))
-                   for i, spec in enumerate(data.get("chain", ()))]
-        for name, value in counts:
+        non_negative = [(name, data.get(name)) for name in
+                        ("seed", "equivalence_horizon", "equivalence_tolerance")]
+        non_negative += [("perturbation.band", (data.get("perturbation") or {}).get("band"))]
+        non_negative += [("chain[%d].band" % i, spec.get("band"))
+                         for i, spec in enumerate(data.get("chain", ()))]
+        for name, value in non_negative:
             if value is not None and value < 0:
                 raise ConfigError("config field %r must be non-negative, got %r"
                                   % (name, value))
@@ -230,12 +230,12 @@ def synthesize_cocycle(cfg: ExperimentConfig):
     base = Cocycle(alpha, GroupElement(torus_quat(cfg.theta)),
                    AlgebraMap.zeros(alpha.dimension, 0))
 
-    pert_band = cfg.perturbation.get("band", 4) if cfg.perturbation else 0
+    pert_band = cfg.perturbation.get("band", 4) if cfg.perturbation is not None else 0
     band = chain.conjugated_band(pert_band)
     m = grid_size(band, alpha.dimension)
 
     samples = conjugate_raw(chain, base, m)
-    if cfg.perturbation:
+    if cfg.perturbation is not None:
         pert = random_map(alpha.dimension, pert_band,
                           cfg.perturbation.get("amplitude", 1e-4), rng)
         samples = quat_mul(samples, alg_exp_quat(synthesize_map(pert, m)))
@@ -256,11 +256,12 @@ def synthesize_cocycle(cfg: ExperimentConfig):
     return phi, truth
 
 
-def solve_experiment(cfg: ExperimentConfig):
-    """Front half of `run` and `rho`: resolve the config, check the
-    frequency, synthesize the cocycle and run the scheme.  The declared tau
-    bounds nu only when the frequency passes its Diophantine check.
-    Returns (report head, normal form)."""
+def prepare_experiment(cfg: ExperimentConfig):
+    """Front half of `synthesize`, `rho` and `run`: resolve the config, judge
+    the theorem's hypotheses and synthesize the cocycle.  A frequency that
+    fails its Diophantine check is recorded and warned of; one that passes
+    makes its tau a bound that nu must exceed, checked before any grid is
+    built.  Returns (report head, cocycle, scheme parameters)."""
     alpha = cfg.resolve_frequency()
     dioph = cfg.resolve_dioph()
     params = cfg.resolve_scheme()
@@ -278,19 +279,20 @@ def solve_experiment(cfg: ExperimentConfig):
             "(winding %r, defect %.3g): out of theorem hypotheses" %
             (list(witness.k), witness.defect))
         warnings.warn(report["frequency_warning"])
+    elif not params.nu > dioph.tau:
+        raise ConfigError("nu must exceed the declared tau")
 
     phi, truth = synthesize_cocycle(cfg)
     report["ground_truth"] = truth
     report["cocycle"] = phi.to_dict()
-
-    nf = run_scheme(phi, params, dioph=dioph if witness is None else None)
-    return report, nf
+    return report, phi, params
 
 
 def run_experiment(cfg: ExperimentConfig):
     """Full pipeline; returns (report dict, exit code), and writes the report
     and the CSV on each of the exit codes 0, 1 and 4 it returns."""
-    report, nf = solve_experiment(cfg)
+    report, phi, params = prepare_experiment(cfg)
+    nf = run_scheme(phi, params)
     report["normal_form"] = nf.to_dict()
 
     try:
@@ -404,10 +406,9 @@ def main(argv=None) -> int:
 
     p_chk = sub.add_parser("check-dioph", help="Diophantine witness scan")
     p_chk.add_argument("--frequency", required=True)
-    dioph = DiophParams()
-    p_chk.add_argument("--gamma", type=float, default=dioph.gamma)
-    p_chk.add_argument("--tau", type=float, default=dioph.tau)
-    p_chk.add_argument("--horizon", type=int, default=dioph.horizon)
+    p_chk.add_argument("--gamma", type=float)
+    p_chk.add_argument("--tau", type=float)
+    p_chk.add_argument("--horizon", type=int)
 
     p_mrg = sub.add_parser("report-merge", help="merge run reports")
     p_mrg.add_argument("inputs", nargs="+")
@@ -435,10 +436,9 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     if args.command == "synthesize":
-        cfg = _load_config(args)
-        phi, truth = synthesize_cocycle(cfg)
-        _emit({"config_sha256": cfg.digest(), "cocycle": phi.to_dict(),
-               "ground_truth": truth}, args.output)
+        report, _phi, _params = prepare_experiment(_load_config(args))
+        _emit({key: report[key] for key in ("config_sha256", "cocycle", "ground_truth")},
+              args.output)
         return EXIT_OK
 
     if args.command == "run":
@@ -449,17 +449,18 @@ def _dispatch(args) -> int:
         return code
 
     if args.command == "rho":
-        cfg = _load_config(args)
-        _report, nf = solve_experiment(cfg)
-        rho = rotation_vector(nf)
-        _emit({"config_sha256": cfg.digest(), "rotation": rho.to_dict()}, args.report)
+        report, phi, params = prepare_experiment(_load_config(args))
+        rho = rotation_vector(run_scheme(phi, params))
+        _emit({"config_sha256": report["config_sha256"], "rotation": rho.to_dict()},
+              args.report)
         return EXIT_OK
 
     if args.command == "check-dioph":
-        freq_spec = _frequency_flag(args.frequency)
-        cfg = ExperimentConfig(frequency=freq_spec)
-        alpha = cfg.resolve_frequency()
-        p = DiophParams(args.gamma, args.tau, args.horizon)
+        dioph = {name: getattr(args, name) for name in ("gamma", "tau", "horizon")
+                 if getattr(args, name) is not None}
+        cfg = ExperimentConfig.from_dict({"frequency": _frequency_flag(args.frequency),
+                                          "dioph": dioph})
+        alpha, p = cfg.resolve_frequency(), cfg.resolve_dioph()
         witness = diophantine_witness(alpha, p)
         _emit({
             "alpha": list(alpha.components),

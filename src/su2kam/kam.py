@@ -524,15 +524,11 @@ def initial_state(phi: Cocycle, params: SchemeParams) -> SchemeState:
     )
 
 
-def run_scheme(phi: Cocycle, params: SchemeParams = None,
-               dioph: DiophParams = None) -> NormalForm:
+def run_scheme(phi: Cocycle, params: SchemeParams = SchemeParams()) -> NormalForm:
     """Iterate kam_step until the perturbation falls below stop_tolerance or
     max_steps is exhausted; returns the final state, closing row appended,
-    as the normal form."""
-    if params is None:
-        params = SchemeParams.for_dioph(dioph) if dioph is not None else SchemeParams()
-    if dioph is not None and not params.nu > dioph.tau:
-        raise ValueError("nu must exceed the declared tau")
+    as the normal form.  Whether nu exceeds the frequency's tau is the
+    caller's to judge: the scheme runs on the nu it is given."""
     if sobolev_norm(phi.perturbation, 0.0) > INITIAL_BOUND:
         raise SchemeError("initial perturbation outside the perturbative regime")
     state = initial_state(phi, params)

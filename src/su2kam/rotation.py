@@ -156,7 +156,7 @@ def classify_arithmetic(r: RotationVector, p: DiophParams) -> ArithmeticClassifi
                                     beta, witness, p.horizon)
 
 
-def invariance_probe(phi: Cocycle, b: AlgebraMap, params: SchemeParams = None,
+def invariance_probe(phi: Cocycle, b: AlgebraMap, params: SchemeParams = SchemeParams(),
                      horizon: int = 50, tol: float = 1e-8) -> dict:
     """Compare rotation vectors of phi and of its conjugate by exp(b).
 
@@ -195,12 +195,11 @@ def finite_resonance_audit(nf: NormalForm, r: RotationVector,
     checks = []
     for entry in nf.ledger:
         knorm = max(abs(c) for c in entry.winding)
-        nu = -np.log(entry.threshold) / np.log(entry.scale) if entry.scale > 1 else float("inf")
         flags = {
             "winding_within_scale": bool(knorm <= entry.scale),
             "defect_below_threshold": bool(entry.defect_before <= entry.threshold),
             "defect_below_winding_power":
-                bool(entry.defect_before < float(knorm) ** -nu + 1e-15),
+                bool(entry.defect_before < float(knorm) ** -nf.params.nu + 1e-15),
             "post_removal_defect_ok": bool(entry.defect_after <= entry.threshold + 1e-12),
         }
         checks.append({"step": entry.step, "winding": list(entry.winding), **flags})

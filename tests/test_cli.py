@@ -1,12 +1,13 @@
 import json
 import math
 import re
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from su2kam import fourier
+from su2kam import cli, fourier
 from su2kam.arithmetic import DiophParams
 from su2kam.cli import (
     EXIT_CONFIG,
@@ -333,9 +334,11 @@ def test_config_rejects_a_negative_count_by_name():
         return [{"seed": value}, {"equivalence_horizon": value},
                 {"perturbation": {"band": value}},
                 {"chain": [{"kind": "torus", "winding": [2]},
-                           {"kind": "exp", "band": value}]}]
+                           {"kind": "exp", "band": value}]},
+                {"equivalence_tolerance": value}]
 
-    names = ["seed", "equivalence_horizon", "perturbation.band", "chain[1].band"]
+    names = ["seed", "equivalence_horizon", "perturbation.band", "chain[1].band",
+             "equivalence_tolerance"]
     for bad, name in zip(counts(-1), names):
         with pytest.raises(ConfigError, match=re.escape("%r must be non-negative" % name)):
             ExperimentConfig.from_dict(bad)
@@ -365,10 +368,15 @@ def test_synthesize_reads_no_scheme_parameter(tmp_path, capsys):
     assert main(["synthesize", "--config", str(cfg_path), "--n0", "0"]) == EXIT_CONFIG
 
 
-def test_dioph_defaults_live_in_dioph_params():
+def test_dioph_defaults_live_in_dioph_params(capsys):
     assert ExperimentConfig().resolve_dioph() == DiophParams()
     partial = ExperimentConfig.from_dict({"dioph": {"gamma": 5.0}}).resolve_dioph()
     assert partial == DiophParams(gamma=5.0)
+    # check-dioph reads its constants through the config, defaults included
+    assert main(["check-dioph", "--frequency", "golden", "--tau", "2.5"]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["gamma"], doc["tau"], doc["horizon"]) == astuple(DiophParams(tau=2.5))
+    assert main(["check-dioph", "--frequency", "golden", "--horizon", "0"]) == EXIT_CONFIG
 
 
 def test_config_accepts_an_integer_where_a_number_is_due():
@@ -412,3 +420,45 @@ def test_main_output_files_match_stdout(tmp_path, capsys):
         assert main([command, "--config", str(cfg_path), flag, str(out)]) == EXIT_OK
         assert capsys.readouterr().out == ""
         assert out.read_bytes() == printed.encode()
+
+
+@pytest.mark.parametrize("bad", [
+    # tau = 2 does not exceed the dimension of a two-frequency alpha
+    {"frequency": {"value": [GOLDEN, math.sqrt(2.0) - 1.0]}},
+    # the golden frequency passes its check, so its tau = 2 bounds nu
+    {"scheme": {"nu": 1.5}},
+    {"scheme": {"nu": 1.5}, "dioph": {"gamma": 3.0, "tau": 2.0, "horizon": 100}},
+])
+def test_every_synthesizing_command_rejects_out_of_hypotheses_before_synthesis(
+        tmp_path, monkeypatch, capsys, bad):
+    calls = []
+    monkeypatch.setattr(cli, "synthesize_cocycle", lambda cfg: calls.append(cfg))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(bad))
+    for command in ("synthesize", "rho", "run"):
+        assert main([command, "--config", str(cfg_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    expected = "tau must exceed" if "frequency" in bad else "nu must exceed the declared tau"
+    assert err.count(expected) == 3
+    assert calls == []
+
+
+def test_synthesize_warns_on_a_failing_frequency_and_leaves_nu_unbounded(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"frequency": {"preset": "liouville"},
+                                    "scheme": {"nu": 1.5}}))
+    with pytest.warns(UserWarning, match="out of theorem hypotheses"):
+        assert main(["synthesize", "--config", str(cfg_path)]) == EXIT_OK
+    assert set(json.loads(capsys.readouterr().out)) == {"config_sha256", "cocycle",
+                                                        "ground_truth"}
+
+
+def test_an_empty_perturbation_is_the_default_perturbation():
+    def source(perturbation):
+        return synthesize_cocycle(ExperimentConfig.from_dict(
+            {"perturbation": perturbation, "seed": 3}))[0]
+
+    assert source({}).to_dict() == source({"band": 4, "amplitude": 1e-4}).to_dict()
+    assert fourier.sobolev_norm(source({}).perturbation, 0.0) > 1e-5
+    # null is no perturbation: only the round-off of normalising the constant
+    assert fourier.sobolev_norm(source(None).perturbation, 0.0) < 1e-15

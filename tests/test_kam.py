@@ -436,10 +436,6 @@ def test_scheme_params_validation():
         SchemeParams(stop_tolerance=-1e-12)
     p = SchemeParams.for_dioph(DiophParams(3.0, 2.0, 100))
     assert p.nu == 4.0
-    with pytest.raises(ValueError):
-        run_scheme(
-            Cocycle(ALPHA, GroupElement(torus_quat(0.1)), AlgebraMap.zeros(1, 1)),
-            SchemeParams(nu=1.5), dioph=DiophParams(3.0, 2.0, 100))
 
 
 def _two_freq_exp_config():
@@ -466,7 +462,7 @@ def test_exp_factors_are_stored_on_their_solve_box(monkeypatch):
     monkeypatch.setattr(kam, "solve_homological", recorded)
     cfg = _two_freq_exp_config()
     phi, _truth = synthesize_cocycle(cfg)
-    nf = run_scheme(phi, cfg.resolve_scheme(), cfg.resolve_dioph())
+    nf = run_scheme(phi, cfg.resolve_scheme())
     assert nf.converged
     # application order: the oldest factor is the last one
     exps = [f for f in reversed(nf.chain.factors) if isinstance(f, ExpFactor)]
@@ -490,7 +486,7 @@ def test_renormalisation_stores_the_perturbation_on_its_content_box():
     cfg = _two_freq_exp_config()
     phi, _truth = synthesize_cocycle(cfg)
     params = cfg.resolve_scheme()
-    nf = run_scheme(phi, params, cfg.resolve_dioph())
+    nf = run_scheme(phi, params)
     assert nf.converged
     steps, closing = nf.diagnostics[:-1], nf.diagnostics[-1]
     assert all(row.band_stored <= row.band_next for row in steps)
@@ -521,7 +517,7 @@ def test_scheme_grids_follow_the_content(monkeypatch):
     monkeypatch.setattr(kam, "grid_size", recorded)
     cfg = _two_freq_exp_config()
     phi, _truth = synthesize_cocycle(cfg)
-    run_scheme(phi, cfg.resolve_scheme(), cfg.resolve_dioph())
+    run_scheme(phi, cfg.resolve_scheme())
     assert len(sizes) > 1 and max(sizes) <= 200
 
 
@@ -570,7 +566,7 @@ def test_final_perturbation_h0_is_computed_once(monkeypatch):
     monkeypatch.setattr(kam, "sobolev_norm", recorded)
     cfg = _two_freq_exp_config()
     phi, _truth = synthesize_cocycle(cfg)
-    nf = run_scheme(phi, cfg.resolve_scheme(), cfg.resolve_dioph())
+    nf = run_scheme(phi, cfg.resolve_scheme())
     assert nf.converged
     assert sum(1 for amap, s in calls if amap is nf.perturbation and s == 0.0) == 1
     h0_maps = [id(amap) for amap, s in calls if s == 0.0]  # calls keeps them alive

@@ -223,6 +223,26 @@ def test_morphism_shift_invariant():
         assert folded < 1e-6
 
 
+@settings(derandomize=True, database=None, max_examples=8, deadline=None)
+@given(data=st.data(), dimension=st.sampled_from([1, 2]), theta=st.floats(0.05, 0.45),
+       seed=st.integers(0, 2**16))
+def test_rotation_class_is_invariant_under_conjugation(data, dimension, theta, seed):
+    # a perturbed constant cocycle, its conjugate by exp(b) for a small b and
+    # its conjugate by a torus morphism lie in one rotation class; 2D runs at
+    # nu = tau + 2 = 5 for the two-frequency configs' tau = 3, since at nu = 4
+    # two windings can be resonant at one scale (ROADMAP item 4)
+    alpha = (ALPHA, ALPHA2)[dimension - 1]
+    params = SchemeParams() if dimension == 1 else SchemeParams(n0=4, nu=5.0, max_steps=6)
+    rng = np.random.default_rng(seed)
+    phi = Cocycle(alpha, GroupElement(torus_quat(theta)), random_map(dimension, 2, 1e-5, rng))
+    b = random_map(dimension, 2, 1e-3, rng)
+    k = tuple(data.draw(st.integers(-2, 2)) for _ in range(dimension))
+    r = rotation_vector(run_scheme(phi, params))
+    for factor in (ExpFactor(b), TorusMorphism(k)):
+        conjugated = conjugate(ConjugationChain((factor,), dimension), phi)
+        assert equivalence_check(r, rotation_vector(run_scheme(conjugated, params)), 2)
+
+
 def test_invariance_probe_small_exponential():
     rng = np.random.default_rng(6)
     phi, _ = scheme_run(0.17, seed=7)
