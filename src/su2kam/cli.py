@@ -45,9 +45,10 @@ from .fourier import (
     TorusMorphism,
     grid_size,
     random_map,
+    sobolev_norm,
     synthesize as synthesize_map,
 )
-from .kam import SchemeError, SchemeParams, run_scheme
+from .kam import TAIL_SHARE, SchemeError, SchemeParams, run_scheme
 from .rotation import (
     RotationVector,
     UnresolvedRotation,
@@ -174,7 +175,11 @@ class ExperimentConfig:
         return cfg
 
     def digest(self) -> str:
-        canon = json.dumps(self.to_dict(), sort_keys=True)
+        """SHA-256 of the config without its output paths, which change no
+        result: a run report and the source `synthesize` rebuilds from its
+        config echo carry the same hash."""
+        canon = json.dumps({name: value for name, value in self.to_dict().items()
+                            if name not in ("report_path", "csv_path")}, sort_keys=True)
         return hashlib.sha256(canon.encode()).hexdigest()
 
 
@@ -284,14 +289,18 @@ def prepare_experiment(cfg: ExperimentConfig):
 
     phi, truth = synthesize_cocycle(cfg)
     report["ground_truth"] = truth
-    report["cocycle"] = phi.to_dict()
     return report, phi, params
 
 
 def run_experiment(cfg: ExperimentConfig):
     """Full pipeline; returns (report dict, exit code), and writes the report
-    and the CSV on each of the exit codes 0, 1 and 4 it returns."""
+    and the CSV on each of the exit codes 0, 1 and 4 it returns.  The report
+    describes the source by its band, its content band and the H^0 norm of
+    that content, not by its table: the config echo rebuilds the source."""
     report, phi, params = prepare_experiment(cfg)
+    content, _dropped = phi.perturbation.trimmed(TAIL_SHARE * params.stop_tolerance)
+    report["source"] = {"band": phi.perturbation.band, "content_band": content.band,
+                        "h0": sobolev_norm(content, 0.0)}
     nf = run_scheme(phi, params)
     report["normal_form"] = nf.to_dict()
 
@@ -436,9 +445,9 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     if args.command == "synthesize":
-        report, _phi, _params = prepare_experiment(_load_config(args))
-        _emit({key: report[key] for key in ("config_sha256", "cocycle", "ground_truth")},
-              args.output)
+        report, phi, _params = prepare_experiment(_load_config(args))
+        _emit({"config_sha256": report["config_sha256"], "cocycle": phi.to_dict(),
+               "ground_truth": report["ground_truth"]}, args.output)
         return EXIT_OK
 
     if args.command == "run":

@@ -239,19 +239,28 @@ class AlgebraMap:
     # -- serialization
 
     def to_dict(self) -> dict:
-        """Nonzero rows [k_1, ..., k_d, re, im] per component, in argwhere's
-        (lexicographic) order of k."""
+        """Nonzero rows [k_1, ..., k_d, re, im] per component, for k = 0 and
+        the canonical half (first nonzero entry of k positive): the flat
+        rows of the box from its centre on, in lexicographic order of k.
+        The other half, c(-k) = conj(c(k)), is left for from_dict to
+        rebuild, so only a real map survives the round trip."""
+        side = 2 * self.band + 1
+        centre = (side ** self.dimension - 1) // 2
+        half = self.coeffs.reshape(-1, 3)[centre:]
         comps = {}
         for ci, name in enumerate(("e", "jx", "jy")):
-            c = self.coeffs[..., ci]
-            idx = np.argwhere(c != 0)
-            values = c[tuple(idx.T)]
+            flat = np.flatnonzero(half[:, ci])
+            values = half[flat, ci]
+            modes = np.array(np.unravel_index(flat + centre, (side,) * self.dimension)).T
             comps[name] = [k + [re, im] for k, re, im in zip(
-                (idx - self.band).tolist(), values.real.tolist(), values.imag.tolist())]
+                (modes - self.band).tolist(), values.real.tolist(), values.imag.tolist())]
         return {"dimension": self.dimension, "band": self.band, "components": comps}
 
     @classmethod
     def from_dict(cls, data: dict) -> "AlgebraMap":
+        """Inverse of to_dict: the rows, then c(-k) = conj(c(k)) for the
+        canonical half.  A table that also lists the other half loads too;
+        for a real map the two agree."""
         out = cls(int(data["dimension"]), int(data["band"]))
         d = out.dimension
         for ci, name in enumerate(("e", "jx", "jy")):
@@ -262,6 +271,10 @@ class AlgebraMap:
             if outside.any():
                 raise KeyError("mode %r outside the box" % (tuple(k[outside.argmax()].tolist()),))
             out.coeffs[tuple((k + out.band).T) + (ci,)] = rows[:, d] + 1j * rows[:, d + 1]
+        # flat row j holds -k of flat row total - 1 - j
+        flat = out.coeffs.reshape(-1, 3)
+        centre = (len(flat) - 1) // 2
+        flat[:centre] = np.conj(flat[:centre:-1])
         return out
 
 
@@ -437,17 +450,13 @@ class ExpFactor:
     def grid(self, m: int, offset=None, span: float = 1.0) -> np.ndarray:
         amap = self.map if offset is None else translate(self.map, offset)
         if span == 1.0:
-            vals = synthesize(amap, m)
-        elif span == 2.0:
-            if m % 2:
-                raise ValueError("double-cover sampling needs an even grid")
-            half = synthesize(amap, m // 2)
-            vals = half
-            for a in range(self.dimension):
-                vals = np.concatenate([vals, vals], axis=a)
-        else:
+            return alg_exp_quat(synthesize(amap, m))
+        if span != 2.0:
             raise ValueError("span must be 1 or 2")
-        return alg_exp_quat(vals)
+        if m % 2:
+            raise ValueError("double-cover sampling needs an even grid")
+        # exp is pointwise, so one period is exponentiated, then tiled
+        return np.tile(alg_exp_quat(synthesize(amap, m // 2)), (2,) * self.dimension + (1,))
 
     def inverse(self) -> "ExpFactor":
         return ExpFactor((-1.0) * self.map)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from su2kam import cli, fourier
+from su2kam import cli, fourier, kam
 from su2kam.arithmetic import DiophParams
 from su2kam.cli import (
     EXIT_CONFIG,
@@ -20,6 +20,9 @@ from su2kam.cli import (
     run_experiment,
     synthesize_cocycle,
 )
+from su2kam.cocycle import conjugate_raw
+from su2kam.fourier import ConjugationChain, grid_size, sobolev_norm
+from su2kam.su2 import quat_angle, quat_conj, quat_mul, torus_quat
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -32,6 +35,19 @@ TWO_FREQ_CONFIG = {
     "dioph": {"gamma": 32.0, "tau": 3.0, "horizon": 60},
     "seed": 5,
 }
+
+
+@pytest.fixture(scope="module")
+def two_freq_run(tmp_path_factory):
+    """The two-frequency config, run twice to two report paths: (config
+    path, [report path per run])."""
+    root = tmp_path_factory.mktemp("two_freq_run")
+    cfg_path = root / "cfg.json"
+    cfg_path.write_text(json.dumps(TWO_FREQ_CONFIG))
+    paths = [root / "a.json", root / "b.json"]
+    for path in paths:
+        assert main(["run", "--config", str(cfg_path), "--report", str(path)]) == EXIT_OK
+    return cfg_path, paths
 
 
 def recovery_config(**overrides):
@@ -232,6 +248,14 @@ def test_main_report_merge(tmp_path, capsys):
     assert main(["report-merge", *docs, "--output", str(out)]) == EXIT_OK
     merged = json.loads(out.read_text())
     assert [r["id"] for r in merged["reports"]] == [0, 1]
+
+
+def test_main_report_merge_of_run_reports(two_freq_run, tmp_path):
+    # run reports, canonical-half chains and all, merge as they were written
+    paths = two_freq_run[1]
+    out = tmp_path / "merged.json"
+    assert main(["report-merge", *map(str, paths), "--output", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text())["reports"] == [json.loads(p.read_text()) for p in paths]
 
 
 def test_main_flag_and_config_precedence(tmp_path, capsys):
@@ -462,3 +486,58 @@ def test_an_empty_perturbation_is_the_default_perturbation():
     assert fourier.sobolev_norm(source({}).perturbation, 0.0) > 1e-5
     # null is no perturbation: only the round-off of normalising the constant
     assert fourier.sobolev_norm(source(None).perturbation, 0.0) < 1e-15
+
+
+def test_config_sha256_leaves_out_the_output_paths(two_freq_run, capsys):
+    # the hash pairs a run report with the source synthesize rebuilds, so the
+    # report and CSV paths, which change no result, do not enter it
+    cfg_path, paths = two_freq_run
+    assert main(["synthesize", "--config", str(cfg_path)]) == EXIT_OK
+    hashes = {json.loads(capsys.readouterr().out)["config_sha256"]}
+    for path in paths:
+        report = json.loads(path.read_text())
+        assert report["config"]["report_path"] == str(path)
+        hashes.add(report["config_sha256"])
+    assert len(hashes) == 1
+
+
+def test_run_report_describes_the_source_it_can_rebuild(two_freq_run):
+    # the report holds no source table, only what describes the source that
+    # its config echo rebuilds
+    report = json.loads(two_freq_run[1][0].read_text())
+    assert "cocycle" not in report
+    cfg = ExperimentConfig.from_dict(report["config"])
+    phi, _truth = synthesize_cocycle(cfg)
+    content, _dropped = phi.perturbation.trimmed(
+        kam.TAIL_SHARE * cfg.resolve_scheme().stop_tolerance)
+    assert content.band < phi.perturbation.band
+    assert report["source"] == {"band": phi.perturbation.band, "content_band": content.band,
+                                "h0": sobolev_norm(content, 0.0)}
+
+
+def test_run_report_chain_replays_onto_the_rebuilt_source(two_freq_run):
+    # the chain, written as canonical halves, conjugates the source rebuilt
+    # from the config echo to within the final residual of exp(theta e)
+    report = json.loads(two_freq_run[1][0].read_text())
+    nf = report["normal_form"]
+    assert nf["converged"] and len(nf["chain"]["factors"]) >= 2
+    phi, _truth = synthesize_cocycle(ExperimentConfig.from_dict(report["config"]))
+    chain = ConjugationChain.from_dict(nf["chain"])
+    m = grid_size(chain.conjugated_band(phi.perturbation.band), phi.dimension)
+    replayed = conjugate_raw(chain, phi, m)
+    error = np.max(quat_angle(quat_mul(replayed, quat_conj(torus_quat(nf["final_theta"])))))
+    assert error <= nf["final_residual_h0"] + 1e-13
+
+
+def test_readme_lists_the_top_level_keys_of_a_run_report(two_freq_run):
+    # README "Outputs" documents every top-level key of a run report; only
+    # frequency_warning is absent from a run whose frequency passes
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = re.search(r"Top-level keys of a `run` report.*?\n\n((?:\|[^\n]*\n)+)", readme,
+                      re.S).group(1)
+    listed = set()
+    for row in table.splitlines()[2:]:
+        listed.update(re.findall(r"`(\w+)`", row.split("|")[1]))
+    report = json.loads(two_freq_run[1][0].read_text())
+    assert listed - set(report) == {"frequency_warning"}
+    assert set(report) <= listed

@@ -180,35 +180,53 @@ def test_trimmed_keeps_the_smallest_box_within_the_tolerance(d, band, log_decay,
 
 def test_algebra_map_serialization_roundtrip():
     rng = np.random.default_rng(5)
-    for d, band in ((1, 6), (2, 2)):
+    for d, band in ((1, 6), (2, 2), (3, 2)):
         f = random_map(d, band, 1.1, rng)
         g = AlgebraMap.from_dict(f.to_dict())
         assert np.array_equal(g.coeffs, f.coeffs)
 
 
+def _two_half_table(f):
+    """The rows of every nonzero coefficient, both halves of the box, in
+    lexicographic order of k: the table the canonical-half writer replaced."""
+    comps = {}
+    for ci, name in enumerate(("e", "jx", "jy")):
+        c = f.coeffs[..., ci]
+        idx = np.argwhere(c != 0)
+        comps[name] = [k + [v.real, v.imag] for k, v in zip((idx - f.band).tolist(),
+                                                            c[tuple(idx.T)])]
+    return {"dimension": f.dimension, "band": f.band, "components": comps}
+
+
 def test_algebra_map_serialization_rows():
     f = AlgebraMap.zeros(2, 1)
-    f.set_mode((1, -1), [0.0, 2.0 + 1.0j, 0.0])
-    f.set_mode((-1, 1), [0.0, 3.0, 0.0])
-    f.set_mode((0, 0), [0.5, 0.0, -1.0j])
+    f.set_mode_pair((1, -1), [0.0, 2.0 + 1.0j, 0.0])
+    f.set_mode_pair((0, -1), [0.0, 3.0, 0.0])
+    f.set_mode((0, 0), [0.5, 0.0, -1.0])
     rows = f.to_dict()["components"]
-    # nonzero coefficients only, one table per component, rows in the
+    # nonzero coefficients of k = 0 and of the canonical half (first nonzero
+    # entry of k positive) only, one table per component, rows in the
     # lexicographic order of k
     assert rows == {"e": [[0, 0, 0.5, 0.0]],
-                    "jx": [[-1, 1, 3.0, 0.0], [1, -1, 2.0, 1.0]],
-                    "jy": [[0, 0, 0.0, -1.0]]}
-    # against the mode-by-mode loop, on maps with zero and one-sided modes
+                    "jx": [[0, 1, 3.0, 0.0], [1, -1, 2.0, 1.0]],
+                    "jy": [[0, 0, -1.0, 0.0]]}
+    # against the mode-by-mode loop, on maps with zero modes
     rng = np.random.default_rng(9)
-    for d, band in ((1, 5), (2, 3)):
+    for d, band in ((1, 5), (2, 3), (3, 2)):
         g = random_map(d, band, 1.0, rng)
-        g.coeffs[rng.random(g.coeffs.shape) < 0.4] = 0.0
+        zero = rng.random(g.coeffs.shape) < 0.4
+        g.coeffs[zero | np.flip(zero, axis=tuple(range(d)))] = 0.0
         expected = {name: [] for name in ("e", "jx", "jy")}
         for idx in np.ndindex(g.coeffs.shape[:-1]):
+            k = [i - band for i in idx]
             for ci, name in enumerate(("e", "jx", "jy")):
                 c = g.coeffs[idx + (ci,)]
-                if c != 0:
-                    expected[name].append([i - band for i in idx] + [c.real, c.imag])
+                if c != 0 and tuple(k) >= (0,) * d:
+                    expected[name].append(k + [c.real, c.imag])
         assert g.to_dict()["components"] == expected
+        assert np.array_equal(AlgebraMap.from_dict(g.to_dict()).coeffs, g.coeffs)
+        # a table with both halves, as written before, loads to the same map
+        assert np.array_equal(AlgebraMap.from_dict(_two_half_table(g)).coeffs, g.coeffs)
     outside = {"dimension": 2, "band": 1, "components": {"jx": [[0, 2, 1.0, 0.0]]}}
     with pytest.raises(KeyError, match=r"\(0, 2\)"):
         AlgebraMap.from_dict(outside)
