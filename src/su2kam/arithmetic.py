@@ -5,15 +5,20 @@ relative to alpha, resonance search over a finite winding horizon, continued
 fractions and the Gauss map.  All universally quantified conditions are
 checked over an explicit horizon that is reported with every result.
 
-Every question about the defect |beta - k.alpha|_Z over 0 < |k| <= n is
-answered by one scan of the box [-n, n]^d.  Its order contract:
+The box [-n, n]^d of windings has one layout, owned by the box_* helpers
+below and shared by the scan here and by the Fourier coefficient tables of
+`fourier` and `kam`.  Its order contract:
 
-* windings come in lexicographic order, in chunks of at most SCAN_ROWS
-  rows, so memory stays bounded at any n and d;
+* the flat rows run in lexicographic order of k, which is also the C order
+  of the dense (2n+1,)*d form, axis a holding k_a + n;
 * k -> -k reverses the box about its centre k = 0, so the rows after the
   centre are exactly the canonical half (first nonzero component > 0);
-* a minimum by (|k|, lex) is the first winding in (shell, lex) order, so
-  chunks need not follow max-norm shells.
+* the central sub-box [-m, m]^d is the same slice on every axis.
+
+Every question about the defect |beta - k.alpha|_Z over 0 < |k| <= n is
+answered by one scan of the box, in chunks of at most SCAN_ROWS rows, so
+memory stays bounded at any n and d.  A minimum by (|k|, lex) is the first
+winding in (shell, lex) order, so chunks need not follow max-norm shells.
 
 One keyed reduction over the scan serves the callers: the Diophantine
 witness is the least canonical violator by (|k|, lex), the relative
@@ -123,29 +128,41 @@ def dist_to_Z(x):
     return float(d) if d.ndim == 0 else d
 
 
-def _scan(alpha: Frequency, n: int, beta: float = 0.0, first: int = 0):
+def box_centre(d: int, n: int) -> int:
+    """Flat index of k = 0 in the box [-n, n]^d."""
+    return ((2 * n + 1) ** d - 1) // 2
+
+
+def box_windings(d: int, n: int, flat) -> np.ndarray:
+    """Windings at the given flat indices of the box [-n, n]^d, one per row."""
+    return np.stack(np.unravel_index(flat, (2 * n + 1,) * d), axis=-1) - n
+
+
+def box_axes(d: int, n: int) -> tuple:
+    """k_a on each axis of the dense form, shaped to broadcast along it."""
+    return np.ix_(*[np.arange(-n, n + 1)] * d)
+
+
+def box_inner(d: int, n: int, m: int) -> tuple:
+    """Slice of the central sub-box [-m, m]^d in the dense form of [-n, n]^d."""
+    return (slice(n - m, n + m + 1),) * d
+
+
+def scan_box(alpha: Frequency, n: int, beta: float = 0.0, first: int = 0):
     """Chunks (k, |k|, k.alpha, |beta - k.alpha|_Z) of the box [-n, n]^d.
 
     Rows run in lexicographic order from the flat index `first` on, at most
     SCAN_ROWS per chunk; see the module docstring for the order contract.
     """
-    side = 2 * n + 1
-    total = side ** alpha.dimension
+    total = (2 * n + 1) ** alpha.dimension
     for start in range(first, total, SCAN_ROWS):
-        flat = np.arange(start, min(start + SCAN_ROWS, total))
-        columns = np.array(np.unravel_index(flat, (side,) * alpha.dimension)) - n
-        k = np.ascontiguousarray(columns.T)
+        k = box_windings(alpha.dimension, n, np.arange(start, min(start + SCAN_ROWS, total)))
         # vecdot matches the per-winding Frequency.dot bit for bit; k @ alpha does not
         kalpha = np.vecdot(k.astype(float), alpha.vector)
-        yield k, np.abs(columns).max(axis=0), kalpha, dist_to_Z(beta - kalpha)
+        yield k, np.abs(k).max(axis=1), kalpha, dist_to_Z(beta - kalpha)
 
 
-def _centre(alpha: Frequency, n: int) -> int:
-    """Flat index of k = 0 in the box [-n, n]^d."""
-    return ((2 * n + 1) ** alpha.dimension - 1) // 2
-
-
-def _least(alpha: Frequency, n: int, beta: float = 0.0, bound=None,
+def least_winding(alpha: Frequency, n: int, beta: float = 0.0, bound=None,
            by_defect: bool = True, canonical: bool = False):
     """Least winding 0 < |k| <= n by (defect, |k|, lex), or by (|k|, lex)
     when not `by_defect`, where defect = |beta - k.alpha|_Z.
@@ -156,8 +173,8 @@ def _least(alpha: Frequency, n: int, beta: float = 0.0, bound=None,
     without a bound), or None.
     """
     best = None
-    first = _centre(alpha, n) + 1 if canonical else 0
-    for k, knorm, _, defect in _scan(alpha, n, beta, first):
+    first = box_centre(alpha.dimension, n) + 1 if canonical else 0
+    for k, knorm, _, defect in scan_box(alpha, n, beta, first):
         with np.errstate(divide="ignore"):  # the bound at k = 0, which never takes part
             threshold = bound(knorm) if bound else np.full(knorm.shape, np.inf)
         rows = np.flatnonzero((knorm > 0) & (defect < threshold))
@@ -183,7 +200,7 @@ def diophantine_witness(alpha: Frequency, p: DiophParams):
     """
     if not p.tau > alpha.dimension:
         raise ValueError("tau must exceed the frequency dimension")
-    return _least(alpha, p.horizon, bound=p.bound, by_defect=False, canonical=True)
+    return least_winding(alpha, p.horizon, bound=p.bound, by_defect=False, canonical=True)
 
 
 def relative_defect_minimum(beta: float, alpha: Frequency, n: int, nu: float = None):
@@ -196,7 +213,7 @@ def relative_defect_minimum(beta: float, alpha: Frequency, n: int, nu: float = N
     if n < 1:
         raise ValueError("scale must be >= 1")
     threshold = float(n) ** -nu if nu is not None else float("nan")
-    return replace(_least(alpha, n, beta), threshold=threshold)
+    return replace(least_winding(alpha, n, beta), threshold=threshold)
 
 
 def relative_resonance(beta: float, alpha: Frequency, n: int, nu: float):

@@ -160,7 +160,8 @@ class ExperimentConfig:
             _check_entries("chain[%d]." % i, spec, CHAIN_ENTRY_TYPES[kind])
         non_negative = [(name, data.get(name)) for name in
                         ("seed", "equivalence_horizon", "equivalence_tolerance")]
-        non_negative += [("perturbation.band", (data.get("perturbation") or {}).get("band"))]
+        non_negative += [("perturbation.band", (data.get("perturbation") or {}).get("band")),
+                         ("scheme.max_steps", (data.get("scheme") or {}).get("max_steps"))]
         non_negative += [("chain[%d].band" % i, spec.get("band"))
                          for i, spec in enumerate(data.get("chain", ()))]
         for name, value in non_negative:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arithmetic import Frequency
+from .arithmetic import Frequency, box_axes, box_centre, box_inner, box_windings
 from .su2 import GroupElement, alg_exp_quat, quat_mul, quat_rotation_matrix
 
 
@@ -48,10 +48,6 @@ def grid_size(band: int, dimension: int) -> int:
 # scalar complex fields (no reality constraint)
 
 
-def _mode_range(band: int) -> np.ndarray:
-    return np.arange(-band, band + 1)
-
-
 def field_synthesize(coeffs: np.ndarray, m: int, dimension: int = None) -> np.ndarray:
     """Values of sum_k c(k) exp(2 pi i k.x) on the uniform m^d grid, by a
     full complex FFT: the reference that synthesize's real FFT is tested
@@ -71,8 +67,7 @@ def field_synthesize(coeffs: np.ndarray, m: int, dimension: int = None) -> np.nd
     if m < 2 * n + 2:
         raise UndersampledGridError("grid %d undersamples band %d" % (m, n))
     buf = np.zeros((m,) * d + coeffs.shape[d:], dtype=complex)
-    idx = np.ix_(*[_mode_range(n) % m] * d)
-    buf[idx] = coeffs
+    buf[tuple(k % m for k in box_axes(d, n))] = coeffs
     return np.fft.ifftn(buf, axes=tuple(range(d))) * float(m) ** d
 
 
@@ -86,21 +81,18 @@ def _phases(dimension: int, band: int, x) -> np.ndarray:
     if x.shape != (dimension,):
         raise ValueError("point dimension mismatch")
     phase = np.ones((1,) * dimension, dtype=complex)
-    for a in range(dimension):
-        pa = np.exp(2j * np.pi * _mode_range(band) * x[a])
-        shape = [1] * dimension
-        shape[a] = 2 * band + 1
-        phase = phase * pa.reshape(shape)
+    for k, xa in zip(box_axes(dimension, band), x):
+        phase = phase * np.exp(2j * np.pi * k * xa)
     return phase
 
 
 def mode_norm_grid(dimension: int, band: int, kind: str = "euclid") -> np.ndarray:
     """|k| on the coefficient box; 'euclid' for norms, 'max' for truncation."""
-    axes = np.meshgrid(*[_mode_range(band)] * dimension, indexing="ij")
+    axes = box_axes(dimension, band)
     if kind == "euclid":
         return np.sqrt(sum(a.astype(float) ** 2 for a in axes))
     if kind == "max":
-        return np.max(np.abs(np.stack(axes)), axis=0)
+        return np.abs(np.broadcast_arrays(*axes)).max(axis=0)
     raise ValueError("unknown mode norm %r" % kind)
 
 
@@ -185,9 +177,7 @@ class AlgebraMap:
         if band < self.band:
             raise ValueError("padding cannot shrink the band")
         out = AlgebraMap(self.dimension, band)
-        sl = tuple(slice(band - self.band, band + self.band + 1)
-                   for _ in range(self.dimension))
-        out.coeffs[sl] = self.coeffs
+        out.coeffs[box_inner(self.dimension, band, self.band)] = self.coeffs
         return out
 
     def trimmed(self, tol: float):
@@ -205,7 +195,7 @@ class AlgebraMap:
         band = int(np.argmax(above <= tol))
         if band == self.band:
             return self, 0.0
-        inner = (slice(self.band - band, self.band + band + 1),) * self.dimension
+        inner = box_inner(self.dimension, self.band, band)
         return AlgebraMap(self.dimension, band, self.coeffs[inner].copy()), float(above[band])
 
     # -- arithmetic
@@ -244,16 +234,15 @@ class AlgebraMap:
         rows of the box from its centre on, in lexicographic order of k.
         The other half, c(-k) = conj(c(k)), is left for from_dict to
         rebuild, so only a real map survives the round trip."""
-        side = 2 * self.band + 1
-        centre = (side ** self.dimension - 1) // 2
+        centre = box_centre(self.dimension, self.band)
         half = self.coeffs.reshape(-1, 3)[centre:]
         comps = {}
         for ci, name in enumerate(("e", "jx", "jy")):
             flat = np.flatnonzero(half[:, ci])
             values = half[flat, ci]
-            modes = np.array(np.unravel_index(flat + centre, (side,) * self.dimension)).T
+            modes = box_windings(self.dimension, self.band, flat + centre)
             comps[name] = [k + [re, im] for k, re, im in zip(
-                (modes - self.band).tolist(), values.real.tolist(), values.imag.tolist())]
+                modes.tolist(), values.real.tolist(), values.imag.tolist())]
         return {"dimension": self.dimension, "band": self.band, "components": comps}
 
     @classmethod
@@ -271,9 +260,9 @@ class AlgebraMap:
             if outside.any():
                 raise KeyError("mode %r outside the box" % (tuple(k[outside.argmax()].tolist()),))
             out.coeffs[tuple((k + out.band).T) + (ci,)] = rows[:, d] + 1j * rows[:, d + 1]
-        # flat row j holds -k of flat row total - 1 - j
+        # flat row j holds -k of flat row 2 * centre - j
         flat = out.coeffs.reshape(-1, 3)
-        centre = (len(flat) - 1) // 2
+        centre = box_centre(d, out.band)
         flat[:centre] = np.conj(flat[:centre:-1])
         return out
 
@@ -284,7 +273,7 @@ class AlgebraMap:
 def _half_index(band: int, m: int, dimension: int) -> tuple:
     """Bins of the modes |k| <= band with k_last >= 0 in an rfftn spectrum of
     an m^d grid."""
-    return np.ix_(*[_mode_range(band) % m] * (dimension - 1) + [np.arange(band + 1)])
+    return tuple(k % m for k in box_axes(dimension, band)[:-1]) + (np.arange(band + 1),)
 
 
 def synthesize(amap: AlgebraMap, m: int) -> np.ndarray:
@@ -358,17 +347,6 @@ def random_map(dimension: int, band: int, amplitude: float, rng,
 # structured group-valued factors and conjugation chains
 
 
-def _axis_grids(dimension: int, m: int, span: float, offset) -> list:
-    xs = span * np.arange(m) / m
-    grids = []
-    for a in range(dimension):
-        g = xs + (0.0 if offset is None else float(offset[a]))
-        shape = [1] * dimension
-        shape[a] = m
-        grids.append(g.reshape(shape))
-    return grids
-
-
 @dataclass(frozen=True)
 class TorusMorphism:
     """x -> P exp((k.x) e) P^-1: winds through a maximal torus.
@@ -397,7 +375,8 @@ class TorusMorphism:
         return np.concatenate([[np.cos(np.pi * t)], np.sin(np.pi * t) * ax])
 
     def grid(self, m: int, offset=None, span: float = 1.0) -> np.ndarray:
-        grids = _axis_grids(self.dimension, m, span, offset)
+        offset = np.zeros(self.dimension) if offset is None else np.asarray(offset, dtype=float)
+        grids = np.ix_(*(span * np.arange(m) / m + offset[:, None]))
         t = sum(k * g for k, g in zip(self.winding, grids))
         t = np.broadcast_to(t, (m,) * self.dimension)
         ax = self._axis_vector()
@@ -577,7 +556,7 @@ def chain_sobolev_partial(chain: ConjugationChain, s: float, m: int):
     # real FFTs keep the k_last >= 0 half; the interior bins of the last axis
     # stand for their conjugate partners too, so they count twice
     freqs = [np.fft.fftfreq(m, d=1.0 / m) / 2.0] * (d - 1) + [np.fft.rfftfreq(m, d=1.0 / m) / 2.0]
-    k2 = sum(g ** 2 for g in np.meshgrid(*freqs, indexing="ij"))
+    k2 = sum(g ** 2 for g in np.ix_(*freqs))
     twice = np.full(m // 2 + 1, 2.0)
     twice[[0, -1]] = 1.0
     weight = (1.0 + k2) ** s * twice

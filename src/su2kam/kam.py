@@ -16,7 +16,8 @@ reabsorbed by the exact nonlinear update.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +25,8 @@ from .arithmetic import (
     DiophParams,
     Frequency,
     ResonanceRecord,
+    box_axes,
+    box_inner,
     dist_to_Z,
     relative_defect_minimum,
     relative_resonance,
@@ -90,6 +93,8 @@ class SchemeParams:
             raise ValueError("nu must be positive")
         if self.n0 < 1:
             raise ValueError("initial scale must be positive")
+        if self.max_steps < 0:
+            raise ValueError("max_steps must be non-negative")
         if not self.stop_tolerance >= 0:
             raise ValueError("stop_tolerance must be non-negative")
 
@@ -181,6 +186,18 @@ class SchemeState:
 
     def cocycle(self) -> Cocycle:
         return Cocycle(self.alpha, self.constant, self.perturbation)
+
+    @cached_property
+    def h0(self) -> float:
+        """H^0 norm of the perturbation, computed once per state; replace()
+        builds a new state, so no cached norm goes stale."""
+        return sobolev_norm(self.perturbation, 0.0)
+
+    @cached_property
+    def norms(self) -> tuple:
+        """H^0, H^1 and H^-(d+3) norms of the perturbation, computed once."""
+        f = self.perturbation
+        return self.h0, sobolev_norm(f, 1.0), sobolev_norm(f, -(f.dimension + ALGEBRA_DIMENSION))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -292,12 +309,7 @@ def solve_homological(theta: float, f: AlgebraMap, alpha: Frequency, n: int, nu:
         raise ValueError("nu must be positive")
     thr = float(n) ** -nu
     d, band = f.dimension, f.band
-    kalpha = np.zeros((2 * band + 1,) * d)
-    for axis in range(d):
-        ka = np.arange(-band, band + 1) * alpha.components[axis]
-        shape = [1] * d
-        shape[axis] = 2 * band + 1
-        kalpha = kalpha + ka.reshape(shape)
+    kalpha = sum(k * a for k, a in zip(box_axes(d, band), alpha.components))
     unit = np.exp(2j * np.pi * kalpha)
     e_den = unit - 1.0
     w_den = unit - np.exp(2j * np.pi * theta)
@@ -325,7 +337,7 @@ def solve_homological(theta: float, f: AlgebraMap, alpha: Frequency, n: int, nu:
     obstruction = np.array([float(np.real(fe[(band,) * d])), 0.0, 0.0])
 
     box = min(n, band)
-    inner = (slice(band - box, band + box + 1),) * d
+    inner = box_inner(d, band, box)
     y = AlgebraMap.from_fields(d, box, ye[inner], yw[inner])
     remainder = AlgebraMap.from_fields(d, band, re, rw)
     return y, obstruction, remainder
@@ -378,13 +390,6 @@ def remove_resonance(state: SchemeState, record: ResonanceRecord) -> SchemeState
         raise CorruptStateError("constant still resonant after removal (winding %r)"
                                 % (again.k,))
     return new_state
-
-
-def _norms(f: AlgebraMap, h0: float = None):
-    """H^0, H^1 and negative-regularity norms of a perturbation; h0, when
-    given, is its H^0 norm, already computed."""
-    return (sobolev_norm(f, 0.0) if h0 is None else h0, sobolev_norm(f, 1.0),
-            sobolev_norm(f, -(f.dimension + ALGEBRA_DIMENSION)))
 
 
 def _diagnostics_row(state: SchemeState, norms, band_next: int, band_stored: int,
@@ -456,11 +461,10 @@ def _renormalize(samples: np.ndarray, p_frame: GroupElement, theta: float,
     return f, dropped, chain
 
 
-def kam_step(state: SchemeState, params: SchemeParams, h0: float = None) -> SchemeState:
+def kam_step(state: SchemeState, params: SchemeParams) -> SchemeState:
     """One scheme step: resonance handling, homological solve, exact grid
-    conjugation by exp(Y), renormalisation, scale growth; h0, when given, is
-    the H^0 norm of the state's perturbation, already computed."""
-    norms = _norms(state.perturbation, h0)
+    conjugation by exp(Y), renormalisation, scale growth."""
+    norms = state.norms
     safety = float(state.scale) ** -SAFETY_EXPONENT
     if norms[0] > safety:
         raise SchemeError("perturbation %.3g above the step safety bound %.3g"
@@ -532,15 +536,13 @@ def run_scheme(phi: Cocycle, params: SchemeParams = SchemeParams()) -> NormalFor
     if sobolev_norm(phi.perturbation, 0.0) > INITIAL_BOUND:
         raise SchemeError("initial perturbation outside the perturbative regime")
     state = initial_state(phi, params)
-    h0 = sobolev_norm(state.perturbation, 0.0)
-    while state.step < params.max_steps and h0 > params.stop_tolerance:
-        step_state = kam_step(state, params, h0)
-        h0_next = sobolev_norm(step_state.perturbation, 0.0)
-        if h0_next > h0 and h0_next > params.stop_tolerance:
+    while state.step < params.max_steps and state.h0 > params.stop_tolerance:
+        step_state = kam_step(state, params)
+        if step_state.h0 > state.h0 and step_state.h0 > params.stop_tolerance:
             raise DivergenceError("perturbation grew from %.3g to %.3g at step %d"
-                                  % (h0, h0_next, state.step), state=step_state)
-        state, h0 = step_state, h0_next
+                                  % (state.h0, step_state.h0, state.step), state=step_state)
+        state = step_state
     band = state.perturbation.band
-    closing = _diagnostics_row(state, _norms(state.perturbation, h0), band, band)
-    return NormalForm(**{**vars(state), "diagnostics": state.diagnostics + (closing,)},
-                      params=params, source=phi)
+    closing = _diagnostics_row(state, state.norms, band, band)
+    return NormalForm(**{f.name: getattr(state, f.name) for f in fields(state)}
+                      | {"diagnostics": state.diagnostics + (closing,)}, params=params, source=phi)

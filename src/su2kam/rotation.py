@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arithmetic import DiophParams, Frequency, ResonanceRecord, _centre, _least, _scan
+from .arithmetic import (DiophParams, Frequency, ResonanceRecord, box_centre, least_winding,
+                         scan_box)
 from .cocycle import Cocycle, c0_distance, conjugate
 from .fourier import AlgebraMap, ConjugationChain, ExpFactor
 from .kam import NormalForm, SchemeParams, run_scheme
@@ -85,7 +86,7 @@ def equivalence_witness(r1: RotationVector, r2: RotationVector,
         raise ValueError("rotation vectors live over different frequencies")
     alpha = r1.alpha
     # the zero winding, then the canonical half; the sign of k is absorbed by n
-    chunks = list(_scan(alpha, horizon, first=_centre(alpha, horizon)))
+    chunks = list(scan_box(alpha, horizon, first=box_centre(alpha.dimension, horizon)))
     windings = np.concatenate([c[0] for c in chunks])
     kalphas = np.concatenate([c[2] for c in chunks])
     multiples = [0]
@@ -148,7 +149,7 @@ def classify_arithmetic(r: RotationVector, p: DiophParams) -> ArithmeticClassifi
     near-violation leaves the class undetermined at these constants.
     """
     beta = fold_representative(r.representative)
-    witness = _least(r.alpha, p.horizon, beta, bound=p.bound)
+    witness = least_winding(r.alpha, p.horizon, beta, bound=p.bound)
     if witness is None:
         return ArithmeticClassification(CLASS_DIOPHANTINE, beta, None, p.horizon)
     exact = witness.defect <= EXACT_RESONANCE_TOL

@@ -208,6 +208,26 @@ def test_scan_chunk_size_leaves_records_unchanged(d, monkeypatch):
     assert records() == before
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_box_layout_is_lexicographic_about_its_centre(d):
+    n = 2
+    rows = list(product(range(-n, n + 1), repeat=d))
+    k = arithmetic.box_windings(d, n, np.arange(len(rows)))
+    assert list(map(tuple, k.tolist())) == rows
+    # k = 0 at the centre, then exactly the canonical half, in order
+    centre = arithmetic.box_centre(d, n)
+    assert rows[centre] == (0,) * d
+    assert list(map(tuple, k[centre + 1:].tolist())) == [
+        r for r in rows if any(r) and next(c for c in r if c) > 0]
+    # the dense form holds the same rows in C order, and the central
+    # sub-box [-m, m]^d is the box of m
+    dense = np.stack(np.broadcast_arrays(*arithmetic.box_axes(d, n)), axis=-1)
+    assert np.array_equal(dense.reshape(-1, d), k)
+    for m in range(n + 1):
+        inner = dense[arithmetic.box_inner(d, n, m)].reshape(-1, d)
+        assert list(map(tuple, inner.tolist())) == list(product(range(-m, m + 1), repeat=d))
+
+
 def test_witness_two_dimensional():
     # worst defect*|k|^3 over this horizon is ~0.0322 (at k = +-(1,1)),
     # so gamma = 32 passes and gamma = 20 yields that witness

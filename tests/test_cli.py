@@ -353,21 +353,25 @@ def test_main_wrongly_typed_config_field_exits_config(tmp_path, bad):
         ExperimentConfig.from_dict(bad)
 
 
-def test_config_rejects_a_negative_count_by_name():
+def test_config_rejects_a_negative_count_by_name(capsys):
     def counts(value):
         return [{"seed": value}, {"equivalence_horizon": value},
                 {"perturbation": {"band": value}},
                 {"chain": [{"kind": "torus", "winding": [2]},
                            {"kind": "exp", "band": value}]},
-                {"equivalence_tolerance": value}]
+                {"equivalence_tolerance": value},
+                {"perturbation": {}, "scheme": {"max_steps": value}}]
 
     names = ["seed", "equivalence_horizon", "perturbation.band", "chain[1].band",
-             "equivalence_tolerance"]
+             "equivalence_tolerance", "scheme.max_steps"]
     for bad, name in zip(counts(-1), names):
         with pytest.raises(ConfigError, match=re.escape("%r must be non-negative" % name)):
             ExperimentConfig.from_dict(bad)
     for zero in counts(0):
         ExperimentConfig.from_dict(zero)
+    # the flag reaches the same check before any work
+    assert main(["run", "--max-steps", "-1", "--theta", "0.2"]) == EXIT_CONFIG
+    assert "'scheme.max_steps' must be non-negative" in capsys.readouterr().err
 
 
 def test_readme_example_config_loads():

@@ -1,3 +1,5 @@
+import cmath
+import itertools
 import math
 
 import numpy as np
@@ -48,7 +50,7 @@ def test_analyze_synthesize_roundtrip():
         assert np.max(np.abs(g.coeffs - f.coeffs)) < 1e-12
 
 
-@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(d=st.integers(1, 3), band=st.integers(0, 4), extra=st.integers(0, 5),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_real_transforms_match_the_complex_reference(d, band, extra, seed):
@@ -99,6 +101,24 @@ def test_translate_phases_and_isometry():
     assert np.max(np.abs(twice.coeffs - once.coeffs)) < 1e-12
     for s in (-4.0, -1.0, 0.0, 1.5, 3.0):
         assert abs(sobolev_norm(translate(h, alpha), s) - sobolev_norm(h, s)) < 1e-12
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_box_grids_match_per_mode_loops(d):
+    # mode norms and phases on the coefficient box against one loop over
+    # the windings in lexicographic order
+    band = 3
+    x = np.random.default_rng(d).uniform(0, 1, d)
+    modes = list(itertools.product(range(-band, band + 1), repeat=d))
+    shape = (2 * band + 1,) * d
+    euclid = [math.sqrt(sum(c * c for c in k)) for k in modes]
+    assert np.array_equal(fourier.mode_norm_grid(d, band, "euclid"),
+                          np.reshape(euclid, shape))
+    assert np.array_equal(fourier.mode_norm_grid(d, band, "max"),
+                          np.reshape([max(map(abs, k)) for k in modes], shape))
+    phases = [cmath.exp(2j * math.pi * sum(c * xa for c, xa in zip(k, x))) for k in modes]
+    assert np.allclose(fourier._phases(d, band, x), np.reshape(phases, shape),
+                       rtol=0.0, atol=1e-13)
 
 
 def test_sobolev_norm_examples():
@@ -153,7 +173,7 @@ def test_trimmed_drops_whole_shells():
         f.trimmed(-1.0)
 
 
-@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(d=st.sampled_from([1, 2]), band=st.integers(0, 8),
        log_decay=st.floats(-4.0, 0.0), log_tol=st.floats(-22.0, 1.0),
        seed=st.integers(0, 2**32 - 1))

@@ -132,7 +132,7 @@ def _full_box_solve(theta, f, alpha, n, nu):
     return AlgebraMap.from_fields(d, band, ye, yw), maxnorm
 
 
-@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(d=st.sampled_from([1, 2]), band=st.integers(0, 6), dn=st.integers(-5, 3),
        theta=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
 def test_homological_identity_on_the_solve_box(d, band, dn, theta, seed):
@@ -154,6 +154,28 @@ def test_homological_identity_on_the_solve_box(d, band, dn, theta, seed):
     reference, maxnorm = _full_box_solve(theta, f, alpha, n, 4.0)
     assert np.all(reference.coeffs[maxnorm > y.band] == 0)
     assert np.array_equal(reference.coeffs, full.coeffs)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_solve_keeps_the_bits_of_its_kalpha_loop(d, monkeypatch):
+    # the solve's k.alpha grid, a broadcast sum over the box axes, has the
+    # bits of the per-axis reshape loop it replaced, written out here; the
+    # grid enters the solve as the argument of its first exp
+    alpha = Frequency(tuple(np.random.default_rng(d).uniform(0, 1, d)))
+    band = 4
+    f = random_map(d, band, 1e-3, np.random.default_rng(0))
+    kalpha = np.zeros((2 * band + 1,) * d)
+    for axis in range(d):
+        ka = np.arange(-band, band + 1) * alpha.components[axis]
+        shape = [1] * d
+        shape[axis] = 2 * band + 1
+        kalpha = kalpha + ka.reshape(shape)
+    arguments = []
+    exp = np.exp
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "exp", lambda z: arguments.append(z) or exp(z))
+        solve_homological(0.21, f, alpha, 3, 4.0)
+    assert np.array_equal(arguments[0], 2j * np.pi * kalpha)
 
 
 def test_solve_routes_small_divisors_to_remainder():
@@ -392,7 +414,7 @@ def _tilted_constant(theta, tilt, azimuth):
     return GroupElement(np.concatenate([[math.cos(half)], math.sin(half) * axis]))
 
 
-@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(d=st.sampled_from([1, 2]), theta=st.floats(0.05, 0.95),
        log_tilt=st.floats(-9.0, -3.0), azimuth=st.floats(0.0, 2 * math.pi),
        band=st.integers(1, 3), log_amplitude=st.floats(-9.0, -4.0),
@@ -410,7 +432,7 @@ def test_replay_of_a_tilted_constant(d, theta, log_tilt, azimuth, band,
     assert nf.replay_error() <= 1e-13
 
 
-@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(d=st.sampled_from([1, 2]), theta=st.floats(0.05, 0.95),
        winding=st.lists(st.integers(-3, 3), min_size=2, max_size=2),
        band=st.integers(0, 3), log_amplitude=st.floats(-8.0, -3.0),
@@ -434,6 +456,9 @@ def test_scheme_params_validation():
         SchemeParams(nu=-1.0)
     with pytest.raises(ValueError):
         SchemeParams(stop_tolerance=-1e-12)
+    with pytest.raises(ValueError, match="max_steps"):
+        SchemeParams(max_steps=-1)
+    assert SchemeParams(max_steps=0).max_steps == 0
     p = SchemeParams.for_dioph(DiophParams(3.0, 2.0, 100))
     assert p.nu == 4.0
 

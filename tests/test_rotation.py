@@ -124,7 +124,7 @@ def moved(r, move):
     return rv(sign * r.representative + n * r.alpha.dot(k) + 2 * m, r.alpha)
 
 
-@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(data=st.data(), alpha=st.sampled_from([ALPHA, ALPHA2]), h=st.integers(1, 3),
        x=st.floats(-3.0, 3.0), related=st.booleans())
 def test_equivalence_check_is_symmetric(data, alpha, h, x, related):
@@ -137,7 +137,7 @@ def test_equivalence_check_is_symmetric(data, alpha, h, x, related):
     assert equivalence_check(r1, r2, h) == equivalence_check(r2, r1, h)
 
 
-@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(data=st.data(), alpha=st.sampled_from([ALPHA, ALPHA2]), h=st.integers(1, 3),
        x=st.floats(-3.0, 3.0))
 def test_equivalence_check_is_transitive(data, alpha, h, x):
@@ -223,7 +223,7 @@ def test_morphism_shift_invariant():
         assert folded < 1e-6
 
 
-@settings(derandomize=True, database=None, max_examples=8, deadline=None)
+@settings(max_examples=8)
 @given(data=st.data(), dimension=st.sampled_from([1, 2]), theta=st.floats(0.05, 0.45),
        seed=st.integers(0, 2**16))
 def test_rotation_class_is_invariant_under_conjugation(data, dimension, theta, seed):

@@ -57,14 +57,14 @@ directions = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).map(np.array
     .filter(lambda u: np.linalg.norm(u) > 0.1).map(lambda u: u / np.linalg.norm(u))
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(u=directions, radius=st.floats(0.0, 1.0 - 1e-6))
 def test_exp_log_roundtrip_up_to_the_cut_locus(u, radius):
     v = radius * u
     assert np.max(np.abs(alg_log_quat(alg_exp_quat(v)) - v)) < 1e-12
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(u=directions, depth=st.floats(0.0, 0.5), margin=st.sampled_from([1e-9, 1e-6, 1e-3]))
 def test_log_raises_within_the_cut_margin(u, depth, margin):
     # exp((1 - depth * margin) u) lies at distance depth * margin from -Id
