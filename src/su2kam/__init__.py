@@ -10,17 +10,14 @@ from .arithmetic import (
     DiophParams,
     Frequency,
     ResonanceRecord,
-    continued_fraction,
     diophantine_witness,
     dist_to_Z,
     gauss_map,
-    rdc_horizon_check,
     relative_resonance,
 )
 from .cocycle import (
     Cocycle,
     c0_distance,
-    c0_distance_to_constant,
     conjugate,
     conjugate_raw,
     iterate,
@@ -38,7 +35,6 @@ from .fourier import (
     sobolev_norm,
     synthesize,
     translate,
-    truncate,
 )
 from .kam import (
     NormalForm,

@@ -1,9 +1,9 @@
 """Diophantine and resonance arithmetic on the torus.
 
 Absolute conditions on a base frequency alpha, conditions on a scalar beta
-relative to alpha, resonance search over a finite winding horizon, continued
-fractions and the Gauss map.  All universally quantified conditions are
-checked over an explicit horizon that is reported with every result.
+relative to alpha, resonance search over a finite winding horizon and the
+Gauss map.  All universally quantified conditions are checked over an
+explicit horizon that is reported with every result.
 
 The box [-n, n]^d of windings has one layout, owned by the box_* helpers
 below and shared by the scan here and by the Fourier coefficient tables of
@@ -233,38 +233,3 @@ def gauss_map(alpha: float) -> float:
         raise ValueError("Gauss map expects alpha in (0, 1)")
     inv = 1.0 / alpha
     return inv - math.floor(inv)
-
-
-def continued_fraction(alpha: float, count: int):
-    """First `count` continued-fraction digits of alpha in (0, 1) via the
-    Gauss map.  Raises if an iterate hits 0 (numerically rational input)."""
-    digits = []
-    x = alpha
-    for _ in range(count):
-        if abs(x) < NEAR_RATIONAL_FLOOR:
-            raise ValueError("continued fraction terminated: rational input")
-        inv = 1.0 / x
-        a = math.floor(inv)
-        digits.append(int(a))
-        x = inv - a
-    return digits
-
-
-def rdc_horizon_check(alpha: float, p: DiophParams, depth: int):
-    """Indices n <= depth with G^n(alpha) Diophantine at params p.
-
-    Finite surrogate for the recurrence condition; one-dimensional only.
-    Raises if a Gauss iterate hits 0 (rational input).
-    """
-    if not (0.0 < alpha < 1.0):
-        raise ValueError("recurrent Diophantine check expects alpha in (0, 1)")
-    passing = []
-    x = alpha
-    for n in range(depth + 1):
-        if diophantine_witness(Frequency((x,)), p) is None:
-            passing.append(n)
-        if n < depth:
-            if abs(x) < NEAR_RATIONAL_FLOOR:
-                raise ValueError("Gauss iterate hit 0: rational frequency")
-            x = gauss_map(x)
-    return passing

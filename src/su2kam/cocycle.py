@@ -80,9 +80,11 @@ class Cocycle:
 
 def fiber_mean(samples: np.ndarray) -> np.ndarray:
     """Renormalised quaternion mean of fiber samples; raises
-    NormalizationError when the mean collapses, the fiber far from constant."""
-    mean = np.mean(samples.reshape(-1, 4), axis=0)
-    if np.linalg.norm(mean) < 1e-3:
+    NormalizationError when the mean collapses, the fiber far from constant,
+    or is not finite.  The mean is summed over the samples in C order, which
+    fixes its rounding whatever the grid's memory order."""
+    mean = np.mean(np.ascontiguousarray(samples).reshape(-1, 4), axis=0)
+    if not np.linalg.norm(mean) >= 1e-3:  # a NaN mean fails too
         raise NormalizationError("fiber mean collapses; fiber is far from constant")
     return quat_normalize(mean)
 
@@ -144,13 +146,6 @@ def iterate(phi: Cocycle, n: int, x) -> GroupElement:
     for j in range(n):
         q = quat_mul(phi.fiber_at(x + j * phi.alpha.vector), q)
     return GroupElement(q)
-
-
-def c0_distance_to_constant(phi: Cocycle, m: int = None) -> float:
-    """max_x d(A^-1 fiber(x), Id): the largest rotation angle of exp(F(x))."""
-    if m is None:
-        m = grid_size(phi.perturbation.band, phi.dimension)
-    return float(np.max(quat_angle(alg_exp_quat(synthesize(phi.perturbation, m)))))
 
 
 def c0_distance(phi1: Cocycle, phi2: Cocycle) -> float:

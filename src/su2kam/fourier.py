@@ -19,7 +19,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arithmetic import Frequency, box_axes, box_centre, box_inner, box_windings
-from .su2 import GroupElement, alg_exp_quat, quat_mul, quat_rotation_matrix
+from .su2 import (
+    GroupElement,
+    alg_exp_quat,
+    components_first,
+    components_last,
+    quat_mul,
+    quat_rotation_matrix,
+)
 
 
 GRID_POINTS = 1 << 22  # bound on the total points m^d of any grid
@@ -42,33 +49,6 @@ def grid_size(band: int, dimension: int) -> int:
         raise GridBudgetError("a %d^%d grid for band %d exceeds the budget of %d points"
                               % (m, dimension, band, GRID_POINTS))
     return m
-
-
-# ---------------------------------------------------------------------------
-# scalar complex fields (no reality constraint)
-
-
-def field_synthesize(coeffs: np.ndarray, m: int, dimension: int = None) -> np.ndarray:
-    """Values of sum_k c(k) exp(2 pi i k.x) on the uniform m^d grid, by a
-    full complex FFT: the reference that synthesize's real FFT is tested
-    against.
-
-    `coeffs` has shape (2N+1,)*dimension (+ optional trailing axes, carried
-    along); requires m >= 2N+2 so box modes occupy distinct FFT bins.
-    """
-    coeffs = np.asarray(coeffs, dtype=complex)
-    d = coeffs.ndim if dimension is None else dimension
-    if d < 1 or coeffs.ndim < d:
-        raise ValueError("bad dimension for coefficient array")
-    size = coeffs.shape[0]
-    if size % 2 != 1 or any(coeffs.shape[a] != size for a in range(d)):
-        raise ValueError("coefficient grid axes must share an odd size")
-    n = (size - 1) // 2
-    if m < 2 * n + 2:
-        raise UndersampledGridError("grid %d undersamples band %d" % (m, n))
-    buf = np.zeros((m,) * d + coeffs.shape[d:], dtype=complex)
-    buf[tuple(k % m for k in box_axes(d, n))] = coeffs
-    return np.fft.ifftn(buf, axes=tuple(range(d))) * float(m) ** d
 
 
 def _flip_conj(coeffs: np.ndarray, dimension: int) -> np.ndarray:
@@ -283,9 +263,11 @@ def synthesize(amap: AlgebraMap, m: int) -> np.ndarray:
     d, band = amap.dimension, amap.band
     if m < 2 * band + 2:
         raise UndersampledGridError("grid %d undersamples band %d" % (m, band))
-    buf = np.zeros((m,) * (d - 1) + (m // 2 + 1, 3), dtype=complex)
-    buf[_half_index(band, m, d)] = amap.coeffs[..., band:, :]
-    return np.fft.irfftn(buf, s=(m,) * d, axes=tuple(range(d))) * float(m) ** d
+    buf = np.zeros((3,) + (m,) * (d - 1) + (m // 2 + 1,), dtype=complex)
+    buf[(slice(None),) + _half_index(band, m, d)] = components_first(amap.coeffs[..., band:, :])
+    grid = np.fft.irfftn(buf, s=(m,) * d, axes=tuple(range(1, d + 1)))
+    grid *= float(m) ** d
+    return components_last(grid)
 
 
 def analyze(samples: np.ndarray, band: int) -> AlgebraMap:
@@ -299,8 +281,10 @@ def analyze(samples: np.ndarray, band: int) -> AlgebraMap:
         raise ValueError("expected a cubic grid")
     if m < 2 * band + 2:
         raise UndersampledGridError("grid %d undersamples band %d" % (m, band))
-    hat = np.fft.rfftn(samples, axes=tuple(range(dimension))) / float(m) ** dimension
-    half = hat[_half_index(band, m, dimension)]
+    hat = np.fft.rfftn(components_first(samples), axes=tuple(range(1, dimension + 1)))
+    # back to the coefficient layout, C order, before the flip and concatenation
+    half = np.ascontiguousarray(components_last(
+        hat[(slice(None),) + _half_index(band, m, dimension)] / float(m) ** dimension))
     coeffs = np.concatenate([_flip_conj(half[..., 1:, :], dimension), half], axis=dimension - 1)
     return AlgebraMap(dimension, band, coeffs).symmetrized()
 
@@ -317,16 +301,6 @@ def sobolev_norm(amap: AlgebraMap, s: float) -> float:
     k2 = mode_norm_grid(amap.dimension, amap.band, "euclid") ** 2
     weight = (1.0 + k2) ** s
     return float(np.sqrt(np.sum(weight[..., None] * np.abs(amap.coeffs) ** 2)))
-
-
-def truncate(amap: AlgebraMap, band: int):
-    """Exact splitting into modes |k| <= band (max-norm) and the rest."""
-    if band > amap.band:
-        raise ValueError("truncation band exceeds the map band")
-    mask = mode_norm_grid(amap.dimension, amap.band, "max") <= band
-    low = AlgebraMap(amap.dimension, amap.band, np.where(mask[..., None], amap.coeffs, 0))
-    high = AlgebraMap(amap.dimension, amap.band, np.where(mask[..., None], 0, amap.coeffs))
-    return low, high
 
 
 def random_map(dimension: int, band: int, amplitude: float, rng,
@@ -379,9 +353,11 @@ class TorusMorphism:
         grids = np.ix_(*(span * np.arange(m) / m + offset[:, None]))
         t = sum(k * g for k, g in zip(self.winding, grids))
         t = np.broadcast_to(t, (m,) * self.dimension)
-        ax = self._axis_vector()
-        s = np.sin(np.pi * t)
-        return np.stack([np.cos(np.pi * t), s * ax[0], s * ax[1], s * ax[2]], axis=-1)
+        out = np.empty((4,) + t.shape)
+        np.cos(np.pi * t, out=out[0])
+        np.multiply(self._axis_vector().reshape((3,) + (1,) * self.dimension),
+                    np.sin(np.pi * t), out=out[1:])
+        return components_last(out)
 
     def inverse(self) -> "TorusMorphism":
         return TorusMorphism(tuple(-c for c in self.winding), self.frame)
@@ -435,7 +411,8 @@ class ExpFactor:
         if m % 2:
             raise ValueError("double-cover sampling needs an even grid")
         # exp is pointwise, so one period is exponentiated, then tiled
-        return np.tile(alg_exp_quat(synthesize(amap, m // 2)), (2,) * self.dimension + (1,))
+        period = components_first(alg_exp_quat(synthesize(amap, m // 2)))
+        return components_last(np.tile(period, (1,) + (2,) * self.dimension))
 
     def inverse(self) -> "ExpFactor":
         return ExpFactor((-1.0) * self.map)
@@ -474,9 +451,6 @@ class ConjugationChain:
 
     def prepended(self, factor) -> "ConjugationChain":
         return ConjugationChain((factor,) + self.factors, self.dimension)
-
-    def composed_with(self, older: "ConjugationChain") -> "ConjugationChain":
-        return ConjugationChain(self.factors + older.factors, self.dimension)
 
     def inverse(self) -> "ConjugationChain":
         return ConjugationChain(tuple(f.inverse() for f in reversed(self.factors)), self.dimension)
@@ -562,6 +536,9 @@ def chain_sobolev_partial(chain: ConjugationChain, s: float, m: int):
     weight = (1.0 + k2) ** s * twice
     norms = []
     for samples in chain.prefix_grids(m, span=2.0):
-        hat = np.fft.rfftn(samples, axes=tuple(range(d))) / float(m) ** d
-        norms.append(float(np.sqrt(np.sum(weight[..., None] * np.abs(hat) ** 2))))
+        hat = np.fft.rfftn(components_first(samples), axes=tuple(range(1, d + 1)))
+        hat /= float(m) ** d
+        # summed in the C order of the (..., 4) spectrum, which fixes the rounding
+        power = np.ascontiguousarray(components_last(weight * np.abs(hat) ** 2))
+        norms.append(float(np.sqrt(np.sum(power))))
     return norms

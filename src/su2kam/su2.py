@@ -13,8 +13,13 @@ direction is Z*e (exp(n*e) = (-1)^n Id), the root value of exp(t*e) is t, and
 the bi-invariant distance is scaled so that d(Id, -Id) = 1.
 
 Vectorised helpers (quat_*, alg_*) act on arrays with a trailing axis of
-length 4 (quaternions) or 3 (algebra coordinates).  GroupElement holds one
-validated element, as read from configs and stored in conjugation factors.
+length 4 (quaternions) or 3 (algebra coordinates).  The grids they return
+keep that shape but are allocated component-major: a (..., 4) grid is the
+transposed view of a C-ordered (4, ...) array, so each q[..., i] is
+contiguous.  Elementwise results do not depend on the layout; a reduction
+whose order does (a sum over the whole grid) is taken on a C-ordered copy.
+GroupElement holds one validated element, as read from configs and stored
+in conjugation factors.
 """
 
 from __future__ import annotations
@@ -30,20 +35,53 @@ class CutLocusError(ValueError):
 # raw quaternion arrays
 
 
+def components_first(q):
+    """View of q with its trailing component axis moved to the front."""
+    return q.transpose((q.ndim - 1,) + tuple(range(q.ndim - 1)))
+
+
+def components_last(c):
+    """View of a component-major array c with its components trailing."""
+    return c.transpose(tuple(range(1, c.ndim)) + (0,))
+
+
 def quat_mul(a, b):
     """Hamilton product, broadcasting over leading axes."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    w = a[..., 0] * b[..., 0] - a[..., 1] * b[..., 1] - a[..., 2] * b[..., 2] - a[..., 3] * b[..., 3]
-    x = a[..., 0] * b[..., 1] + a[..., 1] * b[..., 0] + a[..., 2] * b[..., 3] - a[..., 3] * b[..., 2]
-    y = a[..., 0] * b[..., 2] - a[..., 1] * b[..., 3] + a[..., 2] * b[..., 0] + a[..., 3] * b[..., 1]
-    z = a[..., 0] * b[..., 3] + a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1] + a[..., 3] * b[..., 0]
-    return np.stack([w, x, y, z], axis=-1)
+    # np.broadcast_shapes costs microseconds per call; the usual pairs skip it
+    if a.shape == b.shape or b.ndim == 1:
+        shape = a.shape[:-1]
+    elif a.ndim == 1:
+        shape = b.shape[:-1]
+    else:
+        shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+    a0, a1, a2, a3 = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    b0, b1, b2, b3 = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    out = np.empty((4,) + shape)
+    w, x, y, z = out[0, ...], out[1, ...], out[2, ...], out[3, ...]
+    # each component is filled in place, its terms summed left to right
+    np.multiply(a0, b0, out=w)
+    w -= a1 * b1
+    w -= a2 * b2
+    w -= a3 * b3
+    np.multiply(a0, b1, out=x)
+    x += a1 * b0
+    x += a2 * b3
+    x -= a3 * b2
+    np.multiply(a0, b2, out=y)
+    y -= a1 * b3
+    y += a2 * b0
+    y += a3 * b1
+    np.multiply(a0, b3, out=z)
+    z += a1 * b2
+    z -= a2 * b1
+    z += a3 * b0
+    return components_last(out)
 
 
 def quat_conj(q):
-    q = np.asarray(q, dtype=float)
-    out = q.copy()
+    out = np.copy(np.asarray(q, dtype=float), order="K")
     out[..., 1:] *= -1.0
     return out
 
@@ -76,10 +114,11 @@ def alg_exp_quat(coords):
     """Group exponential of algebra coordinates; exp((1,0,0)) = -Id."""
     v = np.asarray(coords, dtype=float)
     n = np.linalg.norm(v, axis=-1)
-    w = np.cos(np.pi * n)
+    out = np.empty((4,) + n.shape)
+    np.cos(np.pi * n, out=out[0, ...])
     # sin(pi n)/n, continuous at n = 0
-    vec = v * (np.pi * np.sinc(n))[..., None]
-    return np.concatenate([w[..., None], vec], axis=-1)
+    np.multiply(components_first(v), np.pi * np.sinc(n), out=out[1:])
+    return components_last(out)
 
 
 def alg_log_quat(q, cut_margin=1e-9):
@@ -95,7 +134,9 @@ def alg_log_quat(q, cut_margin=1e-9):
     if np.any(phi > np.pi * (1.0 - cut_margin)):
         raise CutLocusError("logarithm within %g of -Id" % cut_margin)
     factor = np.where(s > 1e-300, phi / (np.pi * np.maximum(s, 1e-300)), 1.0 / np.pi)
-    return vec * factor[..., None]
+    out = np.empty((3,) + s.shape)
+    np.multiply(components_first(vec), factor, out=out)
+    return components_last(out)
 
 
 def torus_quat(theta):
@@ -119,7 +160,7 @@ class GroupElement:
         if q.shape != (4,):
             raise ValueError("quaternion must have shape (4,)")
         norm = float(np.linalg.norm(q))
-        if abs(norm - 1.0) > 1e-6:
+        if not abs(norm - 1.0) <= 1e-6:  # a NaN norm fails too
             raise ValueError("quaternion norm %.3g too far from 1" % norm)
         self.q = q / norm
 

@@ -9,11 +9,9 @@ from su2kam.arithmetic import (
     DiophParams,
     Frequency,
     ResonanceRecord,
-    continued_fraction,
     diophantine_witness,
     dist_to_Z,
     gauss_map,
-    rdc_horizon_check,
     relative_defect_minimum,
     relative_resonance,
 )
@@ -307,28 +305,6 @@ def test_gauss_map_examples():
         gauss_map(0.0)
     with pytest.raises(ValueError):
         gauss_map(1.5)
-
-
-def test_continued_fraction_digits():
-    assert continued_fraction(math.pi - 3.0, 5) == [7, 15, 1, 292, 1]
-    assert continued_fraction(math.sqrt(2.0) - 1.0, 10) == [2] * 10
-    with pytest.raises(ValueError):
-        continued_fraction(0.25, 5)  # terminates after [4]
-
-
-def test_rdc_golden_fixed_point():
-    passing = rdc_horizon_check(GOLDEN, DiophParams(3.0, 2.0, 2000), 10)
-    assert passing == list(range(11))
-
-
-def test_rdc_sqrt2():
-    passing = rdc_horizon_check(math.sqrt(2.0) - 1.0, DiophParams(3.0, 2.0, 2000), 5)
-    assert passing == list(range(6))
-
-
-def test_rdc_rational_rejected():
-    with pytest.raises(ValueError):
-        rdc_horizon_check(2.0 / 7.0, DiophParams(3.0, 2.0, 100), 5)
 
 
 def test_resonance_record_validation():

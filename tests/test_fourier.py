@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from su2kam import fourier
-from su2kam.arithmetic import Frequency
+from su2kam.arithmetic import Frequency, box_axes
 from su2kam.fourier import (
     AlgebraMap,
     ConjugationChain,
@@ -19,17 +19,32 @@ from su2kam.fourier import (
     UndersampledGridError,
     analyze,
     chain_sobolev_partial,
-    field_synthesize,
     grid_size,
     random_map,
     sobolev_norm,
     synthesize,
     translate,
-    truncate,
 )
 from su2kam.su2 import GroupElement, group_distance, quat_mul, quat_normalize, torus_quat
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def field_synthesize(coeffs, m, d):
+    """Reference for synthesize: sum_k c(k) exp(2 pi i k.x) on the m^d grid
+    by a full complex FFT of the box |k| <= N, any trailing axes carried
+    along; m >= 2N+2."""
+    n = (coeffs.shape[0] - 1) // 2
+    buf = np.zeros((m,) * d + coeffs.shape[d:], dtype=complex)
+    buf[tuple(k % m for k in box_axes(d, n))] = coeffs
+    return np.fft.ifftn(buf, axes=tuple(range(d))) * float(m) ** d
+
+
+def truncate(amap, band):
+    """Exact splitting into modes |k| <= band (max-norm) and the rest."""
+    mask = fourier.mode_norm_grid(amap.dimension, amap.band, "max")[..., None] <= band
+    return (AlgebraMap(amap.dimension, amap.band, np.where(mask, amap.coeffs, 0)),
+            AlgebraMap(amap.dimension, amap.band, np.where(mask, 0, amap.coeffs)))
 
 
 def test_synthesize_zero_and_single_mode():

@@ -179,3 +179,6 @@ def test_group_element_validation():
         GroupElement(np.array([2.0, 0.0, 0.0, 0.0]))
     with pytest.raises(ValueError):
         GroupElement(np.zeros(3))
+    # NaN compares False with everything, so it must fail the norm check
+    with pytest.raises(ValueError):
+        GroupElement(np.array([np.nan, 0.0, 0.0, 0.0]))
