@@ -17,7 +17,9 @@ below and shared by the scan here and by the Fourier coefficient tables of
 
 Every question about the defect |beta - k.alpha|_Z over 0 < |k| <= n is
 answered by one scan of the box, in chunks of at most SCAN_ROWS rows, so
-memory stays bounded at any n and d.  A minimum by (|k|, lex) is the first
+memory stays bounded at any n and d; a box of more than SCAN_WINDINGS
+windings is refused before any chunk, which bounds the time, and so the
+scale a scheme step can reach.  A minimum by (|k|, lex) is the first
 winding in (shell, lex) order, so chunks need not follow max-norm shells.
 
 One keyed reduction over the scan serves the callers: the Diophantine
@@ -34,6 +36,9 @@ import numpy as np
 
 # rows per chunk of the winding scan: its working set at any scale and dimension
 SCAN_ROWS = 4096
+
+# windings (2n+1)^d of one scan of the box: at this size a scan stays under about 1 s
+SCAN_WINDINGS = 1 << 24
 
 # below this defect a frequency is indistinguishable from a rational in doubles
 NEAR_RATIONAL_FLOOR = 1e-14
@@ -119,6 +124,11 @@ class ResonanceRecord:
         return self.defect < NEAR_RATIONAL_FLOOR
 
 
+class GridBudgetError(RuntimeError):
+    """A grid would exceed fourier.GRID_POINTS points, or a winding scan
+    SCAN_WINDINGS windings, in total."""
+
+
 def dist_to_Z(x):
     """Distance to the nearest integer; 1-periodic, even, valued in [0, 1/2]."""
     x = np.asarray(x, dtype=float)
@@ -153,8 +163,13 @@ def scan_box(alpha: Frequency, n: int, beta: float = 0.0, first: int = 0):
 
     Rows run in lexicographic order from the flat index `first` on, at most
     SCAN_ROWS per chunk; see the module docstring for the order contract.
+    Raises GridBudgetError, before any chunk is built, when the box holds
+    more than SCAN_WINDINGS windings.
     """
     total = (2 * n + 1) ** alpha.dimension
+    if total > SCAN_WINDINGS:
+        raise GridBudgetError("a scan of %d windings for scale %d exceeds the budget of %d"
+                              % (total, n, SCAN_WINDINGS))
     for start in range(first, total, SCAN_ROWS):
         k = box_windings(alpha.dimension, n, np.arange(start, min(start + SCAN_ROWS, total)))
         # vecdot matches the per-winding Frequency.dot bit for bit; k @ alpha does not

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arithmetic import Frequency, box_axes, box_centre, box_inner, box_windings
+from .arithmetic import (Frequency, GridBudgetError, box_axes, box_centre, box_inner,
+                         box_windings)
 from .su2 import (
     GroupElement,
     alg_exp_quat,
@@ -34,10 +35,6 @@ GRID_POINTS = 1 << 22  # bound on the total points m^d of any grid
 
 class UndersampledGridError(ValueError):
     """Grid too small to resolve the requested band."""
-
-
-class GridBudgetError(RuntimeError):
-    """Grid would exceed GRID_POINTS points in total."""
 
 
 def grid_size(band: int, dimension: int) -> int:

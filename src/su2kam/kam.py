@@ -480,9 +480,9 @@ def kam_step(state: SchemeState, params: SchemeParams) -> SchemeState:
     y = (-1.0) * w.rotated(rot)
 
     n_next = max(state.scale + 1, int(round(float(state.scale) ** (1.0 + params.sigma))))
-    # band_next >= n_next, so grid_size's budget is also the cap on the scale;
-    # the band starts from the trimmed one, so it grows only with content
-    band_next = max(n_next, state.perturbation.band + 2 * y.band)
+    # the conjugated fiber has the band of its content, whatever the scale:
+    # the band starts from the trimmed one and Y lives on its solve box
+    band_next = max(1, state.perturbation.band + 2 * y.band)
     d = state.alpha.dimension
     conjugated = conjugate_raw(ConjugationChain((ExpFactor(y),), d), state.cocycle(),
                                grid_size(band_next, d))

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from su2kam import cli, fourier, kam
+from su2kam import arithmetic, cli, fourier, kam
 from su2kam.arithmetic import DiophParams
 from su2kam.cli import (
     EXIT_CONFIG,
@@ -435,6 +435,63 @@ def test_main_grid_past_the_budget_exits_scheme(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("grid budget error: a 76^2 grid")
     assert len(err.splitlines()) == 1
+
+
+def test_main_scan_past_the_budget_exits_scheme(monkeypatch, capsys):
+    # horizon 2100 in 2D is a box of 4201^2 windings, past SCAN_WINDINGS
+    def unreached(*args):
+        raise AssertionError("a chunk of the scan was built past the budget")
+
+    monkeypatch.setattr(arithmetic, "box_windings", unreached)
+    assert 4201 ** 2 > arithmetic.SCAN_WINDINGS
+    frequency = ",".join(repr(c) for c in TWO_FREQ_CONFIG["frequency"]["value"])
+    assert main(["check-dioph", "--frequency", frequency,
+                 "--tau", "3", "--horizon", "2100"]) == EXIT_SCHEME
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("grid budget error: a scan of 17648401 windings for scale 2100 ")
+    assert len(err.splitlines()) == 1
+
+
+def test_run_experiment_exp_factor_seed_7_converges_at_1e_13():
+    # the two-frequency config with an exp factor at stop_tolerance 1e-13 and
+    # config seed 7: a fourth step on the 632^2 grid of the next scale, not on
+    # the grid of its band-0 content, grows the perturbation to 9.4e-13
+    cfg = ExperimentConfig.from_dict({
+        "frequency": {"value": [GOLDEN, math.sqrt(2.0) - 1.0]},
+        "theta": 0.1,
+        "chain": [{"kind": "torus", "winding": [1, 1]},
+                  {"kind": "exp", "band": 3, "amplitude": 1e-3}],
+        "perturbation": {"band": 2, "amplitude": 1e-5},
+        "scheme": {"n0": 4, "max_steps": 8, "stop_tolerance": 1e-13},
+        "dioph": {"gamma": 32.0, "tau": 3.0, "horizon": 15},
+        "seed": 7,
+    })
+    report, code = run_experiment(cfg)
+    assert code == EXIT_OK
+    assert report["normal_form"]["converged"]
+    assert report["normal_form"]["final_residual_h0"] <= 1e-13
+    assert report["truth_comparison"]["equivalent"]
+
+
+def test_run_experiment_three_dimensional():
+    # a frequency of the 2^(1/4) field, Diophantine at gamma 32 and tau 4 to
+    # horizon 20; at 1e-12 its grids follow the content band, at most 21
+    cfg = ExperimentConfig.from_dict({
+        "frequency": {"value": [2.0 ** 0.25 - 1.0, 2.0 ** 0.5 - 1.0, 2.0 ** 0.75 - 1.0]},
+        "theta": 0.1,
+        "chain": [{"kind": "torus", "winding": [1, 0, 1]},
+                  {"kind": "exp", "band": 1, "amplitude": 1e-3}],
+        "perturbation": {"band": 1, "amplitude": 1e-5},
+        "scheme": {"n0": 6, "nu": 8.0, "stop_tolerance": 1e-12},
+        "dioph": {"gamma": 32.0, "tau": 4.0, "horizon": 20},
+    })
+    report, code = run_experiment(cfg)
+    assert code == EXIT_OK
+    assert "frequency_warning" not in report
+    assert report["normal_form"]["converged"]
+    assert report["truth_comparison"]["equivalent"]
+    assert report["audit"]["issues"] == []
 
 
 def test_main_output_files_match_stdout(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from su2kam import cocycle, fourier, kam
+from su2kam import arithmetic, cocycle, fourier, kam
 from su2kam.arithmetic import DiophParams, Frequency, dist_to_Z
 from su2kam.cli import ExperimentConfig, synthesize_cocycle
 from su2kam.cocycle import Cocycle, NormalizationError, conjugate, conjugate_raw, normalize
@@ -270,20 +270,43 @@ def test_kam_step_safety_bound():
         kam_step(state, SchemeParams())
 
 
-def test_grid_budget_stops_the_scale(monkeypatch):
-    # at scale 300 the next scale is about 1661 > 511, so the next grid
-    # (4 * band + 4)^2 passes GRID_POINTS and the step raises before any
-    # grid of it is built; no separate cap on the scale is needed
-    def no_grid(*args):
-        raise AssertionError("the step built a grid past the budget")
+def test_scan_budget_stops_the_scale(monkeypatch):
+    # at scale 300 a 3D step's resonance scan covers 601^3, about 217M
+    # windings, past SCAN_WINDINGS: the step raises before it builds any
+    # chunk of the scan or any grid
+    def unreached(*args):
+        raise AssertionError("the step scanned or built a grid past the budget")
 
-    monkeypatch.setattr(kam, "conjugate_raw", no_grid)
-    alpha2 = Frequency((GOLDEN, math.sqrt(2.0) - 1.0))
-    f = random_map(2, 2, 1e-7, np.random.default_rng(8))
+    monkeypatch.setattr(kam, "conjugate_raw", unreached)
+    monkeypatch.setattr(arithmetic, "box_windings", unreached)
+    alpha3 = Frequency((2.0 ** 0.25 - 1.0, 2.0 ** 0.5 - 1.0, 2.0 ** 0.75 - 1.0))
+    f = random_map(3, 1, 1e-7, np.random.default_rng(8))
     assert sobolev_norm(f, 0.0) < 300.0 ** -kam.SAFETY_EXPONENT
-    state = SchemeState(alpha=alpha2, theta=0.1, perturbation=f, scale=300)
-    with pytest.raises(fourier.GridBudgetError, match="for band 1661 "):
+    assert 601 ** 3 > arithmetic.SCAN_WINDINGS
+    state = SchemeState(alpha=alpha3, theta=0.1, perturbation=f, scale=300)
+    with pytest.raises(fourier.GridBudgetError, match="scan of 217081801 windings for scale 300 "):
         kam_step(state, SchemeParams())
+
+
+def test_step_grid_follows_the_content_not_the_scale(monkeypatch):
+    # a step at scale 49 on a perturbation stored on band 0 conjugates on
+    # the grid of its content band, not on the 632^2 grid of the next scale
+    calls = []
+
+    def recorded(chain, phi, m):
+        calls.append((chain.factors[0].map, phi.perturbation.band, m))
+        return conjugate_raw(chain, phi, m)
+
+    monkeypatch.setattr(kam, "conjugate_raw", recorded)
+    alpha2 = Frequency((GOLDEN, math.sqrt(2.0) - 1.0))
+    f = random_map(2, 0, 1e-9, np.random.default_rng(8), mean_free=False)
+    assert f.band == 0
+    state = SchemeState(alpha=alpha2, theta=0.1, perturbation=f, scale=49)
+    out = kam_step(state, SchemeParams())
+    assert out.scale == 157
+    [(y, band, m)] = calls
+    assert band == 0 and y.band == 0 and np.any(y.coeffs != 0)
+    assert m == fourier.grid_size(max(1, band + 2 * y.band), 2) == 8
 
 
 def test_run_scheme_constant_cocycle():
