@@ -13,7 +13,6 @@ from .arithmetic import (
     diophantine_witness,
     dist_to_Z,
     gauss_map,
-    relative_resonance,
 )
 from .cocycle import (
     Cocycle,

@@ -231,15 +231,6 @@ def relative_defect_minimum(beta: float, alpha: Frequency, n: int, nu: float = N
     return replace(least_winding(alpha, n, beta), threshold=threshold)
 
 
-def relative_resonance(beta: float, alpha: Frequency, n: int, nu: float):
-    """Resonance of beta relative to alpha at scale n: the minimising winding
-    if its defect is within the closed threshold n^-nu, else None."""
-    if not nu > 0:
-        raise ValueError("nu must be positive")
-    rec = relative_defect_minimum(beta, alpha, n, nu)
-    return rec if rec.defect <= rec.threshold else None
-
-
 def gauss_map(alpha: float) -> float:
     """Fractional part of 1/alpha for alpha in (0, 1)."""
     if alpha == 0:

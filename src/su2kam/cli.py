@@ -33,15 +33,15 @@ from .arithmetic import (
     FREQUENCY_PRESETS,
     DiophParams,
     Frequency,
+    GridBudgetError,
     diophantine_witness,
 )
-from .cocycle import Cocycle, conjugate_raw, normalize
+from .cocycle import Cocycle, NormalizationError, conjugate_raw, normalize
 from .fourier import (
     AlgebraMap,
     ConjugationChain,
     ConstantFactor,
     ExpFactor,
-    GridBudgetError,
     TorusMorphism,
     grid_size,
     random_map,
@@ -247,7 +247,7 @@ def synthesize_cocycle(cfg: ExperimentConfig):
         samples = quat_mul(samples, alg_exp_quat(synthesize_map(pert, m)))
     try:
         phi = normalize(samples, alpha, band)
-    except Exception as exc:
+    except NormalizationError as exc:
         raise ConfigError("recipe produced a non-normalizable cocycle: %s" % exc) from exc
 
     winding_total = np.zeros(alpha.dimension, dtype=int)
@@ -349,33 +349,23 @@ def _emit(doc: dict, path) -> None:
 
 
 def _load_config(args) -> ExperimentConfig:
+    """Config from the flags with the config file on top (file wins); the
+    file's scheme section is merged over the flags' key by key."""
     data = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as fh:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ConfigError("config file must hold an object")
-    cfg = ExperimentConfig()
-    # flags first, then the config file on top (file wins)
-    for name in ("theta", "seed"):
-        val = getattr(args, name, None)
-        if val is not None:
-            setattr(cfg, name, val)
-    if getattr(args, "frequency", None):
-        cfg.frequency = _frequency_flag(args.frequency)
-    for name in ("n0", "max_steps"):
-        val = getattr(args, name, None)
-        if val is not None:
-            cfg.scheme[name] = val
-    if getattr(args, "report", None):
-        cfg.report_path = args.report
-    if getattr(args, "csv", None):
-        cfg.csv_path = args.csv
-    merged = cfg.to_dict()
+    flags = {"theta": args.theta, "seed": args.seed, "report_path": args.report or None,
+             "csv_path": args.csv or None,
+             "frequency": _frequency_flag(args.frequency) if args.frequency else None}
+    scheme = {name: getattr(args, name) for name in ("n0", "max_steps")
+              if getattr(args, name) is not None}
     if isinstance(data.get("scheme"), dict):
-        data = {**data, "scheme": {**cfg.scheme, **data["scheme"]}}
-    merged.update(data)
-    return ExperimentConfig.from_dict(merged)
+        data = {**data, "scheme": {**scheme, **data["scheme"]}}
+    flags = {name: value for name, value in flags.items() if value is not None}
+    return ExperimentConfig.from_dict({**flags, "scheme": scheme, **data})
 
 
 def _frequency_flag(text: str) -> dict:

@@ -127,13 +127,11 @@ def conjugate_raw(chain: ConjugationChain, phi: Cocycle, m: int) -> np.ndarray:
     return quat_mul(shifted, quat_mul(phi.fiber_grid(m), quat_conj(here)))
 
 
-def conjugate(chain: ConjugationChain, phi: Cocycle, m: int = None) -> Cocycle:
+def conjugate(chain: ConjugationChain, phi: Cocycle) -> Cocycle:
     """Fibered conjugation followed by normalisation on the chain's
     conjugated_band; alpha is untouched."""
     band = chain.conjugated_band(phi.perturbation.band)
-    if m is None:
-        m = grid_size(band, phi.dimension)
-    samples = conjugate_raw(chain, phi, m)
+    samples = conjugate_raw(chain, phi, grid_size(band, phi.dimension))
     return normalize(samples, phi.alpha, band)
 
 

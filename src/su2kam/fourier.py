@@ -125,9 +125,6 @@ class AlgebraMap:
             raise KeyError("mode %r outside the box" % (k,))
         return tuple(c + self.band for c in k)
 
-    def mode(self, k) -> np.ndarray:
-        return self.coeffs[self._index(k)]
-
     def set_mode(self, k, value) -> None:
         """Raw single-mode assignment; does not maintain reality."""
         self.coeffs[self._index(k)] = np.asarray(value, dtype=complex)
@@ -434,8 +431,8 @@ class ConjugationChain:
     """Ordered product of conjugation factors; the leftmost factor is the
     most recent one (applied last), matching the update H_new = G . H_old."""
 
-    factors: tuple = ()
-    dimension: int = 1
+    factors: tuple
+    dimension: int
 
     def __post_init__(self):
         object.__setattr__(self, "factors", tuple(self.factors))

@@ -29,7 +29,6 @@ from .arithmetic import (
     box_inner,
     dist_to_Z,
     relative_defect_minimum,
-    relative_resonance,
 )
 from . import fourier
 from .cocycle import Cocycle, NormalizationError, conjugate_raw, fiber_log, fiber_mean
@@ -220,11 +219,6 @@ class NormalForm(SchemeState):
     def resonant_count(self) -> int:
         return len(self.ledger)
 
-    @property
-    def constants(self) -> list:
-        """Torus coordinates of the constants, one per recorded step."""
-        return [row.theta for row in self.diagnostics]
-
     def replay_error(self) -> float:
         """sup distance between the chain applied to the source cocycle and
         the recorded final cocycle; the normal-form consistency invariant.
@@ -255,7 +249,7 @@ class NormalForm(SchemeState):
             "params": self.params.to_dict(),
             "converged": self.converged,
             "steps": self.steps,
-            "constants": self.constants,
+            "constants": [row.theta for row in self.diagnostics],
             "final_theta": self.theta,
             "sum_k_alpha": self.sum_k_alpha,
             "resonant_count": self.resonant_count,
@@ -344,12 +338,17 @@ def solve_homological(theta: float, f: AlgebraMap, alpha: Frequency, n: int, nu:
 
 
 def detect_resonance(theta: float, alpha: Frequency, n: int, nu: float):
-    """Resonance of the constant's root at scale n.
+    """Resonance of the constant's root at scale n: the winding minimising
+    |theta - k.alpha|_Z if its defect is within the closed threshold n^-nu,
+    else None.
 
     The scan over all signed windings covers both roots +-theta: a record for
     the root -theta at winding k coincides with one for theta at -k.
     """
-    return relative_resonance(theta, alpha, n, nu)
+    if not nu > 0:
+        raise ValueError("nu must be positive")
+    rec = relative_defect_minimum(theta, alpha, n, nu)
+    return rec if rec.defect <= rec.threshold else None
 
 
 def remove_resonance(state: SchemeState, record: ResonanceRecord) -> SchemeState:

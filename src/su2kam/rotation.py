@@ -22,7 +22,7 @@ from .arithmetic import (DiophParams, Frequency, ResonanceRecord, box_centre, le
                          scan_box)
 from .cocycle import Cocycle, c0_distance, conjugate
 from .fourier import AlgebraMap, ConjugationChain, ExpFactor
-from .kam import NormalForm, SchemeParams, run_scheme
+from .kam import NormalForm, run_scheme
 
 CLASS_DIOPHANTINE = "diophantine-wrt-alpha"
 CLASS_RESONANT = "resonant-wrt-alpha"
@@ -157,17 +157,17 @@ def classify_arithmetic(r: RotationVector, p: DiophParams) -> ArithmeticClassifi
                                     beta, witness, p.horizon)
 
 
-def invariance_probe(phi: Cocycle, b: AlgebraMap, params: SchemeParams = SchemeParams(),
-                     horizon: int = 50, tol: float = 1e-8) -> dict:
+def invariance_probe(phi: Cocycle, b: AlgebraMap) -> dict:
     """Compare rotation vectors of phi and of its conjugate by exp(b).
 
-    Reports both representatives, the equivalence verdict, and the gap
-    against the C^0 distance of the two cocycles (continuity probe).
+    Reports both representatives, the equivalence verdict at horizon 50,
+    and the gap against the C^0 distance of the two cocycles (continuity
+    probe).
     """
     chain = ConjugationChain((ExpFactor(b),), phi.dimension)
     phi2 = conjugate(chain, phi)
-    nf1 = run_scheme(phi, params)
-    nf2 = run_scheme(phi2, params)
+    nf1 = run_scheme(phi)
+    nf2 = run_scheme(phi2)
     r1 = rotation_vector(nf1)
     r2 = rotation_vector(nf2)
     distance = c0_distance(phi, phi2)
@@ -175,7 +175,7 @@ def invariance_probe(phi: Cocycle, b: AlgebraMap, params: SchemeParams = SchemeP
     return {
         "r1": r1.representative,
         "r2": r2.representative,
-        "equivalent": equivalence_check(r1, r2, horizon, tol),
+        "equivalent": equivalence_check(r1, r2, 50),
         "representative_gap": gap,
         "c0_distance": distance,
         "gap_to_distance_ratio": gap / distance if distance > 0 else 0.0,

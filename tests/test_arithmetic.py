@@ -13,8 +13,8 @@ from su2kam.arithmetic import (
     dist_to_Z,
     gauss_map,
     relative_defect_minimum,
-    relative_resonance,
 )
+from su2kam.kam import detect_resonance
 from su2kam.rotation import (
     CLASS_DIOPHANTINE,
     CLASS_RESONANT,
@@ -245,7 +245,7 @@ def test_witness_two_dimensional():
 def test_relative_exact_construction():
     alpha = Frequency((GOLDEN,))
     beta = (3 * GOLDEN) % 1.0
-    rec = relative_resonance(beta, alpha, 10, 3.0)
+    rec = detect_resonance(beta, alpha, 10, 3.0)
     assert rec is not None
     assert rec.k == (3,)
     assert rec.defect < 1e-15
@@ -253,7 +253,7 @@ def test_relative_exact_construction():
 
 def test_relative_zero_beta_golden():
     alpha = Frequency((GOLDEN,))
-    assert relative_resonance(0.0, alpha, 10, 3.0) is None
+    assert detect_resonance(0.0, alpha, 10, 3.0) is None
     rec = relative_defect_minimum(0.0, alpha, 10)
     assert abs(rec.k[0]) == 8
     assert rec.defect == pytest.approx(0.05572809000084078, abs=1e-15)
@@ -265,7 +265,7 @@ def test_relative_constructed_just_below_threshold():
     n, nu = 12, 3.0
     thr = float(n) ** -nu
     beta = 5 * GOLDEN + 0.5 * thr
-    rec = relative_resonance(beta, alpha, n, nu)
+    rec = detect_resonance(beta, alpha, n, nu)
     assert rec is not None
     assert rec.k == (5,)
     assert rec.defect == pytest.approx(0.5 * thr, rel=1e-9)
@@ -275,7 +275,7 @@ def test_relative_closed_threshold_boundary():
     # alpha = 1/2 makes every defect exactly representable
     alpha = Frequency((0.5,))
     beta = 3 * 0.5 + 0.25
-    rec = relative_resonance(beta, alpha, 4, 1.0)  # threshold 4^-1 = 0.25
+    rec = detect_resonance(beta, alpha, 4, 1.0)  # threshold 4^-1 = 0.25
     assert rec is not None
     assert rec.defect == rec.threshold == 0.25
 

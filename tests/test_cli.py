@@ -396,6 +396,24 @@ def test_synthesize_reads_no_scheme_parameter(tmp_path, capsys):
     assert main(["synthesize", "--config", str(cfg_path), "--n0", "0"]) == EXIT_CONFIG
 
 
+def test_synthesize_a_non_normalizable_recipe_exits_config(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"chain": [{"kind": "exp", "band": 3, "amplitude": 0.3}]}))
+    assert main(["synthesize", "--config", str(cfg_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: recipe produced a non-normalizable cocycle: ")
+
+
+def test_synthesize_lets_an_internal_fault_through(monkeypatch):
+    # only NormalizationError is a bad recipe; any other fault is not a config error
+    def faulty(*args):
+        raise RuntimeError("internal fault")
+
+    monkeypatch.setattr(cli, "normalize", faulty)
+    with pytest.raises(RuntimeError, match="internal fault"):
+        main(["synthesize", "--theta", "0.2"])
+
+
 def test_dioph_defaults_live_in_dioph_params(capsys):
     assert ExperimentConfig().resolve_dioph() == DiophParams()
     partial = ExperimentConfig.from_dict({"dioph": {"gamma": 5.0}}).resolve_dioph()

@@ -124,7 +124,7 @@ def test_conjugate_raw_matches_normalized():
     chain = ConjugationChain((TorusMorphism((1,)),), 1)
     m = 64
     raw = conjugate_raw(chain, phi, m)
-    cooked = conjugate(chain, phi, m=m)
+    cooked = conjugate(chain, phi)
     assert np.max(np.abs(cooked.fiber_grid(m) - raw)) < 1e-10
 
 
