@@ -97,9 +97,11 @@ def fiber_log(samples: np.ndarray, reference: np.ndarray, band: int) -> AlgebraM
     RESYNTHESIS_TOL: the band does not resolve the fiber."""
     m = samples.shape[0]
     logs = alg_log_quat(quat_mul(quat_conj(reference), samples))
-    del samples  # a grid passed inline is freed before the analysis
+    del samples  # freed before the analysis unless the caller keeps a reference
     amap = analyze(logs, band)
-    err = float(np.max(np.abs(synthesize(amap, m) - logs)))
+    resynthesis = synthesize(amap, m)
+    resynthesis -= logs
+    err = float(np.max(np.abs(resynthesis, out=resynthesis)))
     if err > RESYNTHESIS_TOL:
         raise NormalizationError(
             "band %d does not resolve the fiber (resynthesis error %.3g)" % (band, err))
@@ -119,12 +121,13 @@ def normalize(samples: np.ndarray, alpha: Frequency, band: int) -> Cocycle:
 
 
 def conjugate_raw(chain: ConjugationChain, phi: Cocycle, m: int) -> np.ndarray:
-    """Samples of H(x+alpha) fiber(x) H(x)^-1 on the m^d grid, unnormalised."""
+    """Samples of H(x+alpha) fiber(x) H(x)^-1 on the m^d grid, unnormalised.
+    fiber(x) H(x)^-1 is built first, so H(x) is freed before H(x+alpha) is
+    sampled."""
     if chain.dimension != phi.dimension:
         raise ValueError("chain dimension does not match the cocycle")
-    shifted = chain.grid(m, offset=phi.alpha.vector)
-    here = chain.grid(m)
-    return quat_mul(shifted, quat_mul(phi.fiber_grid(m), quat_conj(here)))
+    right = quat_mul(phi.fiber_grid(m), quat_conj(chain.grid(m)))
+    return quat_mul(chain.grid(m, offset=phi.alpha.vector), right)
 
 
 def conjugate(chain: ConjugationChain, phi: Cocycle) -> Cocycle:

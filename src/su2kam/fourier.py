@@ -246,20 +246,25 @@ class AlgebraMap:
 
 def _half_index(band: int, m: int, dimension: int) -> tuple:
     """Bins of the modes |k| <= band with k_last >= 0 in an rfftn spectrum of
-    an m^d grid."""
+    an m^d grid, or in its first band + 1 columns."""
     return tuple(k % m for k in box_axes(dimension, band)[:-1]) + (np.arange(band + 1),)
 
 
 def synthesize(amap: AlgebraMap, m: int) -> np.ndarray:
     """Grid values as real 3-vectors; requires m >= 2*band+2.  A real inverse
     FFT of the k_last >= 0 half of the box: the map is real, so that half
-    determines it."""
+    determines it.  Only its band + 1 columns of the last axis are nonzero,
+    so the leading axes are transformed on those columns alone, and the
+    real inverse over the last axis pads them to m // 2 + 1."""
     d, band = amap.dimension, amap.band
     if m < 2 * band + 2:
         raise UndersampledGridError("grid %d undersamples band %d" % (m, band))
-    buf = np.zeros((3,) + (m,) * (d - 1) + (m // 2 + 1,), dtype=complex)
+    buf = np.zeros((3,) + (m,) * (d - 1) + (band + 1,), dtype=complex)
     buf[(slice(None),) + _half_index(band, m, d)] = components_first(amap.coeffs[..., band:, :])
-    grid = np.fft.irfftn(buf, s=(m,) * d, axes=tuple(range(1, d + 1)))
+    # the order of np.fft.irfftn: the leading axes first, then the real axis
+    for axis in range(1, d):
+        np.fft.ifft(buf, axis=axis, out=buf)
+    grid = np.fft.irfft(buf, n=m, axis=d)
     grid *= float(m) ** d
     return components_last(grid)
 
@@ -267,7 +272,9 @@ def synthesize(amap: AlgebraMap, m: int) -> np.ndarray:
 def analyze(samples: np.ndarray, band: int) -> AlgebraMap:
     """Inverse of synthesize on band-limited data (modes |k| <= band), reality
     enforced: a real FFT gives the k_last >= 0 half, the other half is its
-    flipped conjugate, and symmetrizing evens out the k_last = 0 plane."""
+    flipped conjugate, and symmetrizing evens out the k_last = 0 plane.
+    Only the band + 1 columns of the box are kept after the real FFT of the
+    last axis, before the leading axes are transformed."""
     samples = np.asarray(samples, dtype=float)
     dimension = samples.ndim - 1
     m = samples.shape[0]
@@ -275,7 +282,10 @@ def analyze(samples: np.ndarray, band: int) -> AlgebraMap:
         raise ValueError("expected a cubic grid")
     if m < 2 * band + 2:
         raise UndersampledGridError("grid %d undersamples band %d" % (m, band))
-    hat = np.fft.rfftn(components_first(samples), axes=tuple(range(1, dimension + 1)))
+    hat = np.fft.rfft(components_first(samples), axis=dimension)[..., :band + 1].copy()
+    # the order of np.fft.rfftn: the real axis first, then the leading axes backwards
+    for axis in range(dimension - 1, 0, -1):
+        np.fft.fft(hat, axis=axis, out=hat)
     # back to the coefficient layout, C order, before the flip and concatenation
     half = np.ascontiguousarray(components_last(
         hat[(slice(None),) + _half_index(band, m, dimension)] / float(m) ** dimension))
@@ -530,9 +540,17 @@ def chain_sobolev_partial(chain: ConjugationChain, s: float, m: int):
     weight = (1.0 + k2) ** s * twice
     norms = []
     for samples in chain.prefix_grids(m, span=2.0):
-        hat = np.fft.rfftn(components_first(samples), axes=tuple(range(1, d + 1)))
+        # np.fft.rfftn's stages, the leading axes transformed in place
+        hat = np.fft.rfft(components_first(samples), axis=d)
+        for axis in range(d - 1, 0, -1):
+            np.fft.fft(hat, axis=axis, out=hat)
         hat /= float(m) ** d
         # summed in the C order of the (..., 4) spectrum, which fixes the rounding
-        power = np.ascontiguousarray(components_last(weight * np.abs(hat) ** 2))
+        power = np.empty(hat.shape[1:] + (4,))
+        np.abs(components_last(hat), out=power)
+        del hat  # no spectrum outlives its prefix into the next prefix grid's build
+        np.square(power, out=power)
+        power *= weight[..., None]
         norms.append(float(np.sqrt(np.sum(power))))
+        del power
     return norms

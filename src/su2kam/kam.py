@@ -425,19 +425,30 @@ def _select_branch(theta_prev: float, theta_raw: float):
     return best[1], best[2]
 
 
-def _renormalize(samples: np.ndarray, p_frame: GroupElement, theta: float,
-                 band: int, chain: ConjugationChain, params: SchemeParams):
-    """Constant-times-exponential form of fiber samples on the fixed torus:
-    straighten the samples by the frame p, take their cocycle.fiber_log
-    relative to exp(theta e) on the band and store it on its content box.
-    Returns the perturbation, the l1 mass its trim dropped, and the chain
-    with ConstantFactor(p) prepended unless p is the identity.
+def _renormalize(samples: np.ndarray, band: int, chain: ConjugationChain,
+                 params: SchemeParams, theta_prev: float = None,
+                 constant: GroupElement = None):
+    """Constant-times-exponential form of fiber samples on the fixed torus.
+
+    The frame p diagonalises `constant`, by default the samples'
+    cocycle.fiber_mean; given theta_prev, the torus coordinate theta is the
+    representative nearest to it (_select_branch), the Weyl element joining
+    p when the branch flips.  The samples are straightened by p, and their
+    cocycle.fiber_log relative to exp(theta e) is taken on the band and
+    stored on its content box.
+    Returns the perturbation, theta, the l1 mass the trim dropped, and the
+    chain with ConstantFactor(p) prepended unless p is the identity.
+
+    The callers pass the grid inline and keep no reference to it: the
+    straightened grid replaces the raw one as soon as it exists, so one
+    sample grid is alive through the logarithm and the analysis.
 
     Whatever part of the straightened constant lies off the torus goes into
     the perturbation, so the renormalisation is exact up to the resynthesis
     error, which fiber_log bounds (a failure raises SchemeError), and up to
-    the trim.  Raises CutLocusError when a sample is too far from
-    exp(theta e) for the logarithm.
+    the trim.  Raises NormalizationError when the fiber mean collapses and
+    CutLocusError when a sample is too far from exp(theta e) for the
+    logarithm.
 
     The trim keeps the smallest box whose dropped modes have l1 mass at most
     TAIL_SHARE * stop_tolerance.  That mass bounds the sup-norm change of
@@ -448,16 +459,22 @@ def _renormalize(samples: np.ndarray, p_frame: GroupElement, theta: float,
     (max_steps + 1) * TAIL_SHARE * stop_tolerance, the initial state's trim
     included.
     """
+    if constant is None:
+        constant = GroupElement(fiber_mean(samples))
+    p_frame, theta = diagonalize(constant)
+    if theta_prev is not None:
+        theta, flipped = _select_branch(theta_prev, theta)
+        if flipped:
+            p_frame = weyl_element() * p_frame
+    samples = quat_mul(p_frame.q, quat_mul(samples, quat_conj(p_frame.q)))
+    if not np.array_equal(p_frame.q, np.array([1.0, 0.0, 0.0, 0.0])):
+        chain = chain.prepended(ConstantFactor(p_frame))
     try:
-        # the straightened grid goes inline, so that fiber_log frees it
-        f = fiber_log(quat_mul(p_frame.q, quat_mul(samples, quat_conj(p_frame.q))),
-                      torus_quat(theta), band)
+        f = fiber_log(samples, torus_quat(theta), band)
     except NormalizationError as exc:
         raise SchemeError(str(exc)) from exc
     f, dropped = f.trimmed(TAIL_SHARE * params.stop_tolerance)
-    if not np.array_equal(p_frame.q, np.array([1.0, 0.0, 0.0, 0.0])):
-        chain = chain.prepended(ConstantFactor(p_frame))
-    return f, dropped, chain
+    return f, theta, dropped, chain
 
 
 def kam_step(state: SchemeState, params: SchemeParams) -> SchemeState:
@@ -483,19 +500,16 @@ def kam_step(state: SchemeState, params: SchemeParams) -> SchemeState:
     # the band starts from the trimmed one and Y lives on its solve box
     band_next = max(1, state.perturbation.band + 2 * y.band)
     d = state.alpha.dimension
-    conjugated = conjugate_raw(ConjugationChain((ExpFactor(y),), d), state.cocycle(),
-                               grid_size(band_next, d))
 
     chain = state.chain
     if np.any(y.coeffs != 0):
         chain = chain.prepended(ExpFactor(y))
     try:
-        p_frame, theta_raw = diagonalize(GroupElement(fiber_mean(conjugated)))
-        theta_next, flipped = _select_branch(state.theta, theta_raw)
-        if flipped:
-            p_frame = weyl_element() * p_frame
-        f_next, dropped, chain = _renormalize(conjugated, p_frame, theta_next,
-                                              band_next, chain, params)
+        # the conjugated grid goes inline, so that _renormalize holds it alone
+        f_next, theta_next, dropped, chain = _renormalize(
+            conjugate_raw(ConjugationChain((ExpFactor(y),), d), state.cocycle(),
+                          grid_size(band_next, d)),
+            band_next, chain, params, theta_prev=state.theta)
     except (NormalizationError, CutLocusError) as exc:
         raise DivergenceError(
             "conjugated fiber left the perturbative neighborhood at step %d: %s"
@@ -516,11 +530,10 @@ def kam_step(state: SchemeState, params: SchemeParams) -> SchemeState:
 def initial_state(phi: Cocycle, params: SchemeParams) -> SchemeState:
     """Diagonalise the constant part and renormalise the source fiber onto
     the fixed torus as every step does; the normal form starts empty."""
-    p_frame, theta = diagonalize(phi.constant)
     band = phi.perturbation.band
-    perturbation, dropped, chain = _renormalize(
-        phi.fiber_grid(grid_size(band, phi.dimension)), p_frame, theta, band,
-        ConjugationChain((), phi.dimension), params)
+    perturbation, theta, dropped, chain = _renormalize(
+        phi.fiber_grid(grid_size(band, phi.dimension)), band,
+        ConjugationChain((), phi.dimension), params, constant=phi.constant)
     return SchemeState(
         alpha=phi.alpha, theta=theta, perturbation=perturbation,
         scale=params.n0, chain=chain, initial_tail_l1=dropped,

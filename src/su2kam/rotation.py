@@ -85,10 +85,15 @@ def equivalence_witness(r1: RotationVector, r2: RotationVector,
     if r1.alpha != r2.alpha:
         raise ValueError("rotation vectors live over different frequencies")
     alpha = r1.alpha
-    # the zero winding, then the canonical half; the sign of k is absorbed by n
-    chunks = list(scan_box(alpha, horizon, first=box_centre(alpha.dimension, horizon)))
-    windings = np.concatenate([c[0] for c in chunks])
-    kalphas = np.concatenate([c[2] for c in chunks])
+    # the zero winding, then the canonical half; the sign of k is absorbed by n.
+    # Only k and k.alpha of each chunk are kept.
+    windings, kalphas = [], []
+    for k, _knorm, kalpha, _defect in scan_box(alpha, horizon,
+                                                first=box_centre(alpha.dimension, horizon)):
+        windings.append(k)
+        kalphas.append(kalpha)
+    windings = np.concatenate(windings)
+    kalphas = np.concatenate(kalphas)
     multiples = [0]
     for v in range(1, horizon + 1):
         multiples.extend((v, -v))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -549,6 +550,42 @@ def test_renormalisation_stores_the_perturbation_on_its_content_box():
     doc = nf.to_dict()
     assert doc["initial_tail_l1"] == nf.initial_tail_l1
     assert [row["tail_l1"] for row in doc["diagnostics"][:-1]] == drops[1:]
+
+
+# Peak memory of one step, and of its conjugation, above the memory at entry,
+# in quaternion grids of the step's conjugation size.  Both read 4.0-4.2;
+# a conjugation that keeps H(x) alive beside H(x + alpha) reads 5.25.
+PEAK_GRIDS = 4.5
+
+
+def _traced_peak(fn, *args):
+    """fn(*args) and its tracemalloc peak above the traced memory at entry."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_step_peak_memory_stays_below_the_bound():
+    # step 2 of the first exp-2d benchmark experiment conjugates on 140^2
+    cfg = _two_freq_exp_config()
+    phi, _truth = synthesize_cocycle(cfg)
+    params = cfg.resolve_scheme()
+    state = kam.initial_state(phi, params)
+    for _ in range(2):
+        state = kam_step(state, params)
+    after, peak = _traced_peak(kam_step, state, params)
+    m = fourier.grid_size(after.diagnostics[-1].band_next, 2)
+    grid_bytes = m * m * 4 * 8
+    assert m >= 128
+    assert peak / grid_bytes < PEAK_GRIDS
+    # the step's own conjugation: by exp(Y), Y the newest exp factor
+    y = next(f for f in after.chain.factors if isinstance(f, ExpFactor))
+    _samples, peak = _traced_peak(conjugate_raw, ConjugationChain((y,), 2), state.cocycle(), m)
+    assert peak / grid_bytes < PEAK_GRIDS
 
 
 def test_scheme_grids_follow_the_content(monkeypatch):

@@ -4,7 +4,9 @@ Grids keep their public shapes, (m,)*d + (4,) and (m,)*d + (3,), but are
 allocated component-major, so each q[..., i] is contiguous.  The first test
 pins that order; the property tests check that every helper gives the same
 bits as its interleaved form, written out here as the reference, on
-interleaved, component-major and broadcast-constant inputs.
+interleaved, component-major and broadcast-constant inputs.  The transform
+references run np.fft.irfftn and rfftn over every column, so they also pin
+the pruned transforms, at small sizes and at the scheme's grid sizes.
 """
 
 import math
@@ -198,12 +200,15 @@ def test_group_helpers_keep_their_bits(grid):
     assert np.array_equal(fiber_mean(tiled), old_fiber_mean(np.ascontiguousarray(tiled)))
 
 
-@settings(max_examples=40)
-@given(grid=GRIDS)
-def test_transforms_keep_their_bits(grid):
-    d, m, seed = grid
-    rng = np.random.default_rng(seed)
-    band = int(rng.integers(0, (m - 2) // 2 + 1))
+# sizes the scheme's grids take (4 * band + 4, and the double covers of the
+# prefix norms), odd sizes, and 3D at small sizes
+SCHEME_GRIDS = ([(d, m) for d in (1, 2) for m in (72, 88, 116, 136, 172, 180, 75, 101)]
+                + [(3, m) for m in (7, 12, 16)])
+
+
+def _check_transforms(d, m, band, rng):
+    """synthesize and analyze against np.fft.irfftn and rfftn on the full
+    spectrum, bit for bit."""
     f = random_map(d, band, 1.0, rng, mean_free=False)
     assert np.array_equal(synthesize(f, m), old_synthesize(f, m))
     samples = rng.standard_normal((m,) * d + (3,))
@@ -215,15 +220,41 @@ def test_transforms_keep_their_bits(grid):
                           old_analyze(np.ascontiguousarray(constant), band).coeffs)
 
 
+@settings(max_examples=40)
+@given(grid=GRIDS)
+def test_transforms_keep_their_bits(grid):
+    d, m, seed = grid
+    rng = np.random.default_rng(seed)
+    _check_transforms(d, m, int(rng.integers(0, (m - 2) // 2 + 1)), rng)
+
+
+@pytest.mark.parametrize("d, m", SCHEME_GRIDS)
+def test_transforms_keep_their_bits_at_scheme_sizes(d, m):
+    rng = np.random.default_rng(m)
+    # the scheme's band for this size, and the largest band it resolves
+    for band in sorted({max(0, (m - 4) // 4), (m - 2) // 2}):
+        _check_transforms(d, m, band, rng)
+
+
+def _prefix_chain(d, rng):
+    winding = tuple(int(c) for c in rng.integers(-1, 2, d))
+    factors = (ExpFactor(random_map(d, 1, 0.1, rng)), TorusMorphism(winding),
+               ConstantFactor(GroupElement(quat_normalize(rng.standard_normal(4)))))
+    return ConjugationChain(factors, d)
+
+
 @settings(max_examples=20)
 @given(grid=GRIDS)
 def test_chain_prefix_norms_keep_their_bits(grid):
     d, m, seed = grid
     rng = np.random.default_rng(seed)
-    winding = tuple(int(c) for c in rng.integers(-1, 2, d))
-    factors = (ExpFactor(random_map(d, 1, 0.1, rng)), TorusMorphism(winding),
-               ConstantFactor(GroupElement(quat_normalize(rng.standard_normal(4)))))
-    chain = ConjugationChain(factors, d)
+    chain = _prefix_chain(d, rng)
     m = 2 * m + 2 * chain.content_bound() + 2  # even, and resolves the content
     # the oldest factor is a constant, so the first prefix is a broadcast (4,)
+    assert chain_sobolev_partial(chain, -2.5, m) == old_chain_sobolev_partial(chain, -2.5, m)
+
+
+@pytest.mark.parametrize("d, m", [(d, m) for d, m in SCHEME_GRIDS if m % 2 == 0])
+def test_chain_prefix_norms_keep_their_bits_at_scheme_sizes(d, m):
+    chain = _prefix_chain(d, np.random.default_rng(m))
     assert chain_sobolev_partial(chain, -2.5, m) == old_chain_sobolev_partial(chain, -2.5, m)
