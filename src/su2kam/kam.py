@@ -52,7 +52,6 @@ from .su2 import (
     quat_mul,
     quat_rotation_matrix,
     torus_quat,
-    weyl_element,
 )
 
 ALGEBRA_DIMENSION = 3  # d' for the negative-regularity diagnostic
@@ -412,32 +411,23 @@ def _diagnostics_row(state: SchemeState, norms, band_next: int, band_stored: int
     )
 
 
-def _select_branch(theta_prev: float, theta_raw: float):
-    """Pick the representative of {+-theta_raw + 2Z} nearest to theta_prev;
-    returns (theta, weyl_flipped)."""
-    best = None
-    for sign in (1.0, -1.0):
-        m = np.rint((theta_prev - sign * theta_raw) / 2.0)
-        cand = sign * theta_raw + 2.0 * m
-        key = abs(cand - theta_prev)
-        if best is None or key < best[0]:
-            best = (key, cand, sign < 0)
-    return best[1], best[2]
-
-
 def _renormalize(samples: np.ndarray, band: int, chain: ConjugationChain,
                  params: SchemeParams, theta_prev: float = None,
                  constant: GroupElement = None):
     """Constant-times-exponential form of fiber samples on the fixed torus.
 
-    The frame p diagonalises `constant`, by default the samples'
-    cocycle.fiber_mean; given theta_prev, the torus coordinate theta is the
-    representative nearest to it (_select_branch), the Weyl element joining
-    p when the branch flips.  The samples are straightened by p, and their
-    cocycle.fiber_log relative to exp(theta e) is taken on the band and
-    stored on its content box.
+    The frame p is diagonalize(constant, theta_prev), where `constant` is
+    by default the samples' cocycle.fiber_mean: p turns the constant's axis
+    onto the torus direction of theta_prev's branch, never about e, and
+    theta is the representative nearest theta_prev, so the torus coordinate
+    is carried on from step to step (the initial state, with no theta_prev,
+    takes +e and theta in [0, 1]).  A frame other than the identity
+    straightens the samples and is recorded as ConstantFactor(p); the
+    identity is neither applied nor recorded.  The samples' cocycle.fiber_log
+    relative to exp(theta e) is taken on the band and stored on its content
+    box.
     Returns the perturbation, theta, the l1 mass the trim dropped, and the
-    chain with ConstantFactor(p) prepended unless p is the identity.
+    chain.
 
     The callers pass the grid inline and keep no reference to it: the
     straightened grid replaces the raw one as soon as it exists, so one
@@ -461,13 +451,9 @@ def _renormalize(samples: np.ndarray, band: int, chain: ConjugationChain,
     """
     if constant is None:
         constant = GroupElement(fiber_mean(samples))
-    p_frame, theta = diagonalize(constant)
-    if theta_prev is not None:
-        theta, flipped = _select_branch(theta_prev, theta)
-        if flipped:
-            p_frame = weyl_element() * p_frame
-    samples = quat_mul(p_frame.q, quat_mul(samples, quat_conj(p_frame.q)))
+    p_frame, theta = diagonalize(constant, theta_prev)
     if not np.array_equal(p_frame.q, np.array([1.0, 0.0, 0.0, 0.0])):
+        samples = quat_mul(p_frame.q, quat_mul(samples, quat_conj(p_frame.q)))
         chain = chain.prepended(ConstantFactor(p_frame))
     try:
         f = fiber_log(samples, torus_quat(theta), band)

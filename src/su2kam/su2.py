@@ -195,38 +195,47 @@ def group_distance(a: GroupElement, b: GroupElement) -> float:
     return float(quat_angle(quat_mul(a.q, quat_conj(b.q))))
 
 
-def diagonalize(a: GroupElement):
+def diagonalize(a: GroupElement, near: float = None):
     """Conjugate a onto the fixed torus: returns (p, theta) with
 
-        p * a * p^-1 = exp(theta*e),   theta in [0, 1].
+        p * a * p^-1 = exp(theta*e).
 
-    theta = 0 or 1 corresponds to the center (a = +-Id, p = Id).  The axis
-    sign is canonicalised (sin(pi*theta) >= 0); the flip, when needed, is
-    realised inside p.
+    p turns the axis of a by the smallest rotation onto the torus
+    direction, so p never turns about e.  Without near, the target is +e
+    and theta lies in [0, 1].  Given near, the target is -e when near mod 2
+    lies in (1, 2), and theta is the representative mod 2 nearest near (of
+    two equally near ones, the one on +e): a torus coordinate carried from
+    step to step keeps its branch, with no Weyl flip.  theta = 0 or 1 mod 2
+    corresponds to the center (a = +-Id, p = Id).
 
     The identity holds only up to a small part of p * a * p^-1 left off the
-    torus.  An axis within about 1.4e-7 rad of the torus direction is taken
-    as on it (p = Id), which leaves up to 1.4e-7 off the torus; just past
-    that, arccos is ill-conditioned and leaves up to about 1e-10.  The
-    scheme's renormalisation takes the logarithm relative to exp(theta*e),
-    so it absorbs that remainder into the perturbation F.
+    torus.  An axis within about 1.4e-7 rad of the target is taken as on it
+    (p = Id, or the Weyl element for the opposite axis), which leaves up to
+    1.4e-7 off the torus; just past that, arccos is ill-conditioned and
+    leaves up to about 1e-10.  The scheme's renormalisation takes the
+    logarithm relative to exp(theta*e), so it absorbs that remainder into
+    the perturbation F.
     """
     w = float(a.q[0])
     vec = a.q[1:]
     s = float(np.linalg.norm(vec))
-    if s < 1e-15:
-        return GroupElement.identity(), (0.0 if w > 0 else 1.0)
-    theta = float(np.arctan2(s, w) / np.pi)
-    u = vec / s
-    ex = np.array([1.0, 0.0, 0.0])
-    c = float(np.clip(u @ ex, -1.0, 1.0))
-    if c > 1.0 - 1e-14:
-        p = GroupElement.identity()
-    elif c < -1.0 + 1e-14:
-        p = weyl_element()
+    sign = -1.0 if near is not None and near % 2.0 > 1.0 else 1.0
+    if s < 1e-15:  # the center lies on both branches; it keeps theta's sign
+        p, theta, sign = GroupElement.identity(), (0.0 if w > 0 else 1.0), 1.0
     else:
-        axis = np.cross(u, ex)
-        axis /= np.linalg.norm(axis)
-        half = 0.5 * np.arccos(c)
-        p = GroupElement(np.concatenate([[np.cos(half)], np.sin(half) * axis]))
+        theta = float(np.arctan2(s, w) / np.pi)
+        u = vec / s
+        target = np.array([sign, 0.0, 0.0])
+        c = float(np.clip(u @ target, -1.0, 1.0))
+        if c > 1.0 - 1e-14:
+            p = GroupElement.identity()
+        elif c < -1.0 + 1e-14:
+            p = weyl_element()
+        else:
+            axis = np.cross(u, target)
+            axis /= np.linalg.norm(axis)
+            half = 0.5 * np.arccos(c)
+            p = GroupElement(np.concatenate([[np.cos(half)], np.sin(half) * axis]))
+    if near is not None:
+        theta = sign * theta + 2.0 * np.rint((near - sign * theta) / 2.0)
     return p, theta

@@ -13,6 +13,7 @@ from su2kam.cocycle import Cocycle, NormalizationError, conjugate, conjugate_raw
 from su2kam.fourier import (
     AlgebraMap,
     ConjugationChain,
+    ConstantFactor,
     ExpFactor,
     TorusMorphism,
     chain_sobolev_partial,
@@ -470,6 +471,29 @@ def test_replay_of_a_conjugated_constant(d, theta, winding, band, log_amplitude,
          ExpFactor(random_map(d, band, 10.0 ** log_amplitude, rng))), d)
     base = Cocycle(alpha, GroupElement(torus_quat(theta)), AlgebraMap.zeros(d, 0))
     nf = run_scheme(conjugate(chain, base), _replay_params(d, max_steps))
+    assert nf.replay_error() <= 1e-13
+
+
+def test_negative_branch_frames_never_turn_about_the_torus():
+    # the sweep-1d recipe just past the resonance at 2 alpha: its removal
+    # leaves theta near -3, on the negative branch, and every later frame
+    # must stay there instead of flipping the torus and flipping it back
+    cfg = ExperimentConfig.from_dict({
+        "frequency": {"preset": "golden"},
+        "theta": (2.0 * GOLDEN) % 1.0 + 5e-7,
+        "chain": [{"kind": "torus", "winding": [3]},
+                  {"kind": "exp", "band": 3, "amplitude": 1e-3}],
+        "perturbation": {"band": 4, "amplitude": 1e-4},
+        "seed": 5,
+    })
+    phi, _truth = synthesize_cocycle(cfg)
+    nf = run_scheme(phi, cfg.resolve_scheme())
+    assert nf.converged and nf.resonant_count == 1
+    assert nf.diagnostics[1].theta == pytest.approx(-3.0, abs=1e-5)
+    frames = [f.element.q for f in nf.chain.factors if isinstance(f, ConstantFactor)]
+    assert frames
+    assert all(q[1] == 0.0 for q in frames)
+    assert not any(np.array_equal(q, [-1.0, 0.0, 0.0, 0.0]) for q in frames)
     assert nf.replay_error() <= 1e-13
 
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from su2kam.su2 import (
@@ -10,6 +10,7 @@ from su2kam.su2 import (
     alg_log_quat,
     diagonalize,
     group_distance,
+    quat_mul,
     quat_normalize,
     quat_rotation_matrix,
     torus_quat,
@@ -148,6 +149,49 @@ def test_diagonalize_range_and_centers():
         assert group_distance(p * a * p.inverse(), GroupElement(torus_quat(theta))) < 1e-12
     p, theta = diagonalize(MINUS_IDENTITY)
     assert theta == 1.0 and np.allclose(p.q, [1, 0, 0, 0])
+
+
+def branch_rule_reference(a, near):
+    """The rule diagonalize(a, near) replaced, written out: diagonalize(a),
+    then the nearest of +-theta + 2Z to near, + on ties.  Returns it and
+    both candidates."""
+    _p, t = diagonalize(a)
+    candidates = [sign * t + 2.0 * np.rint((near - sign * t) / 2.0) for sign in (1.0, -1.0)]
+    return min(candidates, key=lambda c: abs(c - near)), candidates
+
+
+uniform_quats = st.integers(0, 2**32 - 1).map(
+    lambda seed: quat_normalize(np.random.default_rng(seed).standard_normal(4)))
+# t within 1e-8 to 1e-3 of an integer on one half of the draws
+torus_roots = st.one_of(
+    st.floats(-3.0, 3.0),
+    st.builds(lambda n, side, log_gap: n + side * 10.0 ** log_gap,
+              st.integers(-3, 3), st.sampled_from([-1.0, 1.0]), st.floats(-8.0, -3.0)))
+near_torus_quats = st.builds(
+    lambda t, u, log_size: quat_mul(torus_quat(t), alg_exp_quat(10.0 ** log_size * u)),
+    torus_roots, directions, st.floats(-12.0, -3.0))
+
+
+@settings(max_examples=1000)
+@given(q=st.one_of(uniform_quats, near_torus_quats), near=st.floats(-6.0, 6.0))
+@example(q=np.array([0.6, 0.8, 0.0, 0.0]), near=1.5)     # axis +e onto -e: the Weyl element
+@example(q=np.array([0.6, -0.8, 0.0, 0.0]), near=-0.5)   # axis -e on its own branch: Id
+@example(q=np.array([1.0, 0.0, 0.0, 0.0]), near=-0.5)    # the center
+@example(q=np.array([-1.0, 0.0, 0.0, 0.0]), near=3.5)
+def test_diagonalize_near_picks_the_nearest_branch_without_turning_about_e(q, near):
+    a = GroupElement(q)
+    p, theta = diagonalize(a, near)
+    reference, candidates = branch_rule_reference(a, near)
+    bits = np.float64(theta).tobytes()
+    plus, minus = (abs(c - near) for c in candidates)
+    if abs(plus - minus) <= 1e-12:
+        # near an integer both representatives are equally near to within
+        # rounding, which then picks the reference's; either one is nearest
+        assert bits in [np.float64(c).tobytes() for c in candidates]
+    else:
+        assert bits == np.float64(reference).tobytes()
+    assert p.q[1] == 0.0
+    assert group_distance(p * a * p.inverse(), GroupElement(torus_quat(theta))) < 2e-7
 
 
 def test_weyl_reverses_torus():
