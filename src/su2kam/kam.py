@@ -4,10 +4,11 @@ Each step removes a detected resonance of the constant by a torus-morphism
 conjugation, solves the linearised (homological) equation below a
 small-divisor threshold, conjugates the cocycle exactly on a grid by the
 resulting close-to-identity factor, and renormalises back to constant-times-
-exponential form with the constant kept on the fixed maximal torus.  The
-normal form returned to the caller is the final scheme state: its ledger of
-resonant steps, accumulated conjugation chain and per-step diagnostics, the
-last row of which records the final perturbation.
+exponential form with the constant kept on the fixed maximal torus and the
+perturbation's constant torus mode absorbed into it.  The normal form
+returned to the caller is the final scheme state: its ledger of resonant
+steps, accumulated conjugation chain and per-step diagnostics, the last row
+of which records the final perturbation.
 
 Scales grow like N -> N^(1+sigma); a mode is solved only when its denominator
 modulus is at least N^-nu, everything else is routed to the remainder and
@@ -46,6 +47,7 @@ from .fourier import (
 from .su2 import (
     CutLocusError,
     GroupElement,
+    alg_log_quat,
     diagonalize,
     quat_angle,
     quat_conj,
@@ -423,15 +425,20 @@ def _renormalize(samples: np.ndarray, band: int, chain: ConjugationChain,
     is carried on from step to step (the initial state, with no theta_prev,
     takes +e and theta in [0, 1]).  A frame other than the identity
     straightens the samples and is recorded as ConstantFactor(p); the
-    identity is neither applied nor recorded.  The samples' cocycle.fiber_log
-    relative to exp(theta e) is taken on the band and stored on its content
-    box.
+    identity is neither applied nor recorded.  theta then takes up the
+    constant torus mode: one shift by the grid mean of the e component of
+    log(exp(-theta e) . samples) moves c_e(0), which no homological solve
+    removes, into the constant, as in Eliasson's scheme, and leaves it at
+    round-off (a second pass changes no outcome).  The samples'
+    cocycle.fiber_log relative to exp(theta e) is taken on the band and
+    stored on its content box.
     Returns the perturbation, theta, the l1 mass the trim dropped, and the
     chain.
 
     The callers pass the grid inline and keep no reference to it: the
     straightened grid replaces the raw one as soon as it exists, so one
-    sample grid is alive through the logarithm and the analysis.
+    sample grid is alive through the logarithms and the analysis; the
+    logarithm of the shift is a temporary.
 
     Whatever part of the straightened constant lies off the torus goes into
     the perturbation, so the renormalisation is exact up to the resynthesis
@@ -455,6 +462,7 @@ def _renormalize(samples: np.ndarray, band: int, chain: ConjugationChain,
     if not np.array_equal(p_frame.q, np.array([1.0, 0.0, 0.0, 0.0])):
         samples = quat_mul(p_frame.q, quat_mul(samples, quat_conj(p_frame.q)))
         chain = chain.prepended(ConstantFactor(p_frame))
+    theta += np.mean(alg_log_quat(quat_mul(quat_conj(torus_quat(theta)), samples))[..., 0])
     try:
         f = fiber_log(samples, torus_quat(theta), band)
     except NormalizationError as exc:

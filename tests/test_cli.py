@@ -512,6 +512,27 @@ def test_run_experiment_three_dimensional():
     assert report["audit"]["issues"] == []
 
 
+def test_run_experiment_three_dimensional_resonant_twin():
+    # the config above at theta (alpha_1 + alpha_3) mod 1 + 1e-6, 1e-6 from
+    # the winding (1, 0, 1): with c_e(0) left in F it ran into the scan
+    # budget at scale 157; with it in the constant it converges in 4 steps
+    alpha = [2.0 ** 0.25 - 1.0, 2.0 ** 0.5 - 1.0, 2.0 ** 0.75 - 1.0]
+    cfg = ExperimentConfig.from_dict({
+        "frequency": {"value": alpha},
+        "theta": (alpha[0] + alpha[2]) % 1.0 + 1e-6,
+        "chain": [{"kind": "torus", "winding": [1, 0, 1]},
+                  {"kind": "exp", "band": 1, "amplitude": 1e-3}],
+        "perturbation": {"band": 1, "amplitude": 1e-5},
+        "scheme": {"n0": 6, "nu": 8.0, "stop_tolerance": 1e-12},
+        "dioph": {"gamma": 32.0, "tau": 4.0, "horizon": 20},
+    })
+    report, code = run_experiment(cfg)
+    assert code == EXIT_OK
+    assert report["normal_form"]["converged"]
+    assert report["truth_comparison"]["equivalent"]
+    assert report["audit"]["issues"] == []
+
+
 def test_main_output_files_match_stdout(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(ExperimentConfig(
