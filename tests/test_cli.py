@@ -514,8 +514,8 @@ def test_run_experiment_three_dimensional():
 
 def test_run_experiment_three_dimensional_resonant_twin():
     # the config above at theta (alpha_1 + alpha_3) mod 1 + 1e-6, 1e-6 from
-    # the winding (1, 0, 1): with c_e(0) left in F it ran into the scan
-    # budget at scale 157; with it in the constant it converges in 4 steps
+    # the winding (1, 0, 1): it converges within the scale's scan budget
+    # only if each renormalisation moves c_e(0) into the constant
     alpha = [2.0 ** 0.25 - 1.0, 2.0 ** 0.5 - 1.0, 2.0 ** 0.75 - 1.0]
     cfg = ExperimentConfig.from_dict({
         "frequency": {"value": alpha},

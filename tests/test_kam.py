@@ -592,7 +592,8 @@ def test_renormalisation_absorbs_the_constant_torus_mode():
 
 
 def test_exp_factor_run_converges_below_1e_15():
-    # with c_e(0) left in F this run grew from 1.9e-13 to 1.9e-12 at step 4
+    # below 1e-13 what is left of F is its constant torus mode, which grows
+    # under the exact update unless it goes into the constant
     cfg = _two_freq_config(stop_tolerance=1e-15)
     phi, _truth = synthesize_cocycle(cfg)
     nf = run_scheme(phi, cfg.resolve_scheme())
