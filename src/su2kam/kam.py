@@ -188,16 +188,12 @@ class SchemeState:
         return Cocycle(self.alpha, self.constant, self.perturbation)
 
     @cached_property
-    def h0(self) -> float:
-        """H^0 norm of the perturbation, computed once per state; replace()
-        builds a new state, so no cached norm goes stale."""
-        return sobolev_norm(self.perturbation, 0.0)
-
-    @cached_property
     def norms(self) -> tuple:
-        """H^0, H^1 and H^-(d+3) norms of the perturbation, computed once."""
+        """H^0, H^1 and H^-(d+3) norms of the perturbation, computed once per
+        state; replace() builds a new state, so no cached norm goes stale."""
         f = self.perturbation
-        return self.h0, sobolev_norm(f, 1.0), sobolev_norm(f, -(f.dimension + ALGEBRA_DIMENSION))
+        return (sobolev_norm(f, 0.0), sobolev_norm(f, 1.0),
+                sobolev_norm(f, -(f.dimension + ALGEBRA_DIMENSION)))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -414,7 +410,7 @@ def _diagnostics_row(state: SchemeState, norms, band_next: int, band_stored: int
 
 
 def _renormalize(samples: np.ndarray, band: int, chain: ConjugationChain,
-                 params: SchemeParams, theta_prev: float = None,
+                 params: SchemeParams, theta_prev: float = 0.0,
                  constant: GroupElement = None):
     """Constant-times-exponential form of fiber samples on the fixed torus.
 
@@ -422,7 +418,7 @@ def _renormalize(samples: np.ndarray, band: int, chain: ConjugationChain,
     by default the samples' cocycle.fiber_mean: p turns the constant's axis
     onto the torus direction of theta_prev's branch, never about e, and
     theta is the representative nearest theta_prev, so the torus coordinate
-    is carried on from step to step (the initial state, with no theta_prev,
+    is carried on from step to step (the initial state, at theta_prev 0,
     takes +e and theta in [0, 1]).  A frame other than the identity
     straightens the samples and is recorded as ConstantFactor(p); the
     identity is neither applied nor recorded.  theta then takes up the
@@ -542,11 +538,12 @@ def run_scheme(phi: Cocycle, params: SchemeParams = SchemeParams()) -> NormalFor
     if sobolev_norm(phi.perturbation, 0.0) > INITIAL_BOUND:
         raise SchemeError("initial perturbation outside the perturbative regime")
     state = initial_state(phi, params)
-    while state.step < params.max_steps and state.h0 > params.stop_tolerance:
+    while state.step < params.max_steps and state.norms[0] > params.stop_tolerance:
         step_state = kam_step(state, params)
-        if step_state.h0 > state.h0 and step_state.h0 > params.stop_tolerance:
+        h0, h0_next = state.norms[0], step_state.norms[0]
+        if h0_next > h0 and h0_next > params.stop_tolerance:
             raise DivergenceError("perturbation grew from %.3g to %.3g at step %d"
-                                  % (state.h0, step_state.h0, state.step), state=step_state)
+                                  % (h0, h0_next, state.step), state=step_state)
         state = step_state
     band = state.perturbation.band
     closing = _diagnostics_row(state, state.norms, band, band)

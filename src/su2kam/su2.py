@@ -195,18 +195,18 @@ def group_distance(a: GroupElement, b: GroupElement) -> float:
     return float(quat_angle(quat_mul(a.q, quat_conj(b.q))))
 
 
-def diagonalize(a: GroupElement, near: float = None):
+def diagonalize(a: GroupElement, near: float = 0.0):
     """Conjugate a onto the fixed torus: returns (p, theta) with
 
         p * a * p^-1 = exp(theta*e).
 
     p turns the axis of a by the smallest rotation onto the torus
-    direction, so p never turns about e.  Without near, the target is +e
-    and theta lies in [0, 1].  Given near, the target is -e when near mod 2
-    lies in (1, 2), and theta is the representative mod 2 nearest near (of
-    two equally near ones, the one on +e): a torus coordinate carried from
-    step to step keeps its branch, with no Weyl flip.  theta = 0 or 1 mod 2
-    corresponds to the center (a = +-Id, p = Id).
+    direction, so p never turns about e.  The target is -e when near mod 2
+    lies in (1, 2), else +e, and theta is the representative mod 2 nearest
+    near (of two equally near ones, the one on +e): a torus coordinate
+    carried from step to step keeps its branch, with no Weyl flip.  At the
+    default near = 0 the target is +e and theta lies in [0, 1].  theta = 0
+    or 1 mod 2 corresponds to the center (a = +-Id, p = Id).
 
     The identity holds only up to a small part of p * a * p^-1 left off the
     torus.  An axis within about 1.4e-7 rad of the target is taken as on it
@@ -219,7 +219,7 @@ def diagonalize(a: GroupElement, near: float = None):
     w = float(a.q[0])
     vec = a.q[1:]
     s = float(np.linalg.norm(vec))
-    sign = -1.0 if near is not None and near % 2.0 > 1.0 else 1.0
+    sign = -1.0 if near % 2.0 > 1.0 else 1.0
     if s < 1e-15:  # the center lies on both branches; it keeps theta's sign
         p, theta, sign = GroupElement.identity(), (0.0 if w > 0 else 1.0), 1.0
     else:
@@ -236,6 +236,4 @@ def diagonalize(a: GroupElement, near: float = None):
             axis /= np.linalg.norm(axis)
             half = 0.5 * np.arccos(c)
             p = GroupElement(np.concatenate([[np.cos(half)], np.sin(half) * axis]))
-    if near is not None:
-        theta = sign * theta + 2.0 * np.rint((near - sign * theta) / 2.0)
-    return p, theta
+    return p, sign * theta + 2.0 * np.rint((near - sign * theta) / 2.0)
