@@ -80,8 +80,10 @@ def rotation_vector(nf: NormalForm) -> RotationVector:
 def equivalence_witness(r1: RotationVector, r2: RotationVector,
                         horizon: int, tol: float = 1e-8):
     """Search r1 - r2 = n (k.alpha) + 2m over |n|, |m| <= horizon and
-    windings |k| <= horizon, on both Weyl signs of r1.  Returns the matched
-    combination or None."""
+    windings |k| <= horizon, on both Weyl signs of r1.  The search runs by
+    smallest |n| first, n = 0, 1, -1, 2, -2, ..., trying sign +1 and then
+    -1 at each n, and k in scan order; the first match is returned, or
+    None."""
     if r1.alpha != r2.alpha:
         raise ValueError("rotation vectors live over different frequencies")
     alpha = r1.alpha
@@ -97,10 +99,9 @@ def equivalence_witness(r1: RotationVector, r2: RotationVector,
     multiples = [0]
     for v in range(1, horizon + 1):
         multiples.extend((v, -v))
-    for sign in (1.0, -1.0):
-        delta = sign * r1.representative - r2.representative
-        for n in multiples:
-            rest = delta - n * kalphas
+    for n in multiples:
+        for sign in (1.0, -1.0):
+            rest = sign * r1.representative - r2.representative - n * kalphas
             ms = np.rint(rest / 2.0)
             residuals = np.abs(rest - 2.0 * ms)
             hits = np.nonzero((residuals <= tol) & (np.abs(ms) <= horizon))[0]

@@ -50,14 +50,15 @@ def box_rows(alpha, n, beta):
 
 
 def equivalence_oracle(r1, r2, horizon, tol=1e-8):
-    """First r1 ~ r2 match in (sign, n, k) order: n = 0, 1, -1, 2, -2, ...
-    and k = 0 followed by the canonical windings in lexicographic order."""
+    """First r1 ~ r2 match in (n, sign, k) order: n = 0, 1, -1, 2, -2, ...,
+    sign +1 then -1 at each n, and k = 0 followed by the canonical windings
+    in lexicographic order."""
     d = r1.alpha.dimension
     windings = [k for k in product(range(-horizon, horizon + 1), repeat=d) if k >= (0,) * d]
     multiples = sorted(range(-horizon, horizon + 1), key=lambda v: (abs(v), -v))
-    for sign in (1, -1):
-        delta = sign * r1.representative - r2.representative
-        for n in multiples:
+    for n in multiples:
+        for sign in (1, -1):
+            delta = sign * r1.representative - r2.representative
             for k in windings:
                 rest = delta - n * r1.alpha.dot(k)
                 m = np.rint(rest / 2.0)

@@ -531,6 +531,9 @@ def test_run_experiment_three_dimensional_resonant_twin():
     assert report["normal_form"]["converged"]
     assert report["truth_comparison"]["equivalent"]
     assert report["audit"]["issues"] == []
+    # the exact match at n = 0, not a chance hit at a larger |n| under tol
+    witness = report["truth_comparison"]["witness"]
+    assert witness["n"] == 0 and witness["residual"] < 1e-8
 
 
 def test_main_output_files_match_stdout(tmp_path, capsys):

@@ -160,6 +160,13 @@ def test_equivalence_witness_details():
     assert w["residual"] <= 1e-8
 
 
+def test_equivalence_witness_tries_both_signs_before_a_larger_n():
+    # r1 - r2 = 1 * (3 alpha) matches at sign +1 and n = 1, but the
+    # reflection matches exactly at n = 0, which comes first
+    w = equivalence_witness(rv(1.5 * GOLDEN), rv(-1.5 * GOLDEN), 10)
+    assert (w["sign"], w["n"], w["k"], w["m"]) == (-1, 0, [0], 0)
+
+
 def test_equivalence_requires_same_alpha():
     other = Frequency((math.sqrt(2.0) - 1.0,))
     with pytest.raises(ValueError):
