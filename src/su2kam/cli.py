@@ -170,9 +170,14 @@ class ExperimentConfig:
                                   % (name, value))
         cfg = cls(**data)
         try:
+            alpha = cfg.resolve_frequency()
             cfg.resolve_scheme()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        for i, spec in enumerate(cfg.chain):
+            if spec["kind"] == "torus" and np.size(spec["winding"]) != alpha.dimension:
+                raise ConfigError("chain[%d].winding does not fit the %dD frequency"
+                                  % (i, alpha.dimension))
         return cfg
 
     def digest(self) -> str:
@@ -194,35 +199,25 @@ SECTION_FIELD_TYPES = {"scheme": typing.get_type_hints(SchemeParams),
                        "dioph": typing.get_type_hints(DiophParams),
                        "perturbation": {"band": int, "amplitude": float},
                        "frequency": {"preset": str, "value": list[float] | float}}
-CHAIN_ENTRY_TYPES = {"torus": {"kind": str, "winding": list[int] | int,
-                               "frame": list[float]},
+CHAIN_ENTRY_TYPES = {"torus": {"kind": str, "winding": list[int] | int},
                      "exp": {"kind": str, "band": int, "amplitude": float},
                      "constant": {"kind": str, "element": list[float]}}
 CHAIN_REQUIRED = {"torus": "winding", "constant": "element"}
 
 
 def build_chain(cfg: ExperimentConfig, alpha: Frequency, rng) -> ConjugationChain:
-    """Conjugation chain from the factor recipe; RNG draws are consumed in
-    recipe order so the seed pins every coefficient."""
+    """Conjugation chain from the factor recipe, whose kinds and windings
+    from_dict has checked; RNG draws are consumed in recipe order so the
+    seed pins every coefficient."""
     factors = []
     for spec in cfg.chain:
-        kind = spec.get("kind")
-        if kind == "torus":
-            winding = spec["winding"]
-            if isinstance(winding, int):
-                winding = [winding]
-            if len(winding) != alpha.dimension:
-                raise ConfigError("winding dimension mismatch")
-            frame = GroupElement(np.asarray(spec["frame"])) if "frame" in spec \
-                else GroupElement.identity()
-            factors.append(TorusMorphism(tuple(winding), frame))
-        elif kind == "exp":
+        if spec["kind"] == "torus":
+            factors.append(TorusMorphism(np.atleast_1d(spec["winding"])))
+        elif spec["kind"] == "exp":
             factors.append(ExpFactor(random_map(alpha.dimension, spec.get("band", 2),
                                                 spec.get("amplitude", 1e-3), rng)))
-        elif kind == "constant":
-            factors.append(ConstantFactor(GroupElement(np.asarray(spec["element"]))))
         else:
-            raise ConfigError("unknown chain factor kind %r" % kind)
+            factors.append(ConstantFactor(GroupElement(np.asarray(spec["element"]))))
     return ConjugationChain(tuple(factors), alpha.dimension)
 
 
@@ -328,8 +323,7 @@ def run_experiment(cfg: ExperimentConfig):
     if cfg.csv_path:
         nf.write_csv(cfg.csv_path)
     if cfg.report_path:
-        with open(cfg.report_path, "w") as fh:
-            _dump_report(report, fh)
+        _emit(report, cfg.report_path)
     return report, code
 
 
@@ -445,7 +439,7 @@ def _dispatch(args) -> int:
         cfg = _load_config(args)
         report, code = run_experiment(cfg)
         if not cfg.report_path:
-            _dump_report(report, sys.stdout)
+            _emit(report, None)
         return code
 
     if args.command == "rho":

@@ -14,7 +14,7 @@ the winding bounds of the resonance search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .su2 import (
     components_first,
     components_last,
     quat_mul,
-    quat_rotation_matrix,
+    torus_quat,
 )
 
 
@@ -327,14 +327,14 @@ def random_map(dimension: int, band: int, amplitude: float, rng,
 
 @dataclass(frozen=True)
 class TorusMorphism:
-    """x -> P exp((k.x) e) P^-1: winds through a maximal torus.
+    """x -> exp((k.x) e): winds through the fixed maximal torus.
 
     Sends lattice points of Z^d into the center {+-Id}; under fibered
-    conjugation the sign ambiguity B(x+m) = (-1)^(k.m) B(x) cancels.
+    conjugation the sign ambiguity B(x+m) = (-1)^(k.m) B(x) cancels.  A
+    morphism into another torus P T P^-1 is the chain P, this, P^-1.
     """
 
     winding: tuple
-    frame: GroupElement = field(default_factory=GroupElement.identity)
 
     def __post_init__(self):
         object.__setattr__(self, "winding", tuple(int(c) for c in self.winding))
@@ -343,32 +343,25 @@ class TorusMorphism:
     def dimension(self) -> int:
         return len(self.winding)
 
-    def _axis_vector(self) -> np.ndarray:
-        return quat_rotation_matrix(self.frame.q) @ np.array([1.0, 0.0, 0.0])
-
     def evaluate_at(self, x) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        t = float(np.dot(self.winding, x))
-        ax = self._axis_vector()
-        return np.concatenate([[np.cos(np.pi * t)], np.sin(np.pi * t) * ax])
+        return torus_quat(float(np.dot(self.winding, x)))
 
     def grid(self, m: int, offset=None, span: float = 1.0) -> np.ndarray:
         offset = np.zeros(self.dimension) if offset is None else np.asarray(offset, dtype=float)
         grids = np.ix_(*(span * np.arange(m) / m + offset[:, None]))
         t = sum(k * g for k, g in zip(self.winding, grids))
         t = np.broadcast_to(t, (m,) * self.dimension)
-        out = np.empty((4,) + t.shape)
+        out = np.zeros((4,) + t.shape)
         np.cos(np.pi * t, out=out[0])
-        np.multiply(self._axis_vector().reshape((3,) + (1,) * self.dimension),
-                    np.sin(np.pi * t), out=out[1:])
+        np.sin(np.pi * t, out=out[1])
         return components_last(out)
 
     def inverse(self) -> "TorusMorphism":
-        return TorusMorphism(tuple(-c for c in self.winding), self.frame)
+        return TorusMorphism(tuple(-c for c in self.winding))
 
     def to_dict(self) -> dict:
-        return {"type": "torus", "winding": list(self.winding),
-                "frame": self.frame.q.tolist()}
+        return {"type": "torus", "winding": list(self.winding)}
 
 
 @dataclass(frozen=True)
@@ -428,7 +421,7 @@ class ExpFactor:
 def factor_from_dict(data: dict):
     kind = data["type"]
     if kind == "torus":
-        return TorusMorphism(tuple(data["winding"]), GroupElement(np.asarray(data["frame"])))
+        return TorusMorphism(tuple(data["winding"]))
     if kind == "constant":
         return ConstantFactor(GroupElement(np.asarray(data["element"])))
     if kind == "exp":

@@ -126,8 +126,6 @@ class ResonantStep:
             "defect_before": self.defect_before,
             "defect_after": self.defect_after,
             "lambda_theta": self.lambda_theta,
-            # removals act on the fixed torus, so the frame is the identity
-            "frame": [1.0, 0.0, 0.0, 0.0],
         }
 
 

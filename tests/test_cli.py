@@ -323,14 +323,20 @@ def test_main_flags_merge_into_the_config_scheme(tmp_path):
     {"scheme": {"max_scale": 5}},
     {"scheme": {"safety_exponent": 2.0}},
     {"scheme": {"initial_bound": 1e-2}},
+    # a turned torus is written with constant factors, not a torus frame
+    {"chain": [{"kind": "torus", "winding": [1], "frame": [1, 0, 0, "0"]}]},
     # entries of list-typed fields
     {"chain": [{"kind": "torus", "winding": [1.5]}]},
     {"chain": [{"kind": "torus", "winding": [True]}]},
-    {"chain": [{"kind": "torus", "winding": [1], "frame": [1, 0, 0, "0"]}]},
     {"chain": [{"kind": "constant", "element": [None, 0, 0, 0]}]},
     # a frequency needs exactly one of preset and value
     {"frequency": {"preset": "golden", "value": [0.3, 0.4]}},
     {"frequency": {}},
+    # values the frequency rejects, and a winding of another dimension
+    {"frequency": {"preset": "bogus"}},
+    {"frequency": {"value": 1.5}},
+    {"frequency": {"value": []}},
+    {"chain": [{"kind": "torus", "winding": [1, 2]}]},
     # non-finite numbers, which the json module reads as NaN and Infinity
     {"theta": math.nan},
     {"theta": math.inf},
@@ -429,10 +435,42 @@ def test_config_accepts_an_integer_where_a_number_is_due():
     cfg = ExperimentConfig.from_dict({"theta": 1, "equivalence_tolerance": 0})
     assert cfg.theta == 1 and cfg.equivalence_tolerance == 0
     cfg = ExperimentConfig.from_dict({"perturbation": {"band": 2, "amplitude": 0},
-                                      "frequency": {"value": [0, 1]}})
-    assert cfg.perturbation["amplitude"] == 0 and cfg.frequency["value"] == [0, 1]
+                                      "frequency": {"value": [0, 0.5]}})
+    assert cfg.perturbation["amplitude"] == 0 and cfg.frequency["value"] == [0, 0.5]
     assert ExperimentConfig.from_dict({"frequency": {"value": 0}}).frequency["value"] == 0
     assert ExperimentConfig.from_dict({"perturbation": None}).perturbation is None
+
+
+TURN = [math.cos(0.01), 0.0, math.sin(0.01), 0.0]
+
+
+def turned_torus(winding):
+    """The torus factor of `winding` turned by TURN: constant, torus, inverse."""
+    return [{"kind": "constant", "element": TURN}, {"kind": "torus", "winding": winding},
+            {"kind": "constant", "element": list(quat_conj(np.array(TURN)))}]
+
+
+@pytest.mark.parametrize("frequency,winding", [
+    ({"preset": "golden"}, [3]),
+    ({"value": [GOLDEN, math.sqrt(2.0) - 1.0]}, [1, 1]),
+])
+def test_turned_torus_recipe_builds_p_t_p_inverse(frequency, winding):
+    cfg = ExperimentConfig.from_dict({"frequency": frequency, "chain": turned_torus(winding)})
+    alpha = cfg.resolve_frequency()
+    chain = cli.build_chain(cfg, alpha, np.random.default_rng(0))
+    m = 16
+    t = sum(k * g for k, g in zip(winding, np.ix_(*[np.arange(m) / m] * alpha.dimension)))
+    p = chain.factors[0].element.q
+    expected = quat_mul(p, quat_mul(torus_quat(t), quat_conj(p)))
+    assert np.max(np.abs(chain.grid(m) - expected)) <= 1e-15
+
+
+def test_run_turned_torus_recipe_matches_its_truth(tmp_path):
+    cfg_path, report_path = tmp_path / "cfg.json", tmp_path / "report.json"
+    cfg_path.write_text(json.dumps({"theta": 0.17, "chain": turned_torus([3])}))
+    assert main(["run", "--config", str(cfg_path), "--report", str(report_path)]) == EXIT_OK
+    match = json.loads(report_path.read_text())["truth_comparison"]
+    assert match["equivalent"] and match["witness"]["residual"] < 1e-12
 
 
 def test_run_experiment_two_dimensional():

@@ -278,7 +278,7 @@ def test_evaluate_at_matches_synthesize():
 
 
 def test_torus_morphism_cocycle_compatibility():
-    # B(x+alpha) exp(theta e) B(x)^-1 = exp((theta + k.alpha) e), frame = Id
+    # B(x+alpha) exp(theta e) B(x)^-1 = exp((theta + k.alpha) e)
     alpha = GOLDEN
     b = TorusMorphism((3,))
     theta = 0.21
@@ -435,6 +435,10 @@ def test_chain_serialization_roundtrip():
     for x in (0.0, 0.31, 0.77):
         assert np.max(np.abs(back.evaluate_at(np.array([x])) -
                              chain.evaluate_at(np.array([x])))) < 1e-15
+    # a torus factor is its winding; the identity frame older reports wrote loads
+    assert chain.to_dict()["factors"][2] == {"type": "torus", "winding": [3]}
+    old = {"type": "torus", "winding": [3], "frame": [1.0, 0.0, 0.0, 0.0]}
+    assert fourier.factor_from_dict(old) == TorusMorphism((3,))
 
 
 def test_random_map_scaling_and_reality():
