@@ -25,7 +25,7 @@ import sys
 import types
 import typing
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -106,50 +106,35 @@ def _check_entries(prefix: str, data: dict, hints: dict) -> None:
         _check_json_type(prefix + name, value, hints[name])
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Declarative description of one synthetic experiment."""
+    """Declarative description of one synthetic experiment, checked against
+    what the code reads whenever it is built: directly, by from_dict or by
+    dataclasses.replace.  Building it also resolves its typed parameters
+    once, as the plain attributes `alpha` (the Frequency), `dioph_params`
+    and `scheme_params`; they are not fields, so to_dict and digest leave
+    them out."""
 
     frequency: dict = field(default_factory=lambda: {"preset": "golden"})
     theta: float = 0.17
     chain: list = field(default_factory=list)
     perturbation: dict | None = None
     scheme: dict = field(default_factory=dict)
-    dioph: dict = field(default_factory=lambda: asdict(DiophParams()))
+    dioph: dict = field(default_factory=lambda: {f.name: f.default for f in fields(DiophParams)})
     seed: int = 0
     equivalence_horizon: int = 50
     equivalence_tolerance: float = 1e-6
     report_path: str | None = None
     csv_path: str | None = None
 
-    def resolve_frequency(self) -> Frequency:
-        spec = self.frequency
-        if "preset" in spec:
-            name = spec["preset"]
-            if name not in FREQUENCY_PRESETS:
-                raise ConfigError("unknown frequency preset %r" % name)
-            return Frequency((FREQUENCY_PRESETS[name],))
-        return Frequency(tuple(float(v) for v in np.atleast_1d(spec["value"])))
-
-    def resolve_scheme(self) -> SchemeParams:
-        return SchemeParams.for_dioph(self.resolve_dioph(), **self.scheme)
-
-    def resolve_dioph(self) -> DiophParams:
-        return DiophParams(**self.dioph)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentConfig":
-        """Config from its JSON object, checked against what the code reads."""
-        _check_entries("", data, CONFIG_FIELD_TYPES)
+    def __post_init__(self):
+        for name, hint in CONFIG_FIELD_TYPES.items():
+            _check_json_type(name, getattr(self, name), hint)
         for section, hints in SECTION_FIELD_TYPES.items():
-            _check_entries(section + ".", data.get(section) or {}, hints)
-        if "frequency" in data and \
-                ("preset" in data["frequency"]) == ("value" in data["frequency"]):
+            _check_entries(section + ".", getattr(self, section) or {}, hints)
+        if ("preset" in self.frequency) == ("value" in self.frequency):
             raise ConfigError("frequency needs exactly one of 'preset' or 'value'")
-        for i, spec in enumerate(data.get("chain", ())):
+        for i, spec in enumerate(self.chain):
             _check_json_type("chain[%d]" % i, spec, dict)
             kind = spec.get("kind")
             _check_json_type("chain[%d].kind" % i, kind, str)
@@ -158,27 +143,46 @@ class ExperimentConfig:
             if kind in CHAIN_REQUIRED and CHAIN_REQUIRED[kind] not in spec:
                 raise ConfigError("chain[%d] needs %r" % (i, CHAIN_REQUIRED[kind]))
             _check_entries("chain[%d]." % i, spec, CHAIN_ENTRY_TYPES[kind])
-        non_negative = [(name, data.get(name)) for name in
+        non_negative = [(name, getattr(self, name)) for name in
                         ("seed", "equivalence_horizon", "equivalence_tolerance")]
-        non_negative += [("perturbation.band", (data.get("perturbation") or {}).get("band")),
-                         ("scheme.max_steps", (data.get("scheme") or {}).get("max_steps"))]
+        non_negative += [("perturbation.band", (self.perturbation or {}).get("band")),
+                         ("scheme.max_steps", self.scheme.get("max_steps"))]
         non_negative += [("chain[%d].band" % i, spec.get("band"))
-                         for i, spec in enumerate(data.get("chain", ()))]
+                         for i, spec in enumerate(self.chain)]
         for name, value in non_negative:
             if value is not None and value < 0:
                 raise ConfigError("config field %r must be non-negative, got %r"
                                   % (name, value))
-        cfg = cls(**data)
         try:
-            alpha = cfg.resolve_frequency()
-            cfg.resolve_scheme()
+            if "value" in self.frequency:
+                alpha = Frequency(tuple(np.atleast_1d(self.frequency["value"])))
+            elif self.frequency["preset"] in FREQUENCY_PRESETS:
+                alpha = Frequency((FREQUENCY_PRESETS[self.frequency["preset"]],))
+            else:
+                raise ValueError("unknown frequency preset %r" % self.frequency["preset"])
+            dioph = DiophParams(**self.dioph)
+            scheme = SchemeParams.for_dioph(dioph, **self.scheme)
+            for i, spec in enumerate(self.chain):
+                if spec["kind"] == "constant":
+                    GroupElement(spec["element"])
+                elif spec["kind"] == "torus" and np.size(spec["winding"]) != alpha.dimension:
+                    raise ValueError("chain[%d].winding does not fit the %dD frequency"
+                                     % (i, alpha.dimension))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        for i, spec in enumerate(cfg.chain):
-            if spec["kind"] == "torus" and np.size(spec["winding"]) != alpha.dimension:
-                raise ConfigError("chain[%d].winding does not fit the %dD frequency"
-                                  % (i, alpha.dimension))
-        return cfg
+        # set past the frozen __setattr__, as attributes that are not fields
+        vars(self).update(alpha=alpha, dioph_params=dioph, scheme_params=scheme)
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "ExperimentConfig":
+        """Config from its JSON object, whose keys must all be fields."""
+        extra = set(data) - set(CONFIG_FIELD_TYPES)
+        if extra:
+            raise ConfigError("unknown config keys: %s" % sorted(extra))
+        return cls(**data)
 
     def digest(self) -> str:
         """SHA-256 of the config without its output paths, which change no
@@ -206,9 +210,9 @@ CHAIN_REQUIRED = {"torus": "winding", "constant": "element"}
 
 
 def build_chain(cfg: ExperimentConfig, alpha: Frequency, rng) -> ConjugationChain:
-    """Conjugation chain from the factor recipe, whose kinds and windings
-    from_dict has checked; RNG draws are consumed in recipe order so the
-    seed pins every coefficient."""
+    """Conjugation chain from the factor recipe, whose kinds, windings and
+    elements the config has checked; RNG draws are consumed in recipe order
+    so the seed pins every coefficient."""
     factors = []
     for spec in cfg.chain:
         if spec["kind"] == "torus":
@@ -225,7 +229,7 @@ def synthesize_cocycle(cfg: ExperimentConfig):
     """Build Phi = Conj_H (alpha, exp(theta e)) with H from the recipe, plus
     an optional seeded multiplicative perturbation.  Returns the cocycle and
     its ground-truth rotation class."""
-    alpha = cfg.resolve_frequency()
+    alpha = cfg.alpha
     rng = np.random.default_rng(cfg.seed)
     chain = build_chain(cfg, alpha, rng)
     base = Cocycle(alpha, GroupElement(torus_quat(cfg.theta)),
@@ -245,10 +249,8 @@ def synthesize_cocycle(cfg: ExperimentConfig):
     except NormalizationError as exc:
         raise ConfigError("recipe produced a non-normalizable cocycle: %s" % exc) from exc
 
-    winding_total = np.zeros(alpha.dimension, dtype=int)
-    for f in chain.factors:
-        if isinstance(f, TorusMorphism):
-            winding_total += np.asarray(f.winding, dtype=int)
+    winding_total = sum((np.atleast_1d(spec["winding"]) for spec in cfg.chain
+                         if spec["kind"] == "torus"), np.zeros(alpha.dimension, dtype=int))
     truth = {
         "theta": cfg.theta,
         "winding_total": winding_total.tolist(),
@@ -258,14 +260,12 @@ def synthesize_cocycle(cfg: ExperimentConfig):
 
 
 def prepare_experiment(cfg: ExperimentConfig):
-    """Front half of `synthesize`, `rho` and `run`: resolve the config, judge
-    the theorem's hypotheses and synthesize the cocycle.  A frequency that
-    fails its Diophantine check is recorded and warned of; one that passes
-    makes its tau a bound that nu must exceed, checked before any grid is
-    built.  Returns (report head, cocycle, scheme parameters)."""
-    alpha = cfg.resolve_frequency()
-    dioph = cfg.resolve_dioph()
-    params = cfg.resolve_scheme()
+    """Front half of `synthesize`, `rho` and `run`: judge the theorem's
+    hypotheses and synthesize the cocycle.  A frequency that fails its
+    Diophantine check is recorded and warned of; one that passes makes its
+    tau a bound that nu must exceed, checked before any grid is built.
+    Returns (report head, cocycle)."""
+    dioph, params = cfg.dioph_params, cfg.scheme_params
 
     report = {"config": cfg.to_dict(), "config_sha256": cfg.digest(),
               "horizons": {"dioph": dioph.horizon,
@@ -273,7 +273,7 @@ def prepare_experiment(cfg: ExperimentConfig):
               "thresholds": {"nu": params.nu,
                              "stop_tolerance": params.stop_tolerance}}
 
-    witness = diophantine_witness(alpha, dioph)
+    witness = diophantine_witness(cfg.alpha, dioph)
     if witness is not None:
         report["frequency_warning"] = (
             "frequency fails its Diophantine check at the declared constants "
@@ -285,7 +285,7 @@ def prepare_experiment(cfg: ExperimentConfig):
 
     phi, truth = synthesize_cocycle(cfg)
     report["ground_truth"] = truth
-    return report, phi, params
+    return report, phi
 
 
 def run_experiment(cfg: ExperimentConfig):
@@ -293,11 +293,11 @@ def run_experiment(cfg: ExperimentConfig):
     and the CSV on each of the exit codes 0, 1 and 4 it returns.  The report
     describes the source by its band, its content band and the H^0 norm of
     that content, not by its table: the config echo rebuilds the source."""
-    report, phi, params = prepare_experiment(cfg)
-    content, _dropped = phi.perturbation.trimmed(TAIL_SHARE * params.stop_tolerance)
+    report, phi = prepare_experiment(cfg)
+    content, _dropped = phi.perturbation.trimmed(TAIL_SHARE * cfg.scheme_params.stop_tolerance)
     report["source"] = {"band": phi.perturbation.band, "content_band": content.band,
                         "h0": sobolev_norm(content, 0.0)}
-    nf = run_scheme(phi, params)
+    nf = run_scheme(phi, cfg.scheme_params)
     report["normal_form"] = nf.to_dict()
 
     try:
@@ -307,7 +307,7 @@ def run_experiment(cfg: ExperimentConfig):
         code = EXIT_ROTATION
     else:
         report["rotation"] = rho.to_dict()
-        report["audit"] = finite_resonance_audit(nf, rho, cfg.resolve_dioph())
+        report["audit"] = finite_resonance_audit(nf, rho, cfg.dioph_params)
         report["classification"] = report["audit"]["classification"]
 
         truth_vector = RotationVector(report["ground_truth"]["class_representative"],
@@ -372,6 +372,16 @@ def _frequency_flag(text: str) -> dict:
     return {"value": vals}
 
 
+# The failures main reports, in order: the first row whose exception class
+# matches gives the stderr label and the exit code; any other exception is an
+# internal fault and propagates
+FAILURES = ((ValueError, "config error", EXIT_CONFIG),
+            (SchemeError, "scheme error", EXIT_SCHEME),
+            (GridBudgetError, "grid budget error", EXIT_SCHEME),
+            (UnresolvedRotation, "rotation error", EXIT_ROTATION),
+            (OSError, "io error", EXIT_IO))
+
+
 def _add_common(p) -> None:
     p.add_argument("--config", help="JSON config file (overrides flags)")
     p.add_argument("--frequency", help="preset name or comma-separated components")
@@ -411,26 +421,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except (ConfigError, ValueError) as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return EXIT_CONFIG
-    except SchemeError as exc:
-        print("scheme error: %s" % exc, file=sys.stderr)
-        return EXIT_SCHEME
-    except GridBudgetError as exc:
-        print("grid budget error: %s" % exc, file=sys.stderr)
-        return EXIT_SCHEME
-    except UnresolvedRotation as exc:
-        print("rotation error: %s" % exc, file=sys.stderr)
-        return EXIT_ROTATION
-    except OSError as exc:
-        print("io error: %s" % exc, file=sys.stderr)
-        return EXIT_IO
+    except tuple(row[0] for row in FAILURES) as exc:
+        _kind, label, code = next(row for row in FAILURES if isinstance(exc, row[0]))
+        print("%s: %s" % (label, exc), file=sys.stderr)
+        return code
 
 
 def _dispatch(args) -> int:
     if args.command == "synthesize":
-        report, phi, _params = prepare_experiment(_load_config(args))
+        report, phi = prepare_experiment(_load_config(args))
         _emit({"config_sha256": report["config_sha256"], "cocycle": phi.to_dict(),
                "ground_truth": report["ground_truth"]}, args.output)
         return EXIT_OK
@@ -443,8 +442,9 @@ def _dispatch(args) -> int:
         return code
 
     if args.command == "rho":
-        report, phi, params = prepare_experiment(_load_config(args))
-        rho = rotation_vector(run_scheme(phi, params))
+        cfg = _load_config(args)
+        report, phi = prepare_experiment(cfg)
+        rho = rotation_vector(run_scheme(phi, cfg.scheme_params))
         _emit({"config_sha256": report["config_sha256"], "rotation": rho.to_dict()},
               args.report)
         return EXIT_OK
@@ -454,10 +454,10 @@ def _dispatch(args) -> int:
                  if getattr(args, name) is not None}
         cfg = ExperimentConfig.from_dict({"frequency": _frequency_flag(args.frequency),
                                           "dioph": dioph})
-        alpha, p = cfg.resolve_frequency(), cfg.resolve_dioph()
-        witness = diophantine_witness(alpha, p)
+        p = cfg.dioph_params
+        witness = diophantine_witness(cfg.alpha, p)
         _emit({
-            "alpha": list(alpha.components),
+            "alpha": list(cfg.alpha.components),
             "gamma": p.gamma, "tau": p.tau, "horizon": p.horizon,
             "diophantine_at_horizon": witness is None,
             "witness": None if witness is None else {
@@ -468,15 +468,12 @@ def _dispatch(args) -> int:
         }, None)
         return EXIT_OK
 
-    if args.command == "report-merge":
-        reports = []
-        for path in args.inputs:
-            with open(path) as fh:
-                reports.append(json.load(fh))
-        _emit({"reports": reports}, args.output)
-        return EXIT_OK
-
-    raise ConfigError("unknown command %r" % args.command)
+    reports = []  # report-merge, the last of the required subcommands
+    for path in args.inputs:
+        with open(path) as fh:
+            reports.append(json.load(fh))
+    _emit({"reports": reports}, args.output)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

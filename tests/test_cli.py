@@ -1,7 +1,7 @@
 import json
 import math
 import re
-from dataclasses import astuple
+from dataclasses import FrozenInstanceError, astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +11,7 @@ from su2kam import arithmetic, cli, fourier, kam
 from su2kam.arithmetic import DiophParams
 from su2kam.cli import (
     EXIT_CONFIG,
+    EXIT_IO,
     EXIT_OK,
     EXIT_ROTATION,
     EXIT_SCHEME,
@@ -77,11 +78,11 @@ def test_config_rejects_unknown_fields():
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"nonsense": 1})
     with pytest.raises(ConfigError):
-        recovery_config(scheme={"bogus_knob": 3}).resolve_scheme()
+        recovery_config(scheme={"bogus_knob": 3}).scheme_params
     with pytest.raises(ConfigError):
-        recovery_config(scheme={"grid_factor": 4}).resolve_scheme()
+        recovery_config(scheme={"grid_factor": 4}).scheme_params
     with pytest.raises(ConfigError):
-        ExperimentConfig(frequency={"preset": "unknown"}).resolve_frequency()
+        ExperimentConfig(frequency={"preset": "unknown"}).alpha
 
 
 def test_synthesize_constant_cocycle_truth():
@@ -337,6 +338,10 @@ def test_main_flags_merge_into_the_config_scheme(tmp_path):
     {"frequency": {"value": 1.5}},
     {"frequency": {"value": []}},
     {"chain": [{"kind": "torus", "winding": [1, 2]}]},
+    # constant elements that are no unit quaternion of shape (4,)
+    {"chain": [{"kind": "constant", "element": [0, 0, 0, 0]}]},
+    {"chain": [{"kind": "constant", "element": [1, 0, 0]}]},
+    {"chain": [{"kind": "constant", "element": [2, 0, 0, 0]}]},
     # non-finite numbers, which the json module reads as NaN and Infinity
     {"theta": math.nan},
     {"theta": math.inf},
@@ -357,6 +362,61 @@ def test_main_wrongly_typed_config_field_exits_config(tmp_path, bad):
     assert main(["run", "--config", str(cfg_path)]) == EXIT_CONFIG
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(bad)
+
+
+@pytest.mark.parametrize("element,message", [
+    ([0, 0, 0, 0], "quaternion norm 0 too far from 1"),
+    ([1, 0, 0], "quaternion must have shape (4,)"),
+    ([2, 0, 0, 0], "quaternion norm 2 too far from 1"),
+])
+def test_a_bad_constant_element_exits_config_before_any_work(
+        tmp_path, monkeypatch, capsys, element, message):
+    def unreached(*args):
+        raise AssertionError("the Diophantine scan ran on an invalid config")
+
+    monkeypatch.setattr(cli, "diophantine_witness", unreached)
+    chain = [{"kind": "constant", "element": element}]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"chain": chain}))
+    assert main(["run", "--config", str(cfg_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: %s\n" % message
+    # a config built directly is checked the same way
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        ExperimentConfig(chain=chain)
+
+
+def test_config_is_frozen_and_checked_on_every_construction():
+    cfg = recovery_config()
+    with pytest.raises(FrozenInstanceError):
+        cfg.seed = 7
+    with pytest.raises(ConfigError, match="'seed' must be non-negative"):
+        replace(cfg, seed=-1)
+    with pytest.raises(ConfigError, match="does not fit the 1D frequency"):
+        replace(cfg, chain=[{"kind": "torus", "winding": [1, 1]}])
+    # the resolved parameters are attributes, not fields: the echo omits them
+    moved = replace(cfg, dioph={"tau": 2.5})
+    assert moved.dioph_params == DiophParams(tau=2.5) and moved.scheme_params.nu == 4.5
+    assert set(moved.to_dict()) == set(cfg.to_dict()) == set(cli.CONFIG_FIELD_TYPES)
+
+
+@pytest.mark.parametrize("command,config,code,label", [
+    ("run", {"perturbation": {"band": 2, "amplitude": 0.05}}, EXIT_SCHEME,
+     "scheme error: initial perturbation outside the perturbative regime"),
+    ("rho", {"perturbation": {"band": 4, "amplitude": 1e-4}, "scheme": {"max_steps": 0}},
+     EXIT_ROTATION, "rotation error: scheme did not converge; no rotation vector"),
+    ("run", None, EXIT_IO, "io error: [Errno 2]"),
+])
+def test_main_maps_each_failure_to_its_label_and_exit_code(
+        tmp_path, capsys, command, config, code, label):
+    # the rows without a test of their own; the config and grid budget rows
+    # are tested above and below
+    cfg_path = tmp_path / "cfg.json"
+    if config is not None:
+        cfg_path.write_text(json.dumps(config))
+    assert main([command, "--config", str(cfg_path)]) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(label) and len(err.splitlines()) == 1
 
 
 def test_config_rejects_a_negative_count_by_name(capsys):
@@ -386,7 +446,7 @@ def test_readme_example_config_loads():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     block = re.search(r"Example config.*?```json\n(.*?)```", readme, re.S).group(1)
     cfg = ExperimentConfig.from_dict(json.loads(block))
-    assert cfg.resolve_scheme().n0 == 8 and cfg.resolve_dioph().horizon == 10000
+    assert cfg.scheme_params.n0 == 8 and cfg.dioph_params.horizon == 10000
 
 
 def test_synthesize_reads_no_scheme_parameter(tmp_path, capsys):
@@ -421,8 +481,8 @@ def test_synthesize_lets_an_internal_fault_through(monkeypatch):
 
 
 def test_dioph_defaults_live_in_dioph_params(capsys):
-    assert ExperimentConfig().resolve_dioph() == DiophParams()
-    partial = ExperimentConfig.from_dict({"dioph": {"gamma": 5.0}}).resolve_dioph()
+    assert ExperimentConfig().dioph_params == DiophParams()
+    partial = ExperimentConfig.from_dict({"dioph": {"gamma": 5.0}}).dioph_params
     assert partial == DiophParams(gamma=5.0)
     # check-dioph reads its constants through the config, defaults included
     assert main(["check-dioph", "--frequency", "golden", "--tau", "2.5"]) == EXIT_OK
@@ -456,7 +516,7 @@ def turned_torus(winding):
 ])
 def test_turned_torus_recipe_builds_p_t_p_inverse(frequency, winding):
     cfg = ExperimentConfig.from_dict({"frequency": frequency, "chain": turned_torus(winding)})
-    alpha = cfg.resolve_frequency()
+    alpha = cfg.alpha
     chain = cli.build_chain(cfg, alpha, np.random.default_rng(0))
     m = 16
     t = sum(k * g for k, g in zip(winding, np.ix_(*[np.arange(m) / m] * alpha.dimension)))
@@ -650,7 +710,7 @@ def test_run_report_describes_the_source_it_can_rebuild(two_freq_run):
     cfg = ExperimentConfig.from_dict(report["config"])
     phi, _truth = synthesize_cocycle(cfg)
     content, _dropped = phi.perturbation.trimmed(
-        kam.TAIL_SHARE * cfg.resolve_scheme().stop_tolerance)
+        kam.TAIL_SHARE * cfg.scheme_params.stop_tolerance)
     assert content.band < phi.perturbation.band
     assert report["source"] == {"band": phi.perturbation.band, "content_band": content.band,
                                 "h0": sobolev_norm(content, 0.0)}

@@ -487,7 +487,7 @@ def test_negative_branch_frames_never_turn_about_the_torus():
         "seed": 5,
     })
     phi, _truth = synthesize_cocycle(cfg)
-    nf = run_scheme(phi, cfg.resolve_scheme())
+    nf = run_scheme(phi, cfg.scheme_params)
     assert nf.converged and nf.resonant_count == 1
     assert nf.diagnostics[1].theta == pytest.approx(-3.0, abs=1e-5)
     frames = [f.element.q for f in nf.chain.factors if isinstance(f, ConstantFactor)]
@@ -537,7 +537,7 @@ def test_exp_factors_are_stored_on_their_solve_box(monkeypatch):
     monkeypatch.setattr(kam, "solve_homological", recorded)
     cfg = _two_freq_config()
     phi, _truth = synthesize_cocycle(cfg)
-    nf = run_scheme(phi, cfg.resolve_scheme())
+    nf = run_scheme(phi, cfg.scheme_params)
     assert nf.converged
     # application order: the oldest factor is the last one
     exps = [f for f in reversed(nf.chain.factors) if isinstance(f, ExpFactor)]
@@ -560,7 +560,7 @@ def test_exp_factors_are_stored_on_their_solve_box(monkeypatch):
 def test_renormalisation_stores_the_perturbation_on_its_content_box():
     cfg = _two_freq_config()
     phi, _truth = synthesize_cocycle(cfg)
-    params = cfg.resolve_scheme()
+    params = cfg.scheme_params
     nf = run_scheme(phi, params)
     assert nf.converged
     steps, closing = nf.diagnostics[:-1], nf.diagnostics[-1]
@@ -584,7 +584,7 @@ def test_renormalisation_absorbs_the_constant_torus_mode():
     for seed in (5, 6, 7):
         cfg = _two_freq_config(seed, exp_factor=False)
         phi, _truth = synthesize_cocycle(cfg)
-        nf = run_scheme(phi, cfg.resolve_scheme())
+        nf = run_scheme(phi, cfg.scheme_params)
         f = nf.perturbation
         assert nf.converged
         assert abs(f.e_field()[(f.band,) * f.dimension]) < 1e-15
@@ -596,7 +596,7 @@ def test_exp_factor_run_converges_below_1e_15():
     # under the exact update unless it goes into the constant
     cfg = _two_freq_config(stop_tolerance=1e-15)
     phi, _truth = synthesize_cocycle(cfg)
-    nf = run_scheme(phi, cfg.resolve_scheme())
+    nf = run_scheme(phi, cfg.scheme_params)
     assert nf.converged
     assert nf.diagnostics[-1].norm_f_h0 <= 1e-15
     assert nf.replay_error() <= 1e-13
@@ -623,7 +623,7 @@ def test_step_peak_memory_stays_below_the_bound():
     # step 2 of the first exp-2d benchmark experiment conjugates on 140^2
     cfg = _two_freq_config()
     phi, _truth = synthesize_cocycle(cfg)
-    params = cfg.resolve_scheme()
+    params = cfg.scheme_params
     state = kam.initial_state(phi, params)
     for _ in range(2):
         state = kam_step(state, params)
@@ -652,7 +652,7 @@ def test_scheme_grids_follow_the_content(monkeypatch):
     monkeypatch.setattr(kam, "grid_size", recorded)
     cfg = _two_freq_config()
     phi, _truth = synthesize_cocycle(cfg)
-    run_scheme(phi, cfg.resolve_scheme())
+    run_scheme(phi, cfg.scheme_params)
     assert len(sizes) > 1 and max(sizes) <= 200
 
 
@@ -701,7 +701,7 @@ def test_final_perturbation_h0_is_computed_once(monkeypatch):
     monkeypatch.setattr(kam, "sobolev_norm", recorded)
     cfg = _two_freq_config()
     phi, _truth = synthesize_cocycle(cfg)
-    nf = run_scheme(phi, cfg.resolve_scheme())
+    nf = run_scheme(phi, cfg.scheme_params)
     assert nf.converged
     assert sum(1 for amap, s in calls if amap is nf.perturbation and s == 0.0) == 1
     h0_maps = [id(amap) for amap, s in calls if s == 0.0]  # calls keeps them alive
