@@ -77,7 +77,8 @@ JSON_TYPE_NAMES = {dict: "an object", list: "a list", int: "an integer",
 def _check_json_type(name: str, value, hint) -> None:
     """Raise ConfigError unless value has the JSON type of the field's
     annotation, each entry of a list[T] included; an integer counts as a
-    number, a boolean as neither, and a number must be finite."""
+    number, a boolean as neither, and an integer or a number must lie within
+    the finite doubles."""
     options = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
     for option in options:
         kind = typing.get_origin(option) or option
@@ -88,8 +89,9 @@ def _check_json_type(name: str, value, hint) -> None:
         expected = " or ".join(JSON_TYPE_NAMES[typing.get_origin(t) or t] for t in options)
         raise ConfigError("config field %r must be %s, got %s"
                           % (name, expected, type(value).__name__))
-    if isinstance(value, float) and not np.isfinite(value):
-        raise ConfigError("config field %r must be finite, got %r" % (name, value))
+    # false for nan and inf, and exact for an integer of any length
+    if isinstance(value, (int, float)) and not abs(value) <= sys.float_info.max:
+        raise ConfigError("config field %r must be a finite double" % name)
     for entry_hint in typing.get_args(option):
         for i, entry in enumerate(value):
             _check_json_type("%s[%d]" % (name, i), entry, entry_hint)
@@ -212,13 +214,16 @@ CHAIN_REQUIRED = {"torus": "winding", "constant": "element"}
 def build_chain(cfg: ExperimentConfig, alpha: Frequency, rng) -> ConjugationChain:
     """Conjugation chain from the factor recipe, whose kinds, windings and
     elements the config has checked; RNG draws are consumed in recipe order
-    so the seed pins every coefficient."""
+    so the seed pins every coefficient.  An exp factor's band must fit the
+    grid budget before its table is drawn (GridBudgetError)."""
     factors = []
     for spec in cfg.chain:
         if spec["kind"] == "torus":
             factors.append(TorusMorphism(np.atleast_1d(spec["winding"])))
         elif spec["kind"] == "exp":
-            factors.append(ExpFactor(random_map(alpha.dimension, spec.get("band", 2),
+            band = spec.get("band", 2)
+            grid_size(band, alpha.dimension)
+            factors.append(ExpFactor(random_map(alpha.dimension, band,
                                                 spec.get("amplitude", 1e-3), rng)))
         else:
             factors.append(ConstantFactor(GroupElement(np.asarray(spec["element"]))))

@@ -3,9 +3,10 @@
 The rotation vector of a converged normal form is the torus coordinate of
 the limiting constant pulled back through every resonance-removal shift:
 representative = theta_final + sum_i k_i . alpha.  It is well defined only
-up to the winding shifts n (k . alpha), the full center periods 2m (since
-exp(2e) = Id) and the torus reversal r -> -r, which together make up the
-equivalence class searched by `equivalence_check`.
+up to the shift k . alpha of a torus morphism of winding k, the full center
+periods 2m (since exp(2e) = Id) and the torus reversal r -> -r, which
+together make up the equivalence class searched by `equivalence_check`:
+sign r1 - r2 = k . alpha + 2m.
 
 The arithmetic class of the vector relative to alpha drives the
 reducibility prediction: a Diophantine root forces the resonance ledger to
@@ -15,6 +16,7 @@ terminate, a resonant root means the cocycle reduces to a center element.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -79,37 +81,34 @@ def rotation_vector(nf: NormalForm) -> RotationVector:
 
 def equivalence_witness(r1: RotationVector, r2: RotationVector,
                         horizon: int, tol: float = 1e-8):
-    """Search r1 - r2 = n (k.alpha) + 2m over |n|, |m| <= horizon and
-    windings |k| <= horizon, on both Weyl signs of r1.  The search runs by
-    smallest |n| first, n = 0, 1, -1, 2, -2, ..., trying sign +1 and then
-    -1 at each n, and k in scan order; the first match is returned, or
-    None."""
+    """Least match of sign r1 - r2 = k.alpha + 2m within tol over windings
+    |k| <= horizon, |m| <= horizon and both Weyl signs, by (|k|, sign +1
+    before -1, k before -k, lex of the canonical row): a dict of sign, k, m
+    and residual, or None.  One scan of the zero winding and the canonical
+    half tries each row as k and as -k, since (-k).alpha is -(k.alpha) bit
+    for bit."""
     if r1.alpha != r2.alpha:
         raise ValueError("rotation vectors live over different frequencies")
-    alpha = r1.alpha
-    # the zero winding, then the canonical half; the sign of k is absorbed by n.
-    # Only k and k.alpha of each chunk are kept.
-    windings, kalphas = [], []
-    for k, _knorm, kalpha, _defect in scan_box(alpha, horizon,
-                                                first=box_centre(alpha.dimension, horizon)):
-        windings.append(k)
-        kalphas.append(kalpha)
-    windings = np.concatenate(windings)
-    kalphas = np.concatenate(kalphas)
-    multiples = [0]
-    for v in range(1, horizon + 1):
-        multiples.extend((v, -v))
-    for n in multiples:
-        for sign in (1.0, -1.0):
-            rest = sign * r1.representative - r2.representative - n * kalphas
+    best = None
+    for k, knorm, kalpha, _ in scan_box(r1.alpha, horizon,
+                                         first=box_centre(r1.alpha.dimension, horizon)):
+        # c orders the moves: sign +1 before -1, then k before -k
+        for c, (sign, orientation) in enumerate(product((1, -1), repeat=2)):
+            rest = sign * r1.representative - r2.representative - orientation * kalpha
             ms = np.rint(rest / 2.0)
             residuals = np.abs(rest - 2.0 * ms)
-            hits = np.nonzero((residuals <= tol) & (np.abs(ms) <= horizon))[0]
-            if hits.size:
-                i = int(hits[0])
-                return {"sign": int(sign), "n": n, "k": windings[i].tolist(),
-                        "m": int(ms[i]), "residual": float(residuals[i])}
-    return None
+            rows = np.flatnonzero((residuals <= tol) & (np.abs(ms) <= horizon))
+            if rows.size == 0:
+                continue
+            i = rows[np.argmin(knorm[rows])]  # the first of least |k|, lexicographically
+            # the row makes the key total, so no tie depends on the chunking
+            key = (knorm[i], c, tuple(k[i]))
+            if best is None or key < best[0]:
+                best = (key, {"sign": sign, "k": (orientation * k[i]).tolist(),
+                              "m": int(ms[i]), "residual": float(residuals[i])})
+        if best is not None and best[0][0] == 0:  # the zero winding heads the scan
+            break
+    return None if best is None else best[1]
 
 
 def equivalence_check(r1: RotationVector, r2: RotationVector,

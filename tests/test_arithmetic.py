@@ -34,7 +34,7 @@ ORACLE_PARAMS = {
     2: DiophParams(20.0, 3.0, 20),
     3: DiophParams(50.0, 3.5, 6),
 }
-# shift horizons of the equivalence oracle, which loops over n and k
+# winding horizons of the equivalence oracle, which loops over the box
 EQUIVALENCE_HORIZONS = {1: 10, 2: 8, 3: 4}
 
 
@@ -50,22 +50,20 @@ def box_rows(alpha, n, beta):
 
 
 def equivalence_oracle(r1, r2, horizon, tol=1e-8):
-    """First r1 ~ r2 match in (n, sign, k) order: n = 0, 1, -1, 2, -2, ...,
-    sign +1 then -1 at each n, and k = 0 followed by the canonical windings
-    in lexicographic order."""
+    """First r1 ~ r2 match, sign r1 - r2 = k.alpha + 2m, by a plain loop over
+    the box in the order (|k|, sign +1 before -1, k before -k, lexicographic
+    order of the canonical row)."""
     d = r1.alpha.dimension
-    windings = [k for k in product(range(-horizon, horizon + 1), repeat=d) if k >= (0,) * d]
-    multiples = sorted(range(-horizon, horizon + 1), key=lambda v: (abs(v), -v))
-    for n in multiples:
-        for sign in (1, -1):
-            delta = sign * r1.representative - r2.representative
-            for k in windings:
-                rest = delta - n * r1.alpha.dot(k)
-                m = np.rint(rest / 2.0)
-                residual = abs(rest - 2.0 * m)
-                if residual <= tol and abs(m) <= horizon:
-                    return {"sign": sign, "n": n, "k": list(k), "m": int(m),
-                            "residual": float(residual)}
+    canonical = [k for k in product(range(-horizon, horizon + 1), repeat=d) if k >= (0,) * d]
+    order = sorted((max(map(abs, k)), -sign, -orientation, k, sign, orientation)
+                   for k in canonical for sign in (1, -1) for orientation in (1, -1))
+    for *_, k, sign, orientation in order:
+        winding = [orientation * c for c in k]
+        rest = sign * r1.representative - r2.representative - r1.alpha.dot(winding)
+        m = np.rint(rest / 2.0)
+        residual = abs(rest - 2.0 * m)
+        if residual <= tol and abs(m) <= horizon:
+            return {"sign": sign, "k": winding, "m": int(m), "residual": float(residual)}
     return None
 
 
@@ -175,11 +173,13 @@ def test_witness_agrees_with_exhaustive_scan(d):
             assert cls.classification == (CLASS_RESONANT if exact else CLASS_UNDETERMINED)
         assert cls.classification == CLASS_RESONANT  # the lattice point k0
 
-        # equivalence: a shifted copy matches, an unrelated vector may not
+        # equivalence: a shifted copy matches, an unrelated vector may not,
+        # and at a loose tolerance several windings of one |k| tie
         shifted = r.representative - 3 * alpha.dot((1,) + (0,) * (d - 1)) + 2.0
-        for other in (shifted, float(rng.uniform(-2, 2))):
+        for other, tol in ((shifted, 1e-8), (float(rng.uniform(-2, 2)), 1e-8),
+                           (r.representative + 0.5, 0.05)):
             r2 = RotationVector(other, alpha, {})
-            assert equivalence_witness(r, r2, h) == equivalence_oracle(r, r2, h)
+            assert equivalence_witness(r, r2, h, tol) == equivalence_oracle(r, r2, h, tol)
         assert equivalence_witness(r, RotationVector(shifted, alpha, {}), h) is not None
 
 
@@ -196,10 +196,14 @@ def test_scan_chunk_size_leaves_records_unchanged(d, monkeypatch):
             alpha = Frequency(tuple(rng.uniform(0, 1, d)))
             r1 = RotationVector(float(rng.uniform(-2, 2)), alpha, {})
             r2 = RotationVector(r1.representative - alpha.dot((1,) * d), alpha, {})
+            # at tol 0.05 in 2D and 3D, matches of the least |k| and one sign
+            # fall in different chunks, so the tie-breaks cross chunk borders
+            r3 = RotationVector(r1.representative + 0.5, alpha, {})
             out += [diophantine_witness(alpha, p),
                     relative_defect_minimum(float(rng.uniform(0, 1)), alpha, p.horizon, 2.0),
                     classify_arithmetic(r1, p),
-                    equivalence_witness(r1, r2, p.horizon)]
+                    equivalence_witness(r1, r2, p.horizon),
+                    equivalence_witness(r1, r3, p.horizon, tol=0.05)]
         return out
 
     before = records()

@@ -349,6 +349,10 @@ def test_main_flags_merge_into_the_config_scheme(tmp_path):
     {"scheme": {"stop_tolerance": math.nan}},
     {"equivalence_tolerance": math.nan},
     {"frequency": {"value": [GOLDEN, -math.inf]}},
+    # integers that no double holds
+    {"theta": 10 ** 400},
+    {"frequency": {"value": 10 ** 400}},
+    {"perturbation": {}, "scheme": {"n0": 10 ** 400}},
     # negative counts, rejected by name before any work
     {"equivalence_horizon": -5},
     {"perturbation": {"band": -1}},
@@ -553,6 +557,24 @@ def test_main_grid_past_the_budget_exits_scheme(tmp_path, monkeypatch, capsys):
     assert len(err.splitlines()) == 1
 
 
+def test_main_exp_band_past_the_grid_budget_exits_before_its_table(
+        tmp_path, monkeypatch, capsys):
+    # band 100000 needs a 400004^2 grid; its random table alone would be
+    # 200001^2 complex triples, so the band is refused before the draw
+    def unreached(*args):
+        raise AssertionError("the exp factor's table was drawn past the budget")
+
+    monkeypatch.setattr(cli, "random_map", unreached)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**TWO_FREQ_CONFIG,
+                                    "chain": [{"kind": "exp", "band": 100000}]}))
+    assert main(["run", "--config", str(cfg_path)]) == EXIT_SCHEME
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("grid budget error: a 400004^2 grid for band 100000 ")
+    assert len(err.splitlines()) == 1
+
+
 def test_main_scan_past_the_budget_exits_scheme(monkeypatch, capsys):
     # horizon 2100 in 2D is a box of 4201^2 windings, past SCAN_WINDINGS
     def unreached(*args):
@@ -629,9 +651,10 @@ def test_run_experiment_three_dimensional_resonant_twin():
     assert report["normal_form"]["converged"]
     assert report["truth_comparison"]["equivalent"]
     assert report["audit"]["issues"] == []
-    # the exact match at n = 0, not a chance hit at a larger |n| under tol
+    # the exact match at the zero winding, not a chance hit at a larger |k|
+    # under tol
     witness = report["truth_comparison"]["witness"]
-    assert witness["n"] == 0 and witness["residual"] < 1e-8
+    assert witness["k"] == [0, 0, 0] and witness["residual"] < 1e-8
 
 
 def test_main_output_files_match_stdout(tmp_path, capsys):

@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from su2kam.arithmetic import DiophParams, Frequency
+from su2kam import arithmetic
+from su2kam.arithmetic import DiophParams, Frequency, GridBudgetError
 from su2kam.cocycle import Cocycle, c0_distance, conjugate
 from su2kam.fourier import (
     AlgebraMap,
@@ -112,16 +114,16 @@ ALPHA2 = Frequency((GOLDEN, math.sqrt(2.0) - 1.0))
 
 @st.composite
 def class_moves(draw, dimension, h):
-    """A reflection sign, a winding shift n (k.alpha) and a period shift 2m,
-    with |n|, |k|, |m| <= h."""
+    """A reflection sign, a winding shift k.alpha and a period shift 2m,
+    with |k|, |m| <= h."""
     ints = st.integers(-h, h)
-    return (draw(st.sampled_from([1, -1])), draw(ints),
-            tuple(draw(ints) for _ in range(dimension)), draw(ints))
+    return (draw(st.sampled_from([1, -1])), tuple(draw(ints) for _ in range(dimension)),
+            draw(ints))
 
 
 def moved(r, move):
-    sign, n, k, m = move
-    return rv(sign * r.representative + n * r.alpha.dot(k) + 2 * m, r.alpha)
+    sign, k, m = move
+    return rv(sign * r.representative + r.alpha.dot(k) + 2 * m, r.alpha)
 
 
 @settings(max_examples=60)
@@ -145,26 +147,49 @@ def test_equivalence_check_is_transitive(data, alpha, h, x):
     r2 = moved(r1, data.draw(class_moves(alpha.dimension, h)))
     r3 = moved(r2, data.draw(class_moves(alpha.dimension, h)))
     assert equivalence_check(r1, r2, h) and equivalence_check(r2, r3, h)
-    # n1 k1 +- n2 k2 is one winding of max-norm <= 2 h^2, taken with n = 1
-    assert equivalence_check(r1, r3, 2 * h * h)
+    # k2 +- k1 and m2 +- m1 are a winding and a period of max-norm <= 2 h
+    assert equivalence_check(r1, r3, 2 * h)
 
 
 def test_equivalence_witness_details():
-    # the witness satisfies sign*r1 - r2 = n (k.alpha) + 2m within tolerance
+    # the witness satisfies sign*r1 - r2 = k.alpha + 2m within tolerance
     r1, r2 = rv(0.2), rv(0.2 + 3 * GOLDEN + 2.0)
     w = equivalence_witness(r1, r2, 10)
     assert w is not None
-    shift = w["n"] * (w["k"][0] * GOLDEN) + 2 * w["m"]
+    assert set(w) == {"sign", "k", "m", "residual"}
+    shift = w["k"][0] * GOLDEN + 2 * w["m"]
     delta = w["sign"] * r1.representative - r2.representative
     assert delta - shift == pytest.approx(0.0, abs=1e-8)
     assert w["residual"] <= 1e-8
 
 
-def test_equivalence_witness_tries_both_signs_before_a_larger_n():
-    # r1 - r2 = 1 * (3 alpha) matches at sign +1 and n = 1, but the
-    # reflection matches exactly at n = 0, which comes first
+def test_equivalence_witness_takes_the_zero_winding_before_a_larger_k():
+    # r1 - r2 = 3 alpha matches at sign +1 and k = 3, but the reflection
+    # matches exactly at k = 0, which comes first
     w = equivalence_witness(rv(1.5 * GOLDEN), rv(-1.5 * GOLDEN), 10)
-    assert (w["sign"], w["n"], w["k"], w["m"]) == (-1, 0, [0], 0)
+    assert (w["sign"], w["k"], w["m"]) == (-1, [0], 0)
+
+
+def test_equivalence_witness_streams_the_box(monkeypatch):
+    # a pair that matches nowhere makes the search scan the whole box at
+    # H = 300 (361201 windings); it holds one chunk at a time, not the box
+    r1, r2 = rv(0.123456789, ALPHA2), rv(0.3141592653, ALPHA2)
+    tracemalloc.start()
+    try:
+        assert equivalence_witness(r1, r2, 300, tol=1e-12) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+    # a box past the scan budget is refused before its first chunk
+    def unreached(*args):
+        raise AssertionError("a chunk of the scan was built past the budget")
+
+    monkeypatch.setattr(arithmetic, "box_windings", unreached)
+    assert 4201 ** 2 > arithmetic.SCAN_WINDINGS
+    with pytest.raises(GridBudgetError):
+        equivalence_witness(r1, r2, 2100, tol=1e-12)
 
 
 def test_equivalence_requires_same_alpha():
