@@ -15,22 +15,29 @@ below and shared by the scan here and by the Fourier coefficient tables of
   centre are exactly the canonical half (first nonzero component > 0);
 * the central sub-box [-m, m]^d is the same slice on every axis.
 
-Every question about the defect |beta - k.alpha|_Z over 0 < |k| <= n is
-answered by one scan of the box, in chunks of at most SCAN_ROWS rows, so
-memory stays bounded at any n and d; a box of more than SCAN_WINDINGS
+The max-norm |k| = max_a |k_a| of the windings, which bounds the winding
+scans and truncates the Fourier boxes alike, is `max_norm` of the d
+per-axis components: the columns of flat rows or the axes of the dense form.
+
+Every question over the windings 0 < |k| <= n is answered by one scan of
+the box, which yields (k, |k|, k.alpha) in chunks of at most SCAN_ROWS rows,
+so memory stays bounded at any n and d; a box of more than SCAN_WINDINGS
 windings is refused before any chunk, which bounds the time, and so the
 scale a scheme step can reach.  A minimum by (|k|, lex) is the first
 winding in (shell, lex) order, so chunks need not follow max-norm shells.
 
-One keyed reduction over the scan serves the callers: the Diophantine
-witness is the least canonical violator by (|k|, lex), the relative
-minimum and the rotation-vector class take the least by (defect, |k|, lex).
+One keyed reduction over the scan serves the defect questions
+|beta - k.alpha|_Z: the Diophantine witness is the least canonical violator
+by (|k|, lex), the relative minimum and the rotation-vector class take the
+least by (defect, |k|, lex).  The rotation-class search of `rotation` reads
+the scan directly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
@@ -153,13 +160,19 @@ def box_axes(d: int, n: int) -> tuple:
     return np.ix_(*[np.arange(-n, n + 1)] * d)
 
 
+def max_norm(components) -> np.ndarray:
+    """max_a |k_a| from the d per-axis components of windings: the columns
+    of flat rows (`k.T`) or the broadcast axes of the dense form."""
+    return reduce(np.maximum, map(np.abs, components))
+
+
 def box_inner(d: int, n: int, m: int) -> tuple:
     """Slice of the central sub-box [-m, m]^d in the dense form of [-n, n]^d."""
     return (slice(n - m, n + m + 1),) * d
 
 
-def scan_box(alpha: Frequency, n: int, beta: float = 0.0, first: int = 0):
-    """Chunks (k, |k|, k.alpha, |beta - k.alpha|_Z) of the box [-n, n]^d.
+def scan_box(alpha: Frequency, n: int, first: int = 0):
+    """Chunks (k, |k|, k.alpha) of the box [-n, n]^d.
 
     Rows run in lexicographic order from the flat index `first` on, at most
     SCAN_ROWS per chunk; see the module docstring for the order contract.
@@ -173,29 +186,29 @@ def scan_box(alpha: Frequency, n: int, beta: float = 0.0, first: int = 0):
     for start in range(first, total, SCAN_ROWS):
         k = box_windings(alpha.dimension, n, np.arange(start, min(start + SCAN_ROWS, total)))
         # vecdot matches the per-winding Frequency.dot bit for bit; k @ alpha does not
-        kalpha = np.vecdot(k.astype(float), alpha.vector)
-        yield k, np.abs(k).max(axis=1), kalpha, dist_to_Z(beta - kalpha)
+        yield k, max_norm(k.T), np.vecdot(k.astype(float), alpha.vector)
 
 
 def least_winding(alpha: Frequency, n: int, beta: float = 0.0, bound=None,
-           by_defect: bool = True, canonical: bool = False):
-    """Least winding 0 < |k| <= n by (defect, |k|, lex), or by (|k|, lex)
-    when not `by_defect`, where defect = |beta - k.alpha|_Z.
+                  canonical: bool = False):
+    """Least winding 0 < |k| <= n by (defect, |k|, lex), where
+    defect = |beta - k.alpha|_Z; with `canonical`, the least by (|k|, lex)
+    on the half whose first nonzero component is positive.
 
-    With `bound`, only violators (defect < bound(|k|)) take part; with
-    `canonical`, only the half whose first nonzero component is positive.
-    Returns a ResonanceRecord at scale n with threshold bound(|k|) (inf
-    without a bound), or None.
+    With `bound`, only violators (defect < bound(|k|)) take part.  Returns a
+    ResonanceRecord at scale n with threshold bound(|k|) (inf without a
+    bound), or None.
     """
     best = None
     first = box_centre(alpha.dimension, n) + 1 if canonical else 0
-    for k, knorm, _, defect in scan_box(alpha, n, beta, first):
+    for k, knorm, kalpha in scan_box(alpha, n, first):
+        defect = dist_to_Z(beta - kalpha)
         with np.errstate(divide="ignore"):  # the bound at k = 0, which never takes part
             threshold = bound(knorm) if bound else np.full(knorm.shape, np.inf)
         rows = np.flatnonzero((knorm > 0) & (defect < threshold))
         if rows.size == 0:
             continue
-        columns = (defect, knorm) if by_defect else (knorm,)
+        columns = (knorm,) if canonical else (defect, knorm)
         for col in columns:
             rows = rows[col[rows] == col[rows].min()]
         i = rows[0]
@@ -215,7 +228,7 @@ def diophantine_witness(alpha: Frequency, p: DiophParams):
     """
     if not p.tau > alpha.dimension:
         raise ValueError("tau must exceed the frequency dimension")
-    return least_winding(alpha, p.horizon, bound=p.bound, by_defect=False, canonical=True)
+    return least_winding(alpha, p.horizon, bound=p.bound, canonical=True)
 
 
 def relative_defect_minimum(beta: float, alpha: Frequency, n: int, nu: float = None):

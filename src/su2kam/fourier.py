@@ -8,8 +8,9 @@ factors (constants, exponentials of algebra maps, torus morphisms) collected
 in a ConjugationChain.
 
 Sobolev norms use the weight (1 + |k|^2)^s with the Euclidean |k| inside the
-weight; the Fourier box itself is a max-norm box so that truncation matches
-the winding bounds of the resonance search.
+weight (`mode_norm_grid`); the Fourier box itself is a max-norm box, and
+truncation reads `arithmetic.max_norm`, so that it matches the winding
+bounds of the resonance search.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arithmetic import (Frequency, GridBudgetError, box_axes, box_centre, box_inner,
-                         box_windings)
+                         box_windings, max_norm)
 from .su2 import (
     GroupElement,
     alg_exp_quat,
@@ -63,14 +64,9 @@ def _phases(dimension: int, band: int, x) -> np.ndarray:
     return phase
 
 
-def mode_norm_grid(dimension: int, band: int, kind: str = "euclid") -> np.ndarray:
-    """|k| on the coefficient box; 'euclid' for norms, 'max' for truncation."""
-    axes = box_axes(dimension, band)
-    if kind == "euclid":
-        return np.sqrt(sum(a.astype(float) ** 2 for a in axes))
-    if kind == "max":
-        return np.abs(np.broadcast_arrays(*axes)).max(axis=0)
-    raise ValueError("unknown mode norm %r" % kind)
+def mode_norm_grid(dimension: int, band: int) -> np.ndarray:
+    """Euclidean |k| on the coefficient box, the weight of the Sobolev norms."""
+    return np.sqrt(sum(a.astype(float) ** 2 for a in box_axes(dimension, band)))
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +158,7 @@ class AlgebraMap:
         nothing to drop comes back as itself, with mass 0."""
         if not tol >= 0:
             raise ValueError("trim tolerance must be non-negative")
-        shell = mode_norm_grid(self.dimension, self.band, "max").ravel()
+        shell = max_norm(box_axes(self.dimension, self.band)).ravel()
         mass = np.linalg.norm(self.coeffs, axis=-1).ravel()
         # above[b]: mass of the shells b+1..band, what keeping |k| <= b drops
         above = np.append(np.cumsum(np.bincount(shell, mass)[:0:-1])[::-1], 0.0)
@@ -230,7 +226,7 @@ class AlgebraMap:
             rows = data["components"].get(name, [])
             rows = np.asarray(rows, dtype=float).reshape(len(rows), d + 2)
             k = rows[:, :d].astype(int)
-            outside = np.abs(k).max(axis=1, initial=0) > out.band
+            outside = max_norm(k.T) > out.band
             if outside.any():
                 raise KeyError("mode %r outside the box" % (tuple(k[outside.argmax()].tolist()),))
             out.coeffs[tuple((k + out.band).T) + (ci,)] = rows[:, d] + 1j * rows[:, d + 1]
@@ -302,7 +298,7 @@ def translate(amap: AlgebraMap, alpha) -> AlgebraMap:
 
 def sobolev_norm(amap: AlgebraMap, s: float) -> float:
     """(sum_k (1+|k|^2)^s |c(k)|^2)^(1/2), Euclidean |k|, all components."""
-    k2 = mode_norm_grid(amap.dimension, amap.band, "euclid") ** 2
+    k2 = mode_norm_grid(amap.dimension, amap.band) ** 2
     weight = (1.0 + k2) ** s
     return float(np.sqrt(np.sum(weight[..., None] * np.abs(amap.coeffs) ** 2)))
 

@@ -29,6 +29,7 @@ from .arithmetic import (
     box_axes,
     box_inner,
     dist_to_Z,
+    max_norm,
     relative_defect_minimum,
 )
 from . import fourier
@@ -41,7 +42,6 @@ from .fourier import (
     TorusMorphism,
     chain_sobolev_partial,
     grid_size,
-    mode_norm_grid,
     sobolev_norm,
 )
 from .su2 import (
@@ -303,7 +303,7 @@ def solve_homological(theta: float, f: AlgebraMap, alpha: Frequency, n: int, nu:
     e_den = unit - 1.0
     w_den = unit - np.exp(2j * np.pi * theta)
 
-    maxnorm = mode_norm_grid(d, band, "max")
+    maxnorm = max_norm(box_axes(d, band))
     in_box = maxnorm <= n
     is_zero = maxnorm == 0
 

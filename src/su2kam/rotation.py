@@ -6,7 +6,8 @@ representative = theta_final + sum_i k_i . alpha.  It is well defined only
 up to the shift k . alpha of a torus morphism of winding k, the full center
 periods 2m (since exp(2e) = Id) and the torus reversal r -> -r, which
 together make up the equivalence class searched by `equivalence_check`:
-sign r1 - r2 = k . alpha + 2m.
+sign r1 - r2 = k . alpha + 2m.  The horizon bounds only the winding k; every
+period shift 2m is exact, so m is free.
 
 The arithmetic class of the vector relative to alpha drives the
 reducibility prediction: a Diophantine root forces the resonance ledger to
@@ -82,7 +83,7 @@ def rotation_vector(nf: NormalForm) -> RotationVector:
 def equivalence_witness(r1: RotationVector, r2: RotationVector,
                         horizon: int, tol: float = 1e-8):
     """Least match of sign r1 - r2 = k.alpha + 2m within tol over windings
-    |k| <= horizon, |m| <= horizon and both Weyl signs, by (|k|, sign +1
+    |k| <= horizon, any integer m and both Weyl signs, by (|k|, sign +1
     before -1, k before -k, lex of the canonical row): a dict of sign, k, m
     and residual, or None.  One scan of the zero winding and the canonical
     half tries each row as k and as -k, since (-k).alpha is -(k.alpha) bit
@@ -90,14 +91,14 @@ def equivalence_witness(r1: RotationVector, r2: RotationVector,
     if r1.alpha != r2.alpha:
         raise ValueError("rotation vectors live over different frequencies")
     best = None
-    for k, knorm, kalpha, _ in scan_box(r1.alpha, horizon,
-                                         first=box_centre(r1.alpha.dimension, horizon)):
+    for k, knorm, kalpha in scan_box(r1.alpha, horizon,
+                                      first=box_centre(r1.alpha.dimension, horizon)):
         # c orders the moves: sign +1 before -1, then k before -k
         for c, (sign, orientation) in enumerate(product((1, -1), repeat=2)):
             rest = sign * r1.representative - r2.representative - orientation * kalpha
             ms = np.rint(rest / 2.0)
             residuals = np.abs(rest - 2.0 * ms)
-            rows = np.flatnonzero((residuals <= tol) & (np.abs(ms) <= horizon))
+            rows = np.flatnonzero(residuals <= tol)
             if rows.size == 0:
                 continue
             i = rows[np.argmin(knorm[rows])]  # the first of least |k|, lexicographically
@@ -214,7 +215,7 @@ def finite_resonance_audit(nf: NormalForm, r: RotationVector,
     all_hold = not issues  # so far the issues are exactly the false flags
     classification = classify_arithmetic(r, p)
     last_resonant = max((e.step for e in nf.ledger), default=None)
-    ceased = last_resonant is None or last_resonant < nf.steps - 1 or nf.converged
+    ceased = last_resonant is None or last_resonant < nf.steps - 1
     if classification.classification == CLASS_DIOPHANTINE and not ceased:
         issues.append("Diophantine class but resonances persist to the horizon")
     return {

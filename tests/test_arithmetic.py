@@ -50,9 +50,9 @@ def box_rows(alpha, n, beta):
 
 
 def equivalence_oracle(r1, r2, horizon, tol=1e-8):
-    """First r1 ~ r2 match, sign r1 - r2 = k.alpha + 2m, by a plain loop over
-    the box in the order (|k|, sign +1 before -1, k before -k, lexicographic
-    order of the canonical row)."""
+    """First r1 ~ r2 match, sign r1 - r2 = k.alpha + 2m with any integer m,
+    by a plain loop over the box in the order (|k|, sign +1 before -1, k
+    before -k, lexicographic order of the canonical row)."""
     d = r1.alpha.dimension
     canonical = [k for k in product(range(-horizon, horizon + 1), repeat=d) if k >= (0,) * d]
     order = sorted((max(map(abs, k)), -sign, -orientation, k, sign, orientation)
@@ -62,7 +62,7 @@ def equivalence_oracle(r1, r2, horizon, tol=1e-8):
         rest = sign * r1.representative - r2.representative - r1.alpha.dot(winding)
         m = np.rint(rest / 2.0)
         residual = abs(rest - 2.0 * m)
-        if residual <= tol and abs(m) <= horizon:
+        if residual <= tol:
             return {"sign": sign, "k": winding, "m": int(m), "residual": float(residual)}
     return None
 

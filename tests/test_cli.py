@@ -537,6 +537,17 @@ def test_run_turned_torus_recipe_matches_its_truth(tmp_path):
     assert match["equivalent"] and match["witness"]["residual"] < 1e-12
 
 
+@pytest.mark.parametrize("theta, m", [(102.17, -51), (1e8, -50000000)])
+def test_run_matches_a_truth_many_periods_from_its_rho(tmp_path, theta, m):
+    # the truth sits |m| periods 2 from rho, far past the equivalence
+    # horizon, which bounds only the winding
+    cfg_path, report_path = tmp_path / "cfg.json", tmp_path / "report.json"
+    cfg_path.write_text(json.dumps({"theta": theta}))
+    assert main(["run", "--config", str(cfg_path), "--report", str(report_path)]) == EXIT_OK
+    witness = json.loads(report_path.read_text())["truth_comparison"]["witness"]
+    assert (witness["sign"], witness["k"], witness["m"]) == (1, [0], m)
+
+
 def test_run_experiment_two_dimensional():
     cfg = ExperimentConfig.from_dict(TWO_FREQ_CONFIG)
     report, code = run_experiment(cfg)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from su2kam import fourier
-from su2kam.arithmetic import Frequency, box_axes
+from su2kam.arithmetic import Frequency, box_axes, box_windings, max_norm
 from su2kam.fourier import (
     AlgebraMap,
     ConjugationChain,
@@ -42,7 +42,7 @@ def field_synthesize(coeffs, m, d):
 
 def truncate(amap, band):
     """Exact splitting into modes |k| <= band (max-norm) and the rest."""
-    mask = fourier.mode_norm_grid(amap.dimension, amap.band, "max")[..., None] <= band
+    mask = max_norm(box_axes(amap.dimension, amap.band))[..., None] <= band
     return (AlgebraMap(amap.dimension, amap.band, np.where(mask, amap.coeffs, 0)),
             AlgebraMap(amap.dimension, amap.band, np.where(mask, 0, amap.coeffs)))
 
@@ -120,17 +120,18 @@ def test_translate_phases_and_isometry():
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_box_grids_match_per_mode_loops(d):
-    # mode norms and phases on the coefficient box against one loop over
-    # the windings in lexicographic order
+    # mode norms and phases on the coefficient box, and the max-norm of the
+    # flat rows, against one loop over the windings in lexicographic order
     band = 3
     x = np.random.default_rng(d).uniform(0, 1, d)
     modes = list(itertools.product(range(-band, band + 1), repeat=d))
     shape = (2 * band + 1,) * d
     euclid = [math.sqrt(sum(c * c for c in k)) for k in modes]
-    assert np.array_equal(fourier.mode_norm_grid(d, band, "euclid"),
-                          np.reshape(euclid, shape))
-    assert np.array_equal(fourier.mode_norm_grid(d, band, "max"),
-                          np.reshape([max(map(abs, k)) for k in modes], shape))
+    assert np.array_equal(fourier.mode_norm_grid(d, band), np.reshape(euclid, shape))
+    maxnorm = [max(map(abs, k)) for k in modes]
+    assert np.array_equal(max_norm(box_axes(d, band)), np.reshape(maxnorm, shape))
+    rows = box_windings(d, band, np.arange(len(modes)))
+    assert np.array_equal(max_norm(rows.T), maxnorm)
     phases = [cmath.exp(2j * math.pi * sum(c * xa for c, xa in zip(k, x))) for k in modes]
     assert np.allclose(fourier._phases(d, band, x), np.reshape(phases, shape),
                        rtol=0.0, atol=1e-13)
@@ -197,7 +198,7 @@ def test_trimmed_keeps_the_smallest_box_within_the_tolerance(d, band, log_decay,
     # a spectrum decaying like decay^|k|, trimmed at a tolerance from far
     # below its last shell to above its whole mass
     f = random_map(d, band, 1.0, np.random.default_rng(seed), mean_free=False)
-    decay = 10.0 ** (log_decay * fourier.mode_norm_grid(d, band, "max"))
+    decay = 10.0 ** (log_decay * max_norm(box_axes(d, band)))
     f = AlgebraMap(d, band, f.coeffs * decay[..., None])
     tol = 10.0 ** log_tol
     kept, dropped = f.trimmed(tol)

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from su2kam import arithmetic, cocycle, fourier, kam
-from su2kam.arithmetic import DiophParams, Frequency, dist_to_Z
+from su2kam.arithmetic import DiophParams, Frequency, box_axes, dist_to_Z, max_norm
 from su2kam.cli import ExperimentConfig, synthesize_cocycle
 from su2kam.cocycle import Cocycle, NormalizationError, conjugate, conjugate_raw, normalize
 from su2kam.fourier import (
@@ -17,7 +17,6 @@ from su2kam.fourier import (
     ExpFactor,
     TorusMorphism,
     chain_sobolev_partial,
-    mode_norm_grid,
     random_map,
     sobolev_norm,
     synthesize,
@@ -123,7 +122,7 @@ def _full_box_solve(theta, f, alpha, n, nu):
     axes = np.meshgrid(*[np.arange(-band, band + 1)] * d, indexing="ij")
     unit = np.exp(2j * np.pi * sum(k * a for k, a in zip(axes, alpha.components)))
     e_den, w_den = unit - 1.0, unit - np.exp(2j * np.pi * theta)
-    maxnorm = mode_norm_grid(d, band, "max")
+    maxnorm = max_norm(box_axes(d, band))
     thr = float(n) ** -nu
     e_keep = (maxnorm <= n) & (maxnorm > 0) & (np.abs(e_den) >= thr)
     w_keep = (maxnorm <= n) & (np.abs(w_den) >= thr)

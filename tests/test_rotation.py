@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -170,6 +171,14 @@ def test_equivalence_witness_takes_the_zero_winding_before_a_larger_k():
     assert (w["sign"], w["k"], w["m"]) == (-1, [0], 0)
 
 
+def test_equivalence_witness_shifts_by_periods_past_the_horizon():
+    # the horizon bounds the winding only: 102.17 is 51 periods 2 from 0.17,
+    # every one of them exact, so a horizon of 1 finds it at k = 0
+    w = equivalence_witness(rv(0.17), rv(102.17), 1)
+    assert (w["sign"], w["k"], w["m"]) == (1, [0], -51)
+    assert w["residual"] <= 1e-8
+
+
 def test_equivalence_witness_streams_the_box(monkeypatch):
     # a pair that matches nowhere makes the search scan the whole box at
     # H = 300 (361201 windings); it holds one chunk at a time, not the box
@@ -320,6 +329,24 @@ def test_audit_empty_ledger_consistent():
     assert report["resonances_ceased"]
     assert report["last_resonant_step"] is None
     assert report["issues"] == []
+
+
+def test_audit_flags_resonances_that_reach_the_last_step():
+    # a converged run of the Diophantine class (the recovery instance's rho,
+    # 0.17 + 3 alpha), with a resonant entry moved to its last observed
+    # step: the resonances do not cease before it
+    _, nf = scheme_run((0.17 + 3 * GOLDEN) % 1.0, seed=11)
+    r = rotation_vector(nf)
+    _, resonant = scheme_run((5 * GOLDEN) % 1.0, seed=12, amplitude=1e-5)
+    entry = dataclasses.replace(resonant.ledger[0], step=nf.steps - 1)
+    late = dataclasses.replace(nf, ledger=nf.ledger + (entry,))
+    assert late.converged
+    report = finite_resonance_audit(late, r, DIOPH)
+    assert report["classification"]["classification"] == CLASS_DIOPHANTINE
+    assert report["all_inequalities_hold"]
+    assert report["last_resonant_step"] == nf.steps - 1
+    assert not report["resonances_ceased"]
+    assert report["issues"] == ["Diophantine class but resonances persist to the horizon"]
 
 
 def test_rotation_two_dimensional_planted_resonance():
