@@ -60,6 +60,7 @@ class Cocycle:
         return quat_mul(self.constant.q, alg_exp_quat(synthesize(self.perturbation, m)))
 
     def fiber_at(self, x) -> np.ndarray:
+        """A exp(F(x)) at points x of shape (..., d): shape x.shape[:-1] + (4,)."""
         return quat_mul(self.constant.q, alg_exp_quat(self.perturbation.evaluate_at(x)))
 
     def to_dict(self) -> dict:
@@ -139,13 +140,14 @@ def conjugate(chain: ConjugationChain, phi: Cocycle) -> Cocycle:
 
 
 def iterate(phi: Cocycle, n: int, x) -> GroupElement:
-    """n-step fiber product A(x + (n-1) alpha) ... A(x)."""
+    """n-step fiber product A(x + (n-1) alpha) ... A(x): the n fibers of the
+    orbit are evaluated in one batch, and only their product is a loop."""
     if n < 0:
         raise ValueError("iterate expects n >= 0")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    orbit = np.asarray(x, dtype=float) + np.arange(n)[:, None] * phi.alpha.vector
     q = np.array([1.0, 0.0, 0.0, 0.0])
-    for j in range(n):
-        q = quat_mul(phi.fiber_at(x + j * phi.alpha.vector), q)
+    for fiber in phi.fiber_at(orbit):
+        q = quat_mul(fiber, q)
     return GroupElement(q)
 
 

@@ -54,13 +54,16 @@ def _flip_conj(coeffs: np.ndarray, dimension: int) -> np.ndarray:
 
 
 def _phases(dimension: int, band: int, x) -> np.ndarray:
-    """exp(2 pi i k.x) on the coefficient box |k| <= band, x a point of T^d."""
+    """exp(2 pi i k.x) on the coefficient box |k| <= band for points x of
+    shape (..., dimension): shape x.shape[:-1] plus the box, so one point
+    gives the box alone."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (dimension,):
+    if x.shape[-1:] != (dimension,):
         raise ValueError("point dimension mismatch")
     phase = np.ones((1,) * dimension, dtype=complex)
-    for k, xa in zip(box_axes(dimension, band), x):
-        phase = phase * np.exp(2j * np.pi * k * xa)
+    for a, k in enumerate(box_axes(dimension, band)):
+        # coordinate a of each point, broadcast along the box axes
+        phase = phase * np.exp(2j * np.pi * k * x[(..., a) + (None,) * dimension])
     return phase
 
 
@@ -192,7 +195,8 @@ class AlgebraMap:
     # -- evaluation
 
     def evaluate_at(self, x) -> np.ndarray:
-        """Pointwise value by direct summation; x is a point of T^d."""
+        """Values by direct summation at points x of shape (..., d): shape
+        x.shape[:-1] + (3,)."""
         return np.real(np.tensordot(_phases(self.dimension, self.band, x), self.coeffs,
                                     axes=self.dimension))
 
@@ -340,8 +344,7 @@ class TorusMorphism:
         return len(self.winding)
 
     def evaluate_at(self, x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return torus_quat(float(np.dot(self.winding, x)))
+        return torus_quat(np.vecdot(np.atleast_1d(x), self.winding))
 
     def grid(self, m: int, offset=None, span: float = 1.0) -> np.ndarray:
         offset = np.zeros(self.dimension) if offset is None else np.asarray(offset, dtype=float)
@@ -369,7 +372,7 @@ class ConstantFactor:
         return None
 
     def evaluate_at(self, x) -> np.ndarray:
-        return self.element.q.copy()
+        return np.tile(self.element.q, np.shape(x)[:-1] + (1,))
 
     def grid(self, m: int, offset=None, span: float = 1.0) -> np.ndarray:
         """The quaternion itself; quat_mul broadcasts it over the grid."""
@@ -449,7 +452,9 @@ class ConjugationChain:
         return ConjugationChain(tuple(f.inverse() for f in reversed(self.factors)), self.dimension)
 
     def evaluate_at(self, x) -> np.ndarray:
-        q = np.array([1.0, 0.0, 0.0, 0.0])
+        """The product at points x of shape (..., d): shape x.shape[:-1] +
+        (4,), each factor evaluated once on the whole batch."""
+        q = np.tile([1.0, 0.0, 0.0, 0.0], np.shape(x)[:-1] + (1,))
         for f in self.factors:
             q = quat_mul(q, f.evaluate_at(x))
         return q
@@ -492,7 +497,9 @@ class ConjugationChain:
         """Band that resolves a fiber of the given band after conjugation by
         the chain: twice the content bound plus a margin, enough for
         close-to-identity exponential factors whose series tails must clear
-        the resynthesis tolerance."""
+        the resynthesis tolerance.  It sizes the grid of cocycle.conjugate
+        and of a recipe's synthesis; the normal form's replay evaluates
+        points, not a grid, and reads no band."""
         return band + 2 * self.content_bound() + 8
 
     def to_dict(self) -> dict:

@@ -60,6 +60,7 @@ ALGEBRA_DIMENSION = 3  # d' for the negative-regularity diagnostic
 SAFETY_EXPONENT = 2.0  # a step at scale N needs |F|_H0 <= N^-SAFETY_EXPONENT
 INITIAL_BOUND = 1e-2   # largest |F|_H0 of a source cocycle the scheme accepts
 TAIL_SHARE = 1e-2      # a renormalisation drops l1 mass <= TAIL_SHARE * stop_tolerance
+REPLAY_POINTS = 32     # replay_error compares the fibers at x_j = j alpha mod 2, j < 32
 
 
 class SchemeError(RuntimeError):
@@ -215,14 +216,19 @@ class NormalForm(SchemeState):
         return len(self.ledger)
 
     def replay_error(self) -> float:
-        """sup distance between the chain applied to the source cocycle and
-        the recorded final cocycle; the normal-form consistency invariant.
-        The grid resolves the replayed fiber on the chain's conjugated_band,
-        or on the final band if that is larger."""
-        band = self.chain.conjugated_band(self.source.perturbation.band)
-        m = grid_size(max(band, self.perturbation.band), self.alpha.dimension)
-        replayed = conjugate_raw(self.chain, self.source, m)
-        recorded = self.cocycle().fiber_grid(m)
+        """Largest distance between the chain applied to the source cocycle,
+        H(x + alpha) . source(x) . H(x)^-1, and the recorded final cocycle
+        A exp(F(x)), at the REPLAY_POINTS orbit points x_j = j alpha mod 2;
+        the normal-form consistency invariant.  Every factor is 2-periodic
+        (a torus morphism of odd winding changes sign under x -> x + 1 but
+        not under x -> x + 2), so the reduction mod 2 leaves each value as
+        it is and H(x_j + alpha) is the chain at x_{j+1}: the chain is
+        evaluated once on the REPLAY_POINTS + 1 orbit points, and every
+        value is a direct sum, with no grid."""
+        orbit = np.arange(REPLAY_POINTS + 1)[:, None] * self.alpha.vector % 2.0
+        h = self.chain.evaluate_at(orbit)
+        replayed = quat_mul(h[1:], quat_mul(self.source.fiber_at(orbit[:-1]), quat_conj(h[:-1])))
+        recorded = self.cocycle().fiber_at(orbit[:-1])
         return float(np.max(quat_angle(quat_mul(replayed, quat_conj(recorded)))))
 
     def chain_prefix_norms(self):

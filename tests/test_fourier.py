@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from su2kam import fourier
 from su2kam.arithmetic import Frequency, box_axes, box_windings, max_norm
+from su2kam.cocycle import Cocycle
 from su2kam.fourier import (
     AlgebraMap,
     ConjugationChain,
@@ -121,9 +122,11 @@ def test_translate_phases_and_isometry():
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_box_grids_match_per_mode_loops(d):
     # mode norms and phases on the coefficient box, and the max-norm of the
-    # flat rows, against one loop over the windings in lexicographic order
+    # flat rows, against one loop over the windings in lexicographic order;
+    # the phases of a batch of points carry the batch axis in front
     band = 3
-    x = np.random.default_rng(d).uniform(0, 1, d)
+    xs = np.random.default_rng(d).uniform(0, 1, (4, d))
+    x = xs[0]
     modes = list(itertools.product(range(-band, band + 1), repeat=d))
     shape = (2 * band + 1,) * d
     euclid = [math.sqrt(sum(c * c for c in k)) for k in modes]
@@ -134,6 +137,10 @@ def test_box_grids_match_per_mode_loops(d):
     assert np.array_equal(max_norm(rows.T), maxnorm)
     phases = [cmath.exp(2j * math.pi * sum(c * xa for c, xa in zip(k, x))) for k in modes]
     assert np.allclose(fourier._phases(d, band, x), np.reshape(phases, shape),
+                       rtol=0.0, atol=1e-13)
+    batch = [[cmath.exp(2j * math.pi * sum(c * xa for c, xa in zip(k, y))) for k in modes]
+             for y in xs]
+    assert np.allclose(fourier._phases(d, band, xs), np.reshape(batch, (4,) + shape),
                        rtol=0.0, atol=1e-13)
 
 
@@ -273,9 +280,13 @@ def test_evaluate_at_matches_synthesize():
     f = random_map(2, 3, 0.8, rng)
     m = 12
     vals = synthesize(f, m)
-    for idx in ((0, 0), (3, 7), (11, 5)):
+    idxs = ((0, 0), (3, 7), (11, 5))
+    for idx in idxs:
         x = np.array(idx) / m
         assert np.max(np.abs(f.evaluate_at(x) - vals[idx])) < 1e-12
+    # the same points as one batch
+    batch = f.evaluate_at(np.array(idxs) / m)
+    assert np.max(np.abs(batch - vals[tuple(np.array(idxs).T)])) < 1e-12
 
 
 def test_torus_morphism_cocycle_compatibility():
@@ -354,11 +365,15 @@ def test_chain_grid_matches_pointwise(kind):
     grid = chain.grid(m)
     shifted = chain.grid(m, offset=offset)
     assert grid.shape == shifted.shape == (m,) * d + (4,)
-    for j in (0, 5, 11):
-        idx = (j,) + (3,) * (d - 1)
+    idxs = [(j,) + (3,) * (d - 1) for j in (0, 5, 11)]
+    for idx in idxs:
         x = np.array(idx) / m
         assert np.max(np.abs(grid[idx] - chain.evaluate_at(x))) < 1e-12
         assert np.max(np.abs(shifted[idx] - chain.evaluate_at(x + offset))) < 1e-12
+    # the same points as one batch
+    xs, rows = np.array(idxs) / m, tuple(np.array(idxs).T)
+    assert np.max(np.abs(grid[rows] - chain.evaluate_at(xs))) < 1e-12
+    assert np.max(np.abs(shifted[rows] - chain.evaluate_at(xs + offset))) < 1e-12
 
 
 def _mixed_chain(d: int) -> ConjugationChain:
@@ -368,6 +383,35 @@ def _mixed_chain(d: int) -> ConjugationChain:
     y2 = random_map(d, 1, 0.08, rng)
     return ConjugationChain((ExpFactor(y1), TorusMorphism((3,) + (1,) * (d - 1)),
                              _constant(rng), ExpFactor(y2), TorusMorphism((1,) * d)), d)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["algebra", "torus", "constant", "exp", "mixed-chain",
+                                  "empty-chain", "fiber"])
+def test_point_evaluation_takes_a_batch(d, kind):
+    # an (N, d) batch of points gives one value per point, (N, 3) or (N, 4),
+    # equal to the values point by point up to the rounding of one matrix
+    # product against one per point, at the amplitudes of chain factors; a
+    # (2, 3, d) batch keeps both axes
+    rng = np.random.default_rng(30 + d)
+    y = random_map(d, 2, 0.05, rng, mean_free=False)
+    evaluate = {
+        "algebra": y.evaluate_at,
+        "torus": TorusMorphism((3,) + (-1,) * (d - 1)).evaluate_at,
+        "constant": _constant(rng).evaluate_at,
+        "exp": ExpFactor(y).evaluate_at,
+        "mixed-chain": _mixed_chain(d).evaluate_at,
+        "empty-chain": ConjugationChain((), d).evaluate_at,
+        "fiber": Cocycle(Frequency(tuple(rng.uniform(0, 1, d))), _constant(rng).element,
+                         y).fiber_at,
+    }[kind]
+    points = rng.uniform(-1.0, 3.0, (6, d))
+    batch = evaluate(points)
+    assert batch.shape == (6, 3 if kind == "algebra" else 4)
+    single = np.array([evaluate(x) for x in points])
+    assert single.shape == batch.shape
+    assert np.max(np.abs(batch - single)) <= 1e-15
+    assert np.max(np.abs(evaluate(points.reshape(2, 3, d)) - batch.reshape(2, 3, -1))) <= 1e-15
 
 
 @pytest.mark.parametrize("d", [1, 2])

@@ -496,6 +496,25 @@ def test_negative_branch_frames_never_turn_about_the_torus():
     assert nf.replay_error() <= 1e-13
 
 
+def test_three_dimensional_normal_form_replays():
+    # the 3D config of test_cli.py at 1e-12: its chain replays at the orbit
+    # points, where a grid of its conjugated band (99) would hold 400^3
+    # points, past fourier.GRID_POINTS
+    cfg = ExperimentConfig.from_dict({
+        "frequency": {"value": [2.0 ** 0.25 - 1.0, 2.0 ** 0.5 - 1.0, 2.0 ** 0.75 - 1.0]},
+        "theta": 0.1,
+        "chain": [{"kind": "torus", "winding": [1, 0, 1]},
+                  {"kind": "exp", "band": 1, "amplitude": 1e-3}],
+        "perturbation": {"band": 1, "amplitude": 1e-5},
+        "scheme": {"n0": 6, "nu": 8.0, "stop_tolerance": 1e-12},
+        "dioph": {"gamma": 32.0, "tau": 4.0, "horizon": 20},
+    })
+    phi, _truth = synthesize_cocycle(cfg)
+    nf = run_scheme(phi, cfg.scheme_params)
+    assert nf.converged
+    assert nf.replay_error() <= 1e-13
+
+
 def test_scheme_params_validation():
     with pytest.raises(ValueError):
         SchemeParams(sigma=1.5)
