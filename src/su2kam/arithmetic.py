@@ -31,13 +31,19 @@ One keyed reduction over the scan serves the defect questions
 by (|k|, lex), the relative minimum and the rotation-vector class take the
 least by (defect, |k|, lex).  The rotation-class search of `rotation` reads
 the scan directly.
+
+The pure tables of a box, and the Diophantine witness of a frequency, are
+memoised per process with `functools.lru_cache`: they depend on (d, n) or on
+the frozen (Frequency, DiophParams) pair alone, never on a cocycle, and every
+array they hold is read-only.  The scan's chunks are not memoised, so a scan
+keeps its bounded working set.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -46,6 +52,13 @@ SCAN_ROWS = 4096
 
 # windings (2n+1)^d of one scan of the box: at this size a scan stays under about 1 s
 SCAN_WINDINGS = 1 << 24
+
+# entries kept by each memoised box table, here and in `fourier`: every
+# (d, n) a workload's runs touch, with room to spare
+TABLE_ENTRIES = 128
+
+# entries kept by each memoised table of a frequency, here and in `kam`
+FREQUENCY_TABLES = 32
 
 # below this defect a frequency is indistinguishable from a rational in doubles
 NEAR_RATIONAL_FLOOR = 1e-14
@@ -155,15 +168,34 @@ def box_windings(d: int, n: int, flat) -> np.ndarray:
     return np.stack(np.unravel_index(flat, (2 * n + 1,) * d), axis=-1) - n
 
 
+def read_only(array: np.ndarray) -> np.ndarray:
+    """The array itself, no longer writeable: the form of a memoised table."""
+    array.flags.writeable = False
+    return array
+
+
+@lru_cache(maxsize=TABLE_ENTRIES)
 def box_axes(d: int, n: int) -> tuple:
-    """k_a on each axis of the dense form, shaped to broadcast along it."""
-    return np.ix_(*[np.arange(-n, n + 1)] * d)
+    """k_a on each axis of the dense form, shaped to broadcast along it.
+    Memoised per (d, n), read-only; each entry holds d (2n+1) integers, at
+    most 16 MiB for the largest box whose grid fits fourier.GRID_POINTS (1D,
+    2^21 windings), so TABLE_ENTRIES x 16 MiB = 2 GiB at worst."""
+    return tuple(map(read_only, np.ix_(*[np.arange(-n, n + 1)] * d)))
 
 
 def max_norm(components) -> np.ndarray:
     """max_a |k_a| from the d per-axis components of windings: the columns
     of flat rows (`k.T`) or the broadcast axes of the dense form."""
     return reduce(np.maximum, map(np.abs, components))
+
+
+@lru_cache(maxsize=TABLE_ENTRIES)
+def box_shells(d: int, n: int) -> np.ndarray:
+    """|k| on the dense form of the box [-n, n]^d, its max-norm shells.
+    Memoised per (d, n), read-only; an entry holds (2n+1)^d integers, at
+    most 16 MiB for a box whose grid fits fourier.GRID_POINTS, so
+    TABLE_ENTRIES x 16 MiB = 2 GiB at worst."""
+    return read_only(max_norm(box_axes(d, n)))
 
 
 def box_inner(d: int, n: int, m: int) -> tuple:
@@ -219,12 +251,16 @@ def least_winding(alpha: Frequency, n: int, beta: float = 0.0, bound=None,
     return None if best is None else best[1]
 
 
+@lru_cache(maxsize=FREQUENCY_TABLES)
 def diophantine_witness(alpha: Frequency, p: DiophParams):
     """First winding violating |k.alpha|_Z >= gamma^-1 |k|^-tau, or None.
 
     Windings are taken shell by shell in |k| (max-norm), restricted to
     canonical representatives (the condition is even in k), lexicographically
     within a shell; this makes the witness stable under horizon growth.
+    Memoised per (alpha, p), so a process scans each pair once; an entry is
+    one frozen record, under 1 KiB with its key, so FREQUENCY_TABLES entries
+    keep under 32 KiB.
     """
     if not p.tau > alpha.dimension:
         raise ValueError("tau must exceed the frequency dimension")

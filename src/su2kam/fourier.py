@@ -11,16 +11,21 @@ Sobolev norms use the weight (1 + |k|^2)^s with the Euclidean |k| inside the
 weight (`mode_norm_grid`); the Fourier box itself is a max-norm box, and
 truncation reads `arithmetic.max_norm`, so that it matches the winding
 bounds of the resonance search.
+
+The pure tables of a box and of a grid (the Sobolev weights, the FFT bins of
+the box, the double-cover weights of the chain diagnostic) are memoised per
+process, read-only, like the box tables of `arithmetic`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .arithmetic import (Frequency, GridBudgetError, box_axes, box_centre, box_inner,
-                         box_windings, max_norm)
+from .arithmetic import (TABLE_ENTRIES, Frequency, GridBudgetError, box_axes, box_centre,
+                         box_inner, box_shells, box_windings, max_norm, read_only)
 from .su2 import (
     GroupElement,
     alg_exp_quat,
@@ -32,6 +37,10 @@ from .su2 import (
 
 
 GRID_POINTS = 1 << 22  # bound on the total points m^d of any grid
+
+# entries kept by the memoised weights of the chain diagnostic, each the
+# size of a half spectrum
+SPECTRUM_TABLES = 16
 
 
 class UndersampledGridError(ValueError):
@@ -67,9 +76,23 @@ def _phases(dimension: int, band: int, x) -> np.ndarray:
     return phase
 
 
+@lru_cache(maxsize=TABLE_ENTRIES)
 def mode_norm_grid(dimension: int, band: int) -> np.ndarray:
-    """Euclidean |k| on the coefficient box, the weight of the Sobolev norms."""
-    return np.sqrt(sum(a.astype(float) ** 2 for a in box_axes(dimension, band)))
+    """Euclidean |k| on the coefficient box, the weight of the Sobolev norms.
+    Memoised per (dimension, band), read-only; an entry holds (2 band + 1)^d
+    doubles, at most 16 MiB for a box whose grid fits GRID_POINTS, so
+    TABLE_ENTRIES x 16 MiB = 2 GiB at worst."""
+    return read_only(np.sqrt(sum(a.astype(float) ** 2 for a in box_axes(dimension, band))))
+
+
+@lru_cache(maxsize=TABLE_ENTRIES)
+def _sobolev_weight(dimension: int, band: int, s: float) -> np.ndarray:
+    """(1 + |k|^2)^s on the coefficient box, with a unit axis for the three
+    components.  Memoised per (dimension, band, s), read-only; an entry
+    holds (2 band + 1)^d doubles, at most 16 MiB for a box whose grid fits
+    GRID_POINTS, so TABLE_ENTRIES x 16 MiB = 2 GiB at worst."""
+    weight = (1.0 + mode_norm_grid(dimension, band) ** 2) ** s
+    return read_only(weight[..., None])
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +184,7 @@ class AlgebraMap:
         nothing to drop comes back as itself, with mass 0."""
         if not tol >= 0:
             raise ValueError("trim tolerance must be non-negative")
-        shell = max_norm(box_axes(self.dimension, self.band)).ravel()
+        shell = box_shells(self.dimension, self.band).ravel()
         mass = np.linalg.norm(self.coeffs, axis=-1).ravel()
         # above[b]: mass of the shells b+1..band, what keeping |k| <= b drops
         above = np.append(np.cumsum(np.bincount(shell, mass)[:0:-1])[::-1], 0.0)
@@ -244,10 +267,15 @@ class AlgebraMap:
 # -- module-level operations on AlgebraMap -----------------------------------
 
 
+@lru_cache(maxsize=TABLE_ENTRIES)
 def _half_index(band: int, m: int, dimension: int) -> tuple:
     """Bins of the modes |k| <= band with k_last >= 0 in an rfftn spectrum of
-    an m^d grid, or in its first band + 1 columns."""
-    return tuple(k % m for k in box_axes(dimension, band)[:-1]) + (np.arange(band + 1),)
+    an m^d grid, or in its first band + 1 columns.  Memoised per (band, m,
+    dimension), read-only; an entry holds d (2 band + 1) integers at most,
+    16 MiB for a box whose grid fits GRID_POINTS, so TABLE_ENTRIES x 16 MiB
+    = 2 GiB at worst."""
+    leading = tuple(read_only(k % m) for k in box_axes(dimension, band)[:-1])
+    return leading + (read_only(np.arange(band + 1)),)
 
 
 def synthesize(amap: AlgebraMap, m: int) -> np.ndarray:
@@ -302,9 +330,8 @@ def translate(amap: AlgebraMap, alpha) -> AlgebraMap:
 
 def sobolev_norm(amap: AlgebraMap, s: float) -> float:
     """(sum_k (1+|k|^2)^s |c(k)|^2)^(1/2), Euclidean |k|, all components."""
-    k2 = mode_norm_grid(amap.dimension, amap.band) ** 2
-    weight = (1.0 + k2) ** s
-    return float(np.sqrt(np.sum(weight[..., None] * np.abs(amap.coeffs) ** 2)))
+    weight = _sobolev_weight(amap.dimension, amap.band, s)
+    return float(np.sqrt(np.sum(weight * np.abs(amap.coeffs) ** 2)))
 
 
 def random_map(dimension: int, band: int, amplitude: float, rng,
@@ -512,6 +539,22 @@ class ConjugationChain:
                    int(data["dimension"]))
 
 
+@lru_cache(maxsize=SPECTRUM_TABLES)
+def _double_cover_weight(dimension: int, m: int, s: float) -> np.ndarray:
+    """(1 + |k|^2)^s on the half-integer frequencies of a real FFT of the
+    m^d double cover, the interior bins of the last axis counted twice: real
+    FFTs keep the k_last >= 0 half, and those bins stand for their conjugate
+    partners too.  Memoised per (dimension, m, s), read-only; an entry holds
+    m^(d-1) (m // 2 + 1) doubles, at most 16 MiB for a grid of GRID_POINTS,
+    so SPECTRUM_TABLES x 16 MiB = 256 MiB at worst."""
+    freqs = ([np.fft.fftfreq(m, d=1.0 / m) / 2.0] * (dimension - 1)
+             + [np.fft.rfftfreq(m, d=1.0 / m) / 2.0])
+    k2 = sum(g ** 2 for g in np.ix_(*freqs))
+    twice = np.full(m // 2 + 1, 2.0)
+    twice[[0, -1]] = 1.0
+    return read_only((1.0 + k2) ** s * twice)
+
+
 def chain_sobolev_partial(chain: ConjugationChain, s: float, m: int):
     """H^s norms of the application-order prefix products of the chain.
 
@@ -527,13 +570,7 @@ def chain_sobolev_partial(chain: ConjugationChain, s: float, m: int):
     if m < need:
         raise UndersampledGridError("grid %d undersamples chain content (need >= %d)" % (m, need))
     d = chain.dimension
-    # real FFTs keep the k_last >= 0 half; the interior bins of the last axis
-    # stand for their conjugate partners too, so they count twice
-    freqs = [np.fft.fftfreq(m, d=1.0 / m) / 2.0] * (d - 1) + [np.fft.rfftfreq(m, d=1.0 / m) / 2.0]
-    k2 = sum(g ** 2 for g in np.ix_(*freqs))
-    twice = np.full(m // 2 + 1, 2.0)
-    twice[[0, -1]] = 1.0
-    weight = (1.0 + k2) ** s * twice
+    weight = _double_cover_weight(d, m, s)
     norms = []
     for samples in chain.prefix_grids(m, span=2.0):
         # np.fft.rfftn's stages, the leading axes transformed in place

@@ -18,18 +18,20 @@ reabsorbed by the exact nonlinear update.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .arithmetic import (
+    FREQUENCY_TABLES,
     DiophParams,
     Frequency,
     ResonanceRecord,
     box_axes,
     box_inner,
+    box_shells,
     dist_to_Z,
-    max_norm,
+    read_only,
     relative_defect_minimum,
 )
 from . import fourier
@@ -283,6 +285,18 @@ class NormalForm(SchemeState):
 # homological solve
 
 
+@lru_cache(maxsize=FREQUENCY_TABLES)
+def _divisor_tables(alpha: Frequency, band: int):
+    """The theta-free tables of solve_homological on the box |k| <= band:
+    e(k.alpha) and the torus denominators e(k.alpha) - 1.  Memoised per
+    (alpha, band), read-only; an entry holds 2 (2 band + 1)^d complex
+    numbers, at most 64 MiB for a box whose grid fits fourier.GRID_POINTS,
+    so FREQUENCY_TABLES x 64 MiB = 2 GiB at worst."""
+    kalpha = sum(k * a for k, a in zip(box_axes(alpha.dimension, band), alpha.components))
+    unit = np.exp(2j * np.pi * kalpha)
+    return read_only(unit), read_only(unit - 1.0)
+
+
 def solve_homological(theta: float, f: AlgebraMap, alpha: Frequency, n: int, nu: float):
     """Solve Y(x+alpha) - Ad(A).Y(x) = F(x) - obstruction, mode by mode.
 
@@ -304,12 +318,10 @@ def solve_homological(theta: float, f: AlgebraMap, alpha: Frequency, n: int, nu:
         raise ValueError("nu must be positive")
     thr = float(n) ** -nu
     d, band = f.dimension, f.band
-    kalpha = sum(k * a for k, a in zip(box_axes(d, band), alpha.components))
-    unit = np.exp(2j * np.pi * kalpha)
-    e_den = unit - 1.0
+    unit, e_den = _divisor_tables(alpha, band)
     w_den = unit - np.exp(2j * np.pi * theta)
 
-    maxnorm = max_norm(box_axes(d, band))
+    maxnorm = box_shells(d, band)
     in_box = maxnorm <= n
     is_zero = maxnorm == 0
 

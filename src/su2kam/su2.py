@@ -111,13 +111,28 @@ def quat_rotation_matrix(q):
 
 
 def alg_exp_quat(coords):
-    """Group exponential of algebra coordinates; exp((1,0,0)) = -Id."""
+    """Group exponential of algebra coordinates; exp((1,0,0)) = -Id.
+
+    Computed in place in the output and one scratch grid, with the bits of
+    cos(pi n) and v * pi * np.sinc(n), n = np.linalg.norm(v, axis=-1)."""
     v = np.asarray(coords, dtype=float)
-    n = np.linalg.norm(v, axis=-1)
-    out = np.empty((4,) + n.shape)
-    np.cos(np.pi * n, out=out[0, ...])
-    # sin(pi n)/n, continuous at n = 0
-    np.multiply(components_first(v), np.pi * np.sinc(n), out=out[1:])
+    x0, x1, x2 = v[..., 0], v[..., 1], v[..., 2]
+    out = np.empty((4,) + v.shape[:-1])
+    n, spare = out[0, ...], out[1, ...]
+    # |v|^2 summed in the order np.linalg.norm sums the last axis
+    np.multiply(x0, x0, out=n)
+    n += np.multiply(x1, x1, out=spare)
+    n += np.multiply(x2, x2, out=spare)
+    np.sqrt(n, out=n)
+    # pi sin(y) / y at y = pi n; where n = 0, y is set tiny, so the ratio is
+    # exactly 1, as in np.sinc
+    y = np.multiply(n, np.pi, out=np.empty(n.shape))
+    y[y == 0.0] = 1e-20
+    factor = np.divide(np.sin(y, out=spare), y, out=y)
+    factor *= np.pi
+    n *= np.pi
+    np.cos(n, out=n)
+    np.multiply(components_first(v), factor, out=out[1:])
     return components_last(out)
 
 

@@ -158,10 +158,10 @@ def test_homological_identity_on_the_solve_box(d, band, dn, theta, seed):
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_solve_keeps_the_bits_of_its_kalpha_loop(d, monkeypatch):
+def test_solve_keeps_the_bits_of_its_kalpha_loop(d, monkeypatch, cold_tables):
     # the solve's k.alpha grid, a broadcast sum over the box axes, has the
     # bits of the per-axis reshape loop it replaced, written out here; the
-    # grid enters the solve as the argument of its first exp
+    # grid enters the solve, built afresh, as the argument of its first exp
     alpha = Frequency(tuple(np.random.default_rng(d).uniform(0, 1, d)))
     band = 4
     f = random_map(d, band, 1e-3, np.random.default_rng(0))
@@ -621,9 +621,10 @@ def test_exp_factor_run_converges_below_1e_15():
 
 
 # Peak memory of one step, and of its conjugation, above the memory at entry,
-# in quaternion grids of the step's conjugation size.  Both read 4.0-4.2;
-# a conjugation that keeps H(x) alive beside H(x + alpha) reads 5.25.
-PEAK_GRIDS = 4.5
+# in quaternion grids of the step's conjugation size.  They read 3.65 and
+# 3.25; a conjugation that keeps H(x) alive beside H(x + alpha) reads 4.4
+# and 4.25.
+PEAK_GRIDS = 4.0
 
 
 def _traced_peak(fn, *args):

@@ -183,6 +183,7 @@ def test_group_helpers_keep_their_bits(grid):
     a = _quaternions(rng, shape, 0.5)
     b = _quaternions(rng, shape, 0.5)
     v = rng.standard_normal(shape + (3,))
+    v.reshape(-1, 3)[1::3] = 0.0  # exact zeros pin the sinc guard at n = 0
     const = quat_normalize(rng.standard_normal(4))
     tiled = np.broadcast_to(const, shape + (4,))
     near = quat_mul(a[(0,) * d], quat_conj(a))  # close to the identity: no cut locus
@@ -192,7 +193,8 @@ def test_group_helpers_keep_their_bits(grid):
         for q in (la, const, tiled):
             assert np.array_equal(quat_conj(q), old_quat_conj(q))
             assert np.array_equal(quat_angle(q), old_quat_angle(q))
-        for w in (lv, v[(0,) * d], np.broadcast_to(v[(0,) * d], shape + (3,))):
+        for w in (lv, v[(0,) * d], np.broadcast_to(v[(0,) * d], shape + (3,)), np.zeros(3),
+                  np.zeros(shape + (3,))):
             assert np.array_equal(alg_exp_quat(w), old_alg_exp_quat(w))
         for q in (ln, near[(0,) * d], np.broadcast_to(near[(1,) * d], shape + (4,))):
             assert np.array_equal(alg_log_quat(q), old_alg_log_quat(q))
