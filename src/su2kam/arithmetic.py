@@ -120,11 +120,11 @@ class DiophParams:
 
 @dataclass(frozen=True)
 class ResonanceRecord:
-    """Winding k with its defect |beta - k.alpha|_Z at a given scale."""
+    """Winding k with its defect |beta - k.alpha|_Z and the threshold it is
+    judged against; the scale of the scan is the caller's, not the record's."""
 
     k: tuple
     defect: float
-    scale: int
     threshold: float
 
     def __post_init__(self):
@@ -228,8 +228,8 @@ def least_winding(alpha: Frequency, n: int, beta: float = 0.0, bound=None,
     on the half whose first nonzero component is positive.
 
     With `bound`, only violators (defect < bound(|k|)) take part.  Returns a
-    ResonanceRecord at scale n with threshold bound(|k|) (inf without a
-    bound), or None.
+    ResonanceRecord with threshold bound(|k|) (inf without a bound), or
+    None; the record does not keep n.
     """
     best = None
     first = box_centre(alpha.dimension, n) + 1 if canonical else 0
@@ -247,7 +247,7 @@ def least_winding(alpha: Frequency, n: int, beta: float = 0.0, bound=None,
         key = tuple(col[i] for col in columns)
         # strict: on a tie the earlier chunk, lexicographically smaller, stays
         if best is None or key < best[0]:
-            best = (key, ResonanceRecord(k[i], float(defect[i]), n, float(threshold[i])))
+            best = (key, ResonanceRecord(k[i], float(defect[i]), float(threshold[i])))
     return None if best is None else best[1]
 
 
@@ -267,17 +267,15 @@ def diophantine_witness(alpha: Frequency, p: DiophParams):
     return least_winding(alpha, p.horizon, bound=p.bound, canonical=True)
 
 
-def relative_defect_minimum(beta: float, alpha: Frequency, n: int, nu: float = None):
+def relative_defect_minimum(beta: float, alpha: Frequency, n: int, nu: float):
     """Winding minimising |beta - k.alpha|_Z over 0 < |k| <= n.
 
     Ties are broken by smallest |k| (max-norm), then lexicographically.
-    The returned record carries threshold n^-nu (nan when nu is None); it is
-    not gated on it.
+    The returned record carries threshold n^-nu; it is not gated on it.
     """
     if n < 1:
         raise ValueError("scale must be >= 1")
-    threshold = float(n) ** -nu if nu is not None else float("nan")
-    return replace(least_winding(alpha, n, beta), threshold=threshold)
+    return replace(least_winding(alpha, n, beta), threshold=float(n) ** -nu)
 
 
 def gauss_map(alpha: float) -> float:

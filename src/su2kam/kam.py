@@ -123,13 +123,7 @@ class ResonantStep:
     lambda_theta: float           # torus coordinate of the resonant constant
 
     def to_dict(self) -> dict:
-        return {
-            "step": self.step, "winding": list(self.winding),
-            "scale": self.scale, "threshold": self.threshold,
-            "defect_before": self.defect_before,
-            "defect_after": self.defect_after,
-            "lambda_theta": self.lambda_theta,
-        }
+        return {**self.__dict__, "winding": list(self.winding)}
 
 
 @dataclass(frozen=True)
@@ -151,9 +145,8 @@ class StepDiagnostics:
     tail_l1: float                # l1 mass of the modes it dropped
 
     def to_dict(self) -> dict:
-        d = self.__dict__.copy()
-        d["winding"] = list(self.winding) if self.winding is not None else None
-        return d
+        return {**self.__dict__,
+                "winding": list(self.winding) if self.winding is not None else None}
 
 
 @dataclass(frozen=True)
@@ -366,7 +359,13 @@ def detect_resonance(theta: float, alpha: Frequency, n: int, nu: float):
 
 def remove_resonance(state: SchemeState, record: ResonanceRecord) -> SchemeState:
     """Conjugate by a torus morphism of winding -k: theta -> theta - k.alpha,
-    j-component spectrum shifts by -k, ledger and chain are extended."""
+    j-component spectrum shifts by -k, ledger and chain are extended.
+
+    Bookkeeping only: it judges nothing and raises nothing.  Whether the
+    shifted constant is still resonant is for detect_resonance, which
+    kam_step runs again after the removal.  defect_after is
+    |theta - k.alpha|_Z from the operands of the resonance scan, so it
+    equals the record's defect."""
     k = record.k
     kalpha = state.alpha.dot(k)
     shifted = state.theta - kalpha
@@ -378,30 +377,19 @@ def remove_resonance(state: SchemeState, record: ResonanceRecord) -> SchemeState
     w_new = np.roll(f.w_field(), tuple(-c for c in k), axis=tuple(range(f.dimension)))
     f_new = AlgebraMap.from_fields(f.dimension, f.band, f.e_field(), w_new)
 
-    defect_after = float(dist_to_Z(shifted))
-    if defect_after > record.threshold + 1e-12:
-        raise CorruptStateError("removal left defect %.3g above threshold %.3g"
-                                % (defect_after, record.threshold))
-
     entry = ResonantStep(
-        step=state.step, winding=k, scale=record.scale,
+        step=state.step, winding=k, scale=state.scale,
         threshold=record.threshold, defect_before=record.defect,
-        defect_after=defect_after, lambda_theta=lam,
+        defect_after=float(dist_to_Z(shifted)), lambda_theta=lam,
     )
-    morphism = TorusMorphism(tuple(-c for c in k))
-    new_state = replace(
+    return replace(
         state,
         theta=shifted,
         perturbation=f_new,
-        chain=state.chain.prepended(morphism),
+        chain=state.chain.prepended(TorusMorphism(tuple(-c for c in k))),
         ledger=state.ledger + (entry,),
         sum_k_alpha=state.sum_k_alpha + kalpha,
     )
-    again = relative_defect_minimum(new_state.theta, state.alpha, record.scale)
-    if again.defect <= record.threshold:
-        raise CorruptStateError("constant still resonant after removal (winding %r)"
-                                % (again.k,))
-    return new_state
 
 
 def _diagnostics_row(state: SchemeState, norms, band_next: int, band_stored: int,
@@ -485,7 +473,12 @@ def _renormalize(samples: np.ndarray, band: int, chain: ConjugationChain,
 
 def kam_step(state: SchemeState, params: SchemeParams) -> SchemeState:
     """One scheme step: resonance handling, homological solve, exact grid
-    conjugation by exp(Y), renormalisation, scale growth."""
+    conjugation by exp(Y), renormalisation, scale growth.
+
+    A resonance that detect_resonance finds is removed, and the gate then
+    runs again on the shifted constant at the same scale: a second
+    resonance there is not removable (Eliasson's scheme needs one per
+    scale) and raises CorruptStateError."""
     norms = state.norms
     safety = float(state.scale) ** -SAFETY_EXPONENT
     if norms[0] > safety:
@@ -495,6 +488,10 @@ def kam_step(state: SchemeState, params: SchemeParams) -> SchemeState:
     record = detect_resonance(state.theta, state.alpha, state.scale, params.nu)
     if record is not None:
         state = remove_resonance(state, record)
+        again = detect_resonance(state.theta, state.alpha, state.scale, params.nu)
+        if again is not None:
+            raise CorruptStateError("constant still resonant after removal (winding %r)"
+                                    % (again.k,))
 
     w, _obstruction, _remainder = solve_homological(
         state.theta, state.perturbation, state.alpha, state.scale, params.nu)

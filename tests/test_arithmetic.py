@@ -261,7 +261,7 @@ def test_relative_exact_construction():
 def test_relative_zero_beta_golden():
     alpha = Frequency((GOLDEN,))
     assert detect_resonance(0.0, alpha, 10, 3.0) is None
-    rec = relative_defect_minimum(0.0, alpha, 10)
+    rec = relative_defect_minimum(0.0, alpha, 10, 3.0)
     assert abs(rec.k[0]) == 8
     assert rec.defect == pytest.approx(0.05572809000084078, abs=1e-15)
     assert rec.defect > 1e-3
@@ -290,7 +290,7 @@ def test_relative_closed_threshold_boundary():
 def test_relative_defect_positive_for_irrational():
     alpha = Frequency((GOLDEN,))
     for n in (5, 20, 100):
-        assert relative_defect_minimum(0.0, alpha, n).defect > 0.0
+        assert relative_defect_minimum(0.0, alpha, n, 3.0).defect > 0.0
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -316,8 +316,8 @@ def test_gauss_map_examples():
 
 def test_resonance_record_validation():
     with pytest.raises(ValueError):
-        ResonanceRecord((0,), 0.1, 10, 0.5)
-    rec = ResonanceRecord((3, -2), 1e-15, 10, 0.5)
+        ResonanceRecord((0,), 0.1, 0.5)
+    rec = ResonanceRecord((3, -2), 1e-15, 0.5)
     assert rec.knorm == 3
     assert rec.near_rational
 

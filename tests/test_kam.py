@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -23,6 +24,7 @@ from su2kam.fourier import (
     translate,
 )
 from su2kam.kam import (
+    CorruptStateError,
     DivergenceError,
     SchemeError,
     SchemeParams,
@@ -201,7 +203,7 @@ def test_detect_resonance_cases():
     # scan minimum at N = 32 for theta = 0 is |21 alpha|_Z ~ 0.0213
     from su2kam.arithmetic import relative_defect_minimum
 
-    rec = relative_defect_minimum(0.0, ALPHA, 32)
+    rec = relative_defect_minimum(0.0, ALPHA, 32, 4.0)
     assert abs(rec.k[0]) == 21
     assert rec.defect == pytest.approx(0.021286236252207047, abs=1e-14)
 
@@ -252,6 +254,50 @@ def test_remove_resonance_mode_shift():
     assert nb == 4 + k0
     assert new.perturbation.w_field()[nb + 2 - k0] == pytest.approx(1e-6)
     assert new.perturbation.e_field()[nb + 1] == pytest.approx(1e-6)
+
+
+# (alpha, scale, nu) per dimension: golden, the 2D test frequency, and the
+# 2^(1/4) field of the 3D config of tests/test_cli.py at its n0 and nu
+REMOVAL_CASES = {
+    1: ((GOLDEN,), 8, 4.0),
+    2: ((GOLDEN, math.sqrt(2.0) - 1.0), 4, 5.0),
+    3: ((2.0 ** 0.25 - 1.0, 2.0 ** 0.5 - 1.0, 2.0 ** 0.75 - 1.0), 6, 8.0),
+}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_removal_leaves_the_detected_defect(d):
+    # remove_resonance recomputes |theta - k.alpha|_Z from the operands of
+    # the resonance scan, so defect_after is defect_before bit for bit: a
+    # removal cannot leave the winding it removed above the threshold
+    components, n, nu = REMOVAL_CASES[d]
+    alpha = Frequency(components)
+    thr = float(n) ** -nu
+    rng = np.random.default_rng(d)
+    for _ in range(24):
+        k = tuple(int(c) for c in rng.integers(-n, n + 1, d))
+        if not any(k):
+            continue
+        theta = (alpha.dot(k) + rng.uniform(-0.9, 0.9) * thr) % 1.0
+        rec = detect_resonance(theta, alpha, n, nu)
+        assert rec is not None
+        state = SchemeState(alpha=alpha, theta=theta, perturbation=AlgebraMap.zeros(d, 1),
+                            scale=n)
+        entry = remove_resonance(state, rec).ledger[-1]
+        assert entry.defect_after == entry.defect_before == rec.defect
+        assert entry.scale == n
+
+
+def test_second_resonance_after_removal_raises():
+    # |(-2, 3).alpha|_Z = 0.0066 is below 2 * 4^-4: after the first removal
+    # at scale 4 the constant is resonant again, which the gate reports
+    chain = ConjugationChain((TorusMorphism((0, 0)),
+                              ExpFactor(random_map(2, 1, 1e-3, np.random.default_rng(0)))), 2)
+    phi = conjugate(chain, Cocycle(Frequency((GOLDEN, math.sqrt(2.0) - 1.0)), GroupElement(torus_quat(0.41796875)),
+                                   AlgebraMap.zeros(2, 0)))
+    with pytest.raises(CorruptStateError,
+                       match=re.escape("constant still resonant after removal (winding (2, -3))")):
+        run_scheme(phi, SchemeParams(n0=4, max_steps=2))
 
 
 def test_kam_step_zero_perturbation():
