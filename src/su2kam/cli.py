@@ -19,6 +19,7 @@ Exit codes: 0 success, 1 ground-truth mismatch, 2 invalid config,
 from __future__ import annotations
 
 import argparse
+import copy
 import hashlib
 import json
 import sys
@@ -112,10 +113,13 @@ def _check_entries(prefix: str, data: dict, hints: dict) -> None:
 class ExperimentConfig:
     """Declarative description of one synthetic experiment, checked against
     what the code reads whenever it is built: directly, by from_dict or by
-    dataclasses.replace.  Building it also resolves its typed parameters
-    once, as the plain attributes `alpha` (the Frequency), `dioph_params`
-    and `scheme_params`; they are not fields, so to_dict and digest leave
-    them out."""
+    dataclasses.replace.  Building it first takes a deep copy of its fields,
+    so the config owns its JSON: a later edit to the caller's dicts and
+    lists reaches none of the checked values, the echo, the digest or the
+    synthesis.  It also resolves its typed parameters once, as the
+    plain attributes `alpha` (the Frequency), `dioph_params` and
+    `scheme_params`; they are not fields, so to_dict and digest leave them
+    out."""
 
     frequency: dict = field(default_factory=lambda: {"preset": "golden"})
     theta: float = 0.17
@@ -130,6 +134,8 @@ class ExperimentConfig:
     csv_path: str | None = None
 
     def __post_init__(self):
+        # own a copy of the caller's JSON, set past the frozen __setattr__
+        vars(self).update(copy.deepcopy(vars(self)))
         for name, hint in CONFIG_FIELD_TYPES.items():
             _check_json_type(name, getattr(self, name), hint)
         for section, hints in SECTION_FIELD_TYPES.items():
@@ -190,8 +196,8 @@ class ExperimentConfig:
         """SHA-256 of the config without its output paths, which change no
         result: a run report and the source `synthesize` rebuilds from its
         config echo carry the same hash."""
-        canon = json.dumps({name: value for name, value in self.to_dict().items()
-                            if name not in ("report_path", "csv_path")}, sort_keys=True)
+        canon = json.dumps({f.name: getattr(self, f.name) for f in fields(self)
+                            if f.name not in ("report_path", "csv_path")}, sort_keys=True)
         return hashlib.sha256(canon.encode()).hexdigest()
 
 

@@ -76,13 +76,10 @@ def _phases(dimension: int, band: int, x) -> np.ndarray:
     return phase
 
 
-@lru_cache(maxsize=TABLE_ENTRIES)
 def mode_norm_grid(dimension: int, band: int) -> np.ndarray:
     """Euclidean |k| on the coefficient box, the weight of the Sobolev norms.
-    Memoised per (dimension, band), read-only; an entry holds (2 band + 1)^d
-    doubles, at most 16 MiB for a box whose grid fits GRID_POINTS, so
-    TABLE_ENTRIES x 16 MiB = 2 GiB at worst."""
-    return read_only(np.sqrt(sum(a.astype(float) ** 2 for a in box_axes(dimension, band))))
+    Not memoised: its one reader, _sobolev_weight, is."""
+    return np.sqrt(sum(a.astype(float) ** 2 for a in box_axes(dimension, band)))
 
 
 @lru_cache(maxsize=TABLE_ENTRIES)

@@ -30,7 +30,6 @@ from .arithmetic import (
     box_axes,
     box_inner,
     box_shells,
-    dist_to_Z,
     read_only,
     relative_defect_minimum,
 )
@@ -106,9 +105,6 @@ class SchemeParams:
         overrides.setdefault("nu", p.tau + 2.0)
         return cls(**overrides)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class ResonantStep:
@@ -174,12 +170,8 @@ class SchemeState:
         """Torus coordinate pulled back through all removal shifts."""
         return self.theta + self.sum_k_alpha
 
-    @property
-    def constant(self) -> GroupElement:
-        return GroupElement(torus_quat(self.theta))
-
     def cocycle(self) -> Cocycle:
-        return Cocycle(self.alpha, self.constant, self.perturbation)
+        return Cocycle(self.alpha, GroupElement(torus_quat(self.theta)), self.perturbation)
 
     @cached_property
     def norms(self) -> tuple:
@@ -230,9 +222,7 @@ class NormalForm(SchemeState):
         """Negative-regularity norms of the chain prefixes in application
         order, aligned so that entry i is the full chain as it stood when i
         factors existed; nan when the grid's m^d points would exceed
-        fourier.GRID_POINTS."""
-        if len(self.chain) == 0:
-            return []
+        fourier.GRID_POINTS; empty for an empty chain."""
         m = 2 * self.chain.content_bound() + 8
         if m ** self.alpha.dimension > fourier.GRID_POINTS:
             return [float("nan")] * len(self.chain)
@@ -242,7 +232,7 @@ class NormalForm(SchemeState):
     def to_dict(self) -> dict:
         return {
             "alpha": list(self.alpha.components),
-            "params": self.params.to_dict(),
+            "params": asdict(self.params),
             "converged": self.converged,
             "steps": self.steps,
             "constants": [row.theta for row in self.diagnostics],
@@ -260,18 +250,15 @@ class NormalForm(SchemeState):
         """Per-step diagnostics with fixed column order:
         n,N,resonant,k,F_H0,F_H1,Hprefix_Hneg
         """
-        prefix_norms = self.chain_prefix_norms()
+        # the empty prefix is the identity, of norm 1
+        prefix_norms = [1.0] + self.chain_prefix_norms()
         with open(path, "w") as stream:
             stream.write("n,N,resonant,k,F_H0,F_H1,Hprefix_Hneg\n")
             for row in self.diagnostics:
                 kcol = "" if row.winding is None else ";".join(str(c) for c in row.winding)
-                if row.chain_length == 0:
-                    hnorm = 1.0
-                else:
-                    hnorm = prefix_norms[row.chain_length - 1]
                 stream.write("%d,%d,%d,%s,%.17g,%.17g,%.17g\n" % (
                     row.step, row.scale, int(row.resonant), kcol,
-                    row.norm_f_h0, row.norm_f_h1, hnorm))
+                    row.norm_f_h0, row.norm_f_h1, prefix_norms[row.chain_length]))
 
 
 # ---------------------------------------------------------------------------
@@ -363,9 +350,9 @@ def remove_resonance(state: SchemeState, record: ResonanceRecord) -> SchemeState
 
     Bookkeeping only: it judges nothing and raises nothing.  Whether the
     shifted constant is still resonant is for detect_resonance, which
-    kam_step runs again after the removal.  defect_after is
-    |theta - k.alpha|_Z from the operands of the resonance scan, so it
-    equals the record's defect."""
+    kam_step runs again after the removal.  defect_after is the record's
+    defect: the scan computed |theta - k.alpha|_Z from the same operands,
+    bit for bit."""
     k = record.k
     kalpha = state.alpha.dot(k)
     shifted = state.theta - kalpha
@@ -380,7 +367,7 @@ def remove_resonance(state: SchemeState, record: ResonanceRecord) -> SchemeState
     entry = ResonantStep(
         step=state.step, winding=k, scale=state.scale,
         threshold=record.threshold, defect_before=record.defect,
-        defect_after=float(dist_to_Z(shifted)), lambda_theta=lam,
+        defect_after=record.defect, lambda_theta=lam,
     )
     return replace(
         state,

@@ -58,18 +58,16 @@ def rotation_vector(nf: NormalForm) -> RotationVector:
 
     The Cauchy certificate requires the accumulators of the last two
     recorded steps to agree within CAUCHY_TOL; otherwise the limit is not
-    resolved at this horizon.
+    resolved at this horizon.  A run that took no step has only its closing
+    row, and gap 0.
     """
     if not nf.converged:
         raise UnresolvedRotation("scheme did not converge; no rotation vector")
-    accumulators = [row.accumulator for row in nf.diagnostics]
-    if len(accumulators) >= 2:
-        gap = abs(accumulators[-1] - accumulators[-2])
-        if gap > CAUCHY_TOL:
-            raise UnresolvedRotation(
-                "rotation vector not resolved at this horizon (last gap %.3g)" % gap)
-    else:
-        gap = 0.0
+    last_two = [row.accumulator for row in nf.diagnostics[-2:]]
+    gap = abs(last_two[-1] - last_two[0])
+    if gap > CAUCHY_TOL:
+        raise UnresolvedRotation(
+            "rotation vector not resolved at this horizon (last gap %.3g)" % gap)
     provenance = {
         "steps": nf.steps,
         "resonant_steps": nf.resonant_count,

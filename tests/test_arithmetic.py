@@ -293,6 +293,11 @@ def test_relative_defect_positive_for_irrational():
         assert relative_defect_minimum(0.0, alpha, n, 3.0).defect > 0.0
 
 
+def test_relative_defect_minimum_needs_a_positive_scale():
+    with pytest.raises(ValueError, match="scale must be >= 1"):
+        relative_defect_minimum(0.0, Frequency((GOLDEN,)), 0, 3.0)
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_dc_iff_relative_dc_at_zero(d):
     # alpha in DC(gamma, tau, K) iff beta = 0 obeys the same relative bounds
@@ -317,6 +322,8 @@ def test_gauss_map_examples():
 def test_resonance_record_validation():
     with pytest.raises(ValueError):
         ResonanceRecord((0,), 0.1, 0.5)
+    with pytest.raises(ValueError, match="defect must be nonnegative"):
+        ResonanceRecord((1,), -1e-3, 0.5)
     rec = ResonanceRecord((3, -2), 1e-15, 0.5)
     assert rec.knorm == 3
     assert rec.near_rational

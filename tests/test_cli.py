@@ -268,7 +268,7 @@ def test_main_flag_and_config_precedence(tmp_path, capsys):
     assert doc["ground_truth"]["theta"] == pytest.approx(0.31)
 
 
-def test_main_config_error_exit(tmp_path):
+def test_main_config_error_exit(tmp_path, capsys):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps({"frequency": {"preset": "nope"}}))
     assert main(["run", "--config", str(cfg_path)]) == EXIT_CONFIG
@@ -285,6 +285,14 @@ def test_main_config_error_exit(tmp_path):
         assert main([command, "--config", str(cfg_path)]) == EXIT_CONFIG
         # n0 = 0 reaches SchemeParams, whose validation maps to the config exit
         assert main([command, "--theta", "0.25", "--n0", "0"]) == EXIT_CONFIG
+    capsys.readouterr()
+    # a frequency flag that is neither a preset nor a list of numbers
+    assert main(["run", "--frequency", "0.3,abc"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: cannot parse frequency '0.3,abc'\n"
+    # a Diophantine constant that DiophParams rejects
+    cfg_path.write_text(json.dumps({"dioph": {"gamma": 0}}))
+    assert main(["run", "--config", str(cfg_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: gamma must be positive\n"
 
 
 def test_main_flags_merge_into_the_config_scheme(tmp_path):
@@ -321,6 +329,7 @@ def test_main_flags_merge_into_the_config_scheme(tmp_path):
     {"dioph": {"gama": 1e-9}},
     {"perturbation": {"band": 4, "amp": 0.5}},
     {"chain": [{"kind": "exp", "bnd": 40}]},
+    {"chain": [{"kind": "spiral"}]},
     {"scheme": {"max_scale": 5}},
     {"scheme": {"safety_exponent": 2.0}},
     {"scheme": {"initial_bound": 1e-2}},
@@ -387,6 +396,25 @@ def test_a_bad_constant_element_exits_config_before_any_work(
     # a config built directly is checked the same way
     with pytest.raises(ConfigError, match=re.escape(message)):
         ExperimentConfig(chain=chain)
+
+
+def test_config_owns_its_json():
+    # edits to the caller's dicts and lists after from_dict reach neither
+    # the echo, nor the digest, nor the synthesis
+    data = {"frequency": {"preset": "golden"}, "theta": 0.17,
+            "chain": [{"kind": "torus", "winding": [3]},
+                      {"kind": "exp", "band": 3, "amplitude": 1e-3}],
+            "perturbation": {"band": 4, "amplitude": 1e-4}, "scheme": {"n0": 8}, "seed": 3}
+    cfg = ExperimentConfig.from_dict(data)
+    echo, digest = cfg.to_dict(), cfg.digest()
+    phi, truth = synthesize_cocycle(cfg)
+    data["scheme"]["n0"] = "eight"
+    data["chain"][1]["band"] = -5
+    assert cfg.to_dict() == echo
+    assert cfg.digest() == digest
+    again, truth_again = synthesize_cocycle(cfg)
+    assert again.to_dict() == phi.to_dict() and truth_again == truth
+    assert cfg.scheme_params.n0 == 8
 
 
 def test_config_is_frozen_and_checked_on_every_construction():
@@ -666,6 +694,23 @@ def test_run_experiment_three_dimensional_resonant_twin():
     # under tol
     witness = report["truth_comparison"]["witness"]
     assert witness["k"] == [0, 0, 0] and witness["residual"] < 1e-8
+
+
+def test_main_run_without_a_report_prints_the_report(capsys):
+    # one line: the sorted JSON of the report that run_experiment returns
+    assert main(["run", "--theta", "0.25"]) == EXIT_OK
+    report, code = run_experiment(ExperimentConfig(theta=0.25))
+    assert code == EXIT_OK
+    assert capsys.readouterr().out == json.dumps(report, sort_keys=True) + "\n"
+
+
+def test_run_without_a_chain_writes_one_csv_row(tmp_path):
+    # no perturbation and no chain: the initial state is already converged,
+    # its chain stays empty, and the closing row's prefix norm is the
+    # identity's
+    csv_path = tmp_path / "d.csv"
+    assert main(["run", "--theta", "0.17", "--csv", str(csv_path)]) == EXIT_OK
+    assert csv_path.read_text() == "n,N,resonant,k,F_H0,F_H1,Hprefix_Hneg\n0,8,0,,0,0,1\n"
 
 
 def test_main_output_files_match_stdout(tmp_path, capsys):

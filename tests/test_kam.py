@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -267,9 +268,9 @@ REMOVAL_CASES = {
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_removal_leaves_the_detected_defect(d):
-    # remove_resonance recomputes |theta - k.alpha|_Z from the operands of
-    # the resonance scan, so defect_after is defect_before bit for bit: a
-    # removal cannot leave the winding it removed above the threshold
+    # |theta - k.alpha|_Z of the shifted constant is the scan's defect bit
+    # for bit, so remove_resonance records the scan's defect as defect_after:
+    # a removal cannot leave the winding it removed above the threshold
     components, n, nu = REMOVAL_CASES[d]
     alpha = Frequency(components)
     thr = float(n) ** -nu
@@ -283,8 +284,10 @@ def test_removal_leaves_the_detected_defect(d):
         assert rec is not None
         state = SchemeState(alpha=alpha, theta=theta, perturbation=AlgebraMap.zeros(d, 1),
                             scale=n)
-        entry = remove_resonance(state, rec).ledger[-1]
+        removed = remove_resonance(state, rec)
+        entry = removed.ledger[-1]
         assert entry.defect_after == entry.defect_before == rec.defect
+        assert float(dist_to_Z(removed.theta)) == rec.defect
         assert entry.scale == n
 
 
@@ -298,6 +301,16 @@ def test_second_resonance_after_removal_raises():
     with pytest.raises(CorruptStateError,
                        match=re.escape("constant still resonant after removal (winding (2, -3))")):
         run_scheme(phi, SchemeParams(n0=4, max_steps=2))
+
+
+def test_scheme_operations_reject_a_bad_scale_or_nu():
+    f = AlgebraMap.zeros(1, 2)
+    with pytest.raises(ValueError, match="scale must be positive"):
+        solve_homological(0.17, f, ALPHA, 0, 4.0)
+    with pytest.raises(ValueError, match="nu must be positive"):
+        solve_homological(0.17, f, ALPHA, 8, 0.0)
+    with pytest.raises(ValueError, match="nu must be positive"):
+        detect_resonance(0.17, ALPHA, 8, 0.0)
 
 
 def test_kam_step_zero_perturbation():
@@ -400,6 +413,20 @@ def test_run_scheme_planted_resonance():
     assert entry.defect_before == pytest.approx(delta, rel=1e-6)
     assert entry.defect_after < entry.threshold
     assert nf.replay_error() < 1e-12
+
+
+def test_run_scheme_stops_when_a_step_grows_the_perturbation(monkeypatch):
+    # a step that leaves ten times the perturbation it was given: the scheme
+    # raises after that step, with the state the step left
+    step = kam.kam_step
+    monkeypatch.setattr(kam, "kam_step", lambda state, params: replace(
+        step(state, params), perturbation=10.0 * state.perturbation))
+    phi = Cocycle(ALPHA, GroupElement(torus_quat(0.17)),
+                  random_map(1, 4, 1e-4, np.random.default_rng(5)))
+    with pytest.raises(DivergenceError, match=re.escape(
+            "perturbation grew from 0.0001 to 0.001 at step 0")) as info:
+        run_scheme(phi, SchemeParams(nu=4.0))
+    assert info.value.state.step == 1
 
 
 def test_run_scheme_nonperturbative_rejected():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -63,6 +64,17 @@ def test_rotation_vector_requires_convergence():
     nf = run_scheme(phi, SchemeParams(max_steps=1, stop_tolerance=1e-30))
     assert not nf.converged
     with pytest.raises(UnresolvedRotation):
+        rotation_vector(nf)
+
+
+def test_rotation_vector_requires_a_small_cauchy_gap():
+    # the second-to-last accumulator 1e-7 from the last, past CAUCHY_TOL
+    _phi, nf = scheme_run(0.17, seed=1)
+    rows = nf.diagnostics
+    moved = dataclasses.replace(rows[-2], accumulator=rows[-1].accumulator + 1e-7)
+    nf = dataclasses.replace(nf, diagnostics=rows[:-2] + (moved, rows[-1]))
+    with pytest.raises(UnresolvedRotation, match=re.escape(
+            "rotation vector not resolved at this horizon (last gap 1e-07)")):
         rotation_vector(nf)
 
 

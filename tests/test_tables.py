@@ -23,7 +23,6 @@ PAIR = Frequency((GOLDEN, SQRT2))
 ARRAY_TABLES = (
     (arithmetic.box_axes, (2, 3)),
     (arithmetic.box_shells, (2, 3)),
-    (fourier.mode_norm_grid, (2, 3)),
     (fourier._sobolev_weight, (2, 3, -5.0)),
     (fourier._half_index, (3, 16, 2)),
     (fourier._double_cover_weight, (2, 16, -5.0)),
