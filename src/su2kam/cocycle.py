@@ -12,6 +12,7 @@ and never changes alpha.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .su2 import (
     GroupElement,
     alg_exp_quat,
     alg_log_quat,
+    blockwise,
     quat_angle,
     quat_conj,
     quat_mul,
@@ -56,8 +58,10 @@ class Cocycle:
         return self.alpha.dimension
 
     def fiber_grid(self, m: int) -> np.ndarray:
-        """Quaternion samples of A exp(F) on the m^d grid."""
-        return quat_mul(self.constant.q, alg_exp_quat(synthesize(self.perturbation, m)))
+        """Quaternion samples of A exp(F) on the m^d grid: F is synthesized
+        whole, then exponentiated and multiplied block by block."""
+        return blockwise(partial(synthesize, self.perturbation, m), alg_exp_quat,
+                         partial(quat_mul, self.constant.q))
 
     def fiber_at(self, x) -> np.ndarray:
         """A exp(F(x)) at points x of shape (..., d): shape x.shape[:-1] + (4,)."""
@@ -90,15 +94,19 @@ def fiber_mean(samples: np.ndarray) -> np.ndarray:
     return quat_normalize(mean)
 
 
-def fiber_log(samples: np.ndarray, reference: np.ndarray, band: int) -> AlgebraMap:
-    """F with fiber = reference exp(F): the logarithm of reference^-1 fiber,
-    analysed on the band.  Raises CutLocusError when a sample is too far
-    from the reference for the logarithm, and NormalizationError when the
-    synthesis error of F against the sampled logarithm exceeds
-    RESYNTHESIS_TOL: the band does not resolve the fiber."""
-    m = samples.shape[0]
-    logs = alg_log_quat(quat_mul(quat_conj(reference), samples))
-    del samples  # freed before the analysis unless the caller keeps a reference
+def fiber_log(samples: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """The grid of F with fiber = reference exp(F): the logarithm of
+    reference^-1 fiber, block by block.  Raises CutLocusError when a sample
+    is too far from the reference for the logarithm."""
+    return blockwise(samples, partial(quat_mul, quat_conj(reference)), alg_log_quat)
+
+
+def log_map(logs: np.ndarray, band: int) -> AlgebraMap:
+    """F analysed on the band from its grid, fiber_log's.  Raises
+    NormalizationError when the synthesis error of F against the sampled
+    logarithm exceeds RESYNTHESIS_TOL: the band does not resolve the
+    fiber."""
+    m = logs.shape[0]
     amap = analyze(logs, band)
     resynthesis = synthesize(amap, m)
     resynthesis -= logs
@@ -110,25 +118,38 @@ def fiber_log(samples: np.ndarray, reference: np.ndarray, band: int) -> AlgebraM
 
 
 def normalize(samples: np.ndarray, alpha: Frequency, band: int) -> Cocycle:
-    """Extract (A, F) from raw fiber samples: A is their fiber_mean, F their
-    fiber_log relative to A.  Every failure raises NormalizationError."""
+    """Extract (A, F) from raw fiber samples: A is their fiber_mean, F the
+    log_map of their fiber_log relative to A.  Every failure raises
+    NormalizationError."""
     samples = np.asarray(samples, dtype=float)
     a = fiber_mean(samples)
     try:
-        amap = fiber_log(samples, a, band)
+        logs = fiber_log(samples, a)
     except CutLocusError as exc:
         raise NormalizationError("fiber not close to a constant: %s" % exc) from exc
-    return Cocycle(alpha, GroupElement(a), amap)
+    return Cocycle(alpha, GroupElement(a), log_map(logs, band))
+
+
+def _times_right(h, samples):
+    return quat_mul(samples, h)
 
 
 def conjugate_raw(chain: ConjugationChain, phi: Cocycle, m: int) -> np.ndarray:
     """Samples of H(x+alpha) fiber(x) H(x)^-1 on the m^d grid, unnormalised.
-    fiber(x) H(x)^-1 is built first, so H(x) is freed before H(x+alpha) is
-    sampled."""
+
+    The fiber grid is the one sample grid: H(x)^-1 is multiplied into it on
+    the right, then H(x+alpha) on the left, in place, block by block
+    (su2.blockwise).  Each side synthesizes the chain's field once, whole,
+    and lifts it block by block, so a lone exp factor, the scheme step's
+    chain, is exponentiated one block at a time and exp(Y) is never a
+    whole grid.  Each product keeps the bits of the whole-grid one."""
     if chain.dimension != phi.dimension:
         raise ValueError("chain dimension does not match the cocycle")
-    right = quat_mul(phi.fiber_grid(m), quat_conj(chain.grid(m)))
-    return quat_mul(chain.grid(m, offset=phi.alpha.vector), right)
+    samples = phi.fiber_grid(m)
+    samples = blockwise(partial(chain.field, m), chain.lift, quat_conj, _times_right,
+                        into=samples)
+    return blockwise(partial(chain.field, m, phi.alpha.vector), chain.lift, quat_mul,
+                     into=samples)
 
 
 def conjugate(chain: ConjugationChain, phi: Cocycle) -> Cocycle:

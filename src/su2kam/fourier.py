@@ -20,7 +20,7 @@ process, read-only, like the box tables of `arithmetic`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .arithmetic import (TABLE_ENTRIES, Frequency, GridBudgetError, box_axes, bo
 from .su2 import (
     GroupElement,
     alg_exp_quat,
+    blockwise,
     components_first,
     components_last,
     quat_mul,
@@ -422,23 +423,34 @@ class ExpFactor:
     def evaluate_at(self, x) -> np.ndarray:
         return alg_exp_quat(self.map.evaluate_at(x))
 
+    def field(self, m: int, offset=None) -> np.ndarray:
+        """Y on the m^d grid, shifted by offset: the grid before exp."""
+        return synthesize(self.map if offset is None else translate(self.map, offset), m)
+
     def grid(self, m: int, offset=None, span: float = 1.0) -> np.ndarray:
-        amap = self.map if offset is None else translate(self.map, offset)
         if span == 1.0:
-            return alg_exp_quat(synthesize(amap, m))
+            return blockwise(partial(self.field, m, offset), alg_exp_quat)
         if span != 2.0:
             raise ValueError("span must be 1 or 2")
         if m % 2:
             raise ValueError("double-cover sampling needs an even grid")
-        # exp is pointwise, so one period is exponentiated, then tiled
-        period = components_first(alg_exp_quat(synthesize(amap, m // 2)))
-        return components_last(np.tile(period, (1,) + (2,) * self.dimension))
+        # exp is pointwise, so one period is exponentiated, then copied into
+        # each of the 2^d cells, with no intermediate grid as np.tile makes
+        h, d = m // 2, self.dimension
+        period = components_first(blockwise(partial(self.field, h, offset), alg_exp_quat))
+        tiled = np.empty((4,) + (2, h) * d)
+        tiled[...] = period.reshape((4,) + (1, h) * d)
+        return components_last(tiled.reshape((4,) + (m,) * d))
 
     def inverse(self) -> "ExpFactor":
         return ExpFactor((-1.0) * self.map)
 
     def to_dict(self) -> dict:
         return {"type": "exp", "map": self.map.to_dict()}
+
+
+def _unchanged(q):
+    return q
 
 
 def factor_from_dict(data: dict):
@@ -485,11 +497,18 @@ class ConjugationChain:
 
     def prefix_grids(self, m: int, offset=None, span: float = 1.0):
         """Grids (read-only views) of the application-order prefixes: prefix
-        i+1 is the next newer factor's grid times prefix i."""
+        i+1 is the next newer factor's grid times prefix i, multiplied into
+        prefix i in place, block by block (su2.blockwise).  The factor's
+        grid is released before the yield, so a caller that transforms a
+        prefix holds one grid beside its transform; a yielded grid is valid
+        until the generator resumes, which may write the next prefix over
+        it."""
         acc = None
         for f in reversed(self.factors):
             g = f.grid(m, offset, span)
-            acc = g if acc is None else quat_mul(g, acc)
+            # a constant prefix is a point, one block: the product is new
+            acc = g if acc is None else blockwise(g, quat_mul, into=acc)
+            del g
             yield np.broadcast_to(acc, (m,) * self.dimension + (4,))
 
     def grid(self, m: int, offset=None, span: float = 1.0) -> np.ndarray:
@@ -498,6 +517,23 @@ class ConjugationChain:
         for last in self.prefix_grids(m, offset, span):
             pass
         return last
+
+    @property
+    def lift(self):
+        """The pointwise map from `field` to the chain's grid: exp for a
+        lone exp factor, else nothing to do."""
+        if len(self.factors) == 1 and isinstance(self.factors[0], ExpFactor):
+            return alg_exp_quat
+        return _unchanged
+
+    def field(self, m: int, offset=None) -> np.ndarray:
+        """The chain's grid before its pointwise `lift`, which a caller
+        applies block by block (su2.blockwise): a lone exp factor's
+        synthesized Y, so exp(Y) is never a whole grid; any other chain's
+        grid."""
+        if self.lift is alg_exp_quat:
+            return self.factors[0].field(m, offset)
+        return self.grid(m, offset)
 
     def application_prefixes(self):
         """Partial products in the order the factors were applied: the i-th

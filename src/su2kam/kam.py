@@ -18,7 +18,7 @@ reabsorbed by the exact nonlinear update.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields, replace
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -34,7 +34,8 @@ from .arithmetic import (
     relative_defect_minimum,
 )
 from . import fourier
-from .cocycle import Cocycle, NormalizationError, conjugate_raw, fiber_log, fiber_mean
+from .cocycle import (Cocycle, NormalizationError, conjugate_raw, fiber_log, fiber_mean,
+                      log_map)
 from .fourier import (
     AlgebraMap,
     ConjugationChain,
@@ -48,7 +49,8 @@ from .fourier import (
 from .su2 import (
     CutLocusError,
     GroupElement,
-    alg_log_quat,
+    alg_log_e,
+    blockwise,
     diagonalize,
     quat_angle,
     quat_conj,
@@ -400,10 +402,11 @@ def _diagnostics_row(state: SchemeState, norms, band_next: int, band_stored: int
     )
 
 
-def _renormalize(samples: np.ndarray, band: int, chain: ConjugationChain,
+def _renormalize(sample, band: int, chain: ConjugationChain,
                  params: SchemeParams, theta_prev: float = 0.0,
                  constant: GroupElement = None):
-    """Constant-times-exponential form of fiber samples on the fixed torus.
+    """Constant-times-exponential form, on the fixed torus, of the fiber
+    samples that sample() builds.
 
     The frame p is diagonalize(constant, theta_prev), where `constant` is
     by default the samples' cocycle.fiber_mean: p turns the constant's axis
@@ -416,20 +419,24 @@ def _renormalize(samples: np.ndarray, band: int, chain: ConjugationChain,
     constant torus mode: one shift by the grid mean of the e component of
     log(exp(-theta e) . samples) moves c_e(0), which no homological solve
     removes, into the constant, as in Eliasson's scheme, and leaves it at
-    round-off (a second pass changes no outcome).  The samples'
-    cocycle.fiber_log relative to exp(theta e) is taken on the band and
-    stored on its content box.
+    round-off (a second pass changes no outcome).  The log_map of the
+    samples' cocycle.fiber_log relative to exp(theta e) is taken on the band
+    and stored on its content box.
     Returns the perturbation, theta, the l1 mass the trim dropped, and the
     chain.
 
-    The callers pass the grid inline and keep no reference to it: the
-    straightened grid replaces the raw one as soon as it exists, so one
-    sample grid is alive through the logarithms and the analysis; the
-    logarithm of the shift is a temporary.
+    One sample grid is alive at a time, and none during the analysis.  The
+    grid is built here, so no caller holds it.  The frame turn runs in place
+    and the logarithms block by block (su2.blockwise): the shift's e
+    coordinates go to one scalar grid, and the logarithms are written once,
+    to their own grid, after which the sample grid is released.  The fiber
+    mean, the shift's mean, and log_map's transforms and resynthesis maximum
+    stay whole-grid: a sum's rounding depends on its order, and a transform
+    reads every point.
 
     Whatever part of the straightened constant lies off the torus goes into
     the perturbation, so the renormalisation is exact up to the resynthesis
-    error, which fiber_log bounds (a failure raises SchemeError), and up to
+    error, which log_map bounds (a failure raises SchemeError), and up to
     the trim.  Raises NormalizationError when the fiber mean collapses and
     CutLocusError when a sample is too far from exp(theta e) for the
     logarithm.
@@ -443,19 +450,27 @@ def _renormalize(samples: np.ndarray, band: int, chain: ConjugationChain,
     (max_steps + 1) * TAIL_SHARE * stop_tolerance, the initial state's trim
     included.
     """
+    samples = sample()
     if constant is None:
         constant = GroupElement(fiber_mean(samples))
     p_frame, theta = diagonalize(constant, theta_prev)
     if not np.array_equal(p_frame.q, np.array([1.0, 0.0, 0.0, 0.0])):
-        samples = quat_mul(p_frame.q, quat_mul(samples, quat_conj(p_frame.q)))
+        samples = blockwise(quat_conj(p_frame.q), partial(_turned, p_frame.q), into=samples)
         chain = chain.prepended(ConstantFactor(p_frame))
-    theta += np.mean(alg_log_quat(quat_mul(quat_conj(torus_quat(theta)), samples))[..., 0])
+    theta += np.mean(blockwise(samples, partial(quat_mul, quat_conj(torus_quat(theta))),
+                               alg_log_e))
+    logs = fiber_log(samples, torus_quat(theta))
+    del samples
     try:
-        f = fiber_log(samples, torus_quat(theta), band)
+        f = log_map(logs, band)
     except NormalizationError as exc:
         raise SchemeError(str(exc)) from exc
     f, dropped = f.trimmed(TAIL_SHARE * params.stop_tolerance)
     return f, theta, dropped, chain
+
+
+def _turned(p, p_conj, samples):
+    return quat_mul(p, quat_mul(samples, p_conj))
 
 
 def kam_step(state: SchemeState, params: SchemeParams) -> SchemeState:
@@ -495,10 +510,9 @@ def kam_step(state: SchemeState, params: SchemeParams) -> SchemeState:
     if np.any(y.coeffs != 0):
         chain = chain.prepended(ExpFactor(y))
     try:
-        # the conjugated grid goes inline, so that _renormalize holds it alone
         f_next, theta_next, dropped, chain = _renormalize(
-            conjugate_raw(ConjugationChain((ExpFactor(y),), d), state.cocycle(),
-                          grid_size(band_next, d)),
+            partial(conjugate_raw, ConjugationChain((ExpFactor(y),), d), state.cocycle(),
+                    grid_size(band_next, d)),
             band_next, chain, params, theta_prev=state.theta)
     except (NormalizationError, CutLocusError) as exc:
         raise DivergenceError(
@@ -522,7 +536,7 @@ def initial_state(phi: Cocycle, params: SchemeParams) -> SchemeState:
     the fixed torus as every step does; the normal form starts empty."""
     band = phi.perturbation.band
     perturbation, theta, dropped, chain = _renormalize(
-        phi.fiber_grid(grid_size(band, phi.dimension)), band,
+        partial(phi.fiber_grid, grid_size(band, phi.dimension)), band,
         ConjugationChain((), phi.dimension), params, constant=phi.constant)
     return SchemeState(
         alpha=phi.alpha, theta=theta, perturbation=perturbation,

@@ -20,11 +20,26 @@ contiguous.  Elementwise results do not depend on the layout; a reduction
 whose order does (a sum over the whole grid) is taken on a C-ordered copy.
 GroupElement holds one validated element, as read from configs and stored
 in conjugation factors.
+
+A pointwise pass over a grid runs through `blockwise`, in blocks of at
+most BLOCK_POINTS consecutive points: each block is the same slice of every
+component's contiguous row, and a pass run in place writes its result over
+the block it read.  So a pass holds block-sized temporaries beside its
+whole-grid operands, and every point is computed as it is on the whole
+grid, bit for bit.  Reductions and transforms are not pointwise and stay
+whole-grid: a sum's rounding depends on its order, and an FFT reads every
+point.  A grid of one block (up to 8192 points: a 2D grid up to 90^2, and
+any 1D grid the scheme reaches in practice) runs its passes on the whole
+grid, with nothing allocated beside them.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+
+# points per block of a pointwise pass, which fits a pass's temporaries in cache
+BLOCK_POINTS = 8192
 
 
 class CutLocusError(ValueError):
@@ -43,6 +58,64 @@ def components_first(q):
 def components_last(c):
     """View of a component-major array c with its components trailing."""
     return c.transpose(tuple(range(1, c.ndim)) + (0,))
+
+
+def _rows(grid):
+    """View of a component-major grid as one contiguous row per component."""
+    c = components_first(grid)
+    return c.reshape(c.shape[0], -1)
+
+
+def blockwise(source, *passes, into=None):
+    """Apply pointwise passes in turn to a grid, BLOCK_POINTS points at a
+    time.
+
+    source is a component-major grid (..., c), one point (c,) that every
+    block shares, or a function of no arguments that builds either.  Without
+    `into`, the last pass's results fill a new component-major grid of
+    source's points, a scalar grid if that pass drops the component axis.
+    With `into`, a component-major grid, the last pass takes each block and
+    the same block of `into`, and its result is written over that block of
+    `into`, which is returned.
+
+    A grid of at most BLOCK_POINTS points, or an `into` of one point, is
+    one block: the passes take the whole grids, and the last pass's result
+    is returned, with no grid allocated or written beside it, so the caller
+    rebinds `into` to the result.  A source that blockwise builds is freed
+    once the first pass has read it, since no caller holds it (CPython 3.10
+    holds an argument passed inline until the call returns).
+    """
+    if callable(source):
+        source = source()
+    grid = source if into is None else into
+    points = grid.size // grid.shape[-1]
+    if points <= BLOCK_POINTS:
+        for step in passes[:-1]:
+            source = step(source)
+        return passes[-1](source) if into is None else passes[-1](source, into)
+    rows = _rows(source) if source.ndim > 1 else None
+    target = None
+    if into is not None:
+        target = _rows(into)
+        if not np.may_share_memory(target, into):
+            raise ValueError("blockwise writes only into a component-major grid")
+    out = None
+    for start in range(0, points, BLOCK_POINTS):
+        block = slice(start, start + BLOCK_POINTS)
+        x = source if rows is None else components_last(rows[:, block])
+        for step in passes[:-1]:
+            x = step(x)
+        if target is not None:
+            target[:, block] = components_first(passes[-1](x, components_last(target[:, block])))
+            continue
+        x = passes[-1](x)
+        if out is None:
+            out = np.empty(x.shape[1:] + (points,))
+        out[..., block] = components_first(x)
+    if target is not None:
+        return into
+    out = out.reshape(out.shape[:-1] + grid.shape[:-1])
+    return components_last(out) if out.ndim > grid.ndim - 1 else out
 
 
 def quat_mul(a, b):
@@ -136,6 +209,15 @@ def alg_exp_quat(coords):
     return components_last(out)
 
 
+def _log_factor(q, cut_margin):
+    """The scale that maps the vector part of q to its logarithm."""
+    s = np.linalg.norm(q[..., 1:], axis=-1)
+    phi = np.arctan2(s, q[..., 0])
+    if np.any(phi > np.pi * (1.0 - cut_margin)):
+        raise CutLocusError("logarithm within %g of -Id" % cut_margin)
+    return np.where(s > 1e-300, phi / (np.pi * np.maximum(s, 1e-300)), 1.0 / np.pi)
+
+
 def alg_log_quat(q, cut_margin=1e-9):
     """Principal logarithm in algebra coordinates; |result| < 1.
 
@@ -143,15 +225,16 @@ def alg_log_quat(q, cut_margin=1e-9):
     scale where d(Id, -Id) = 1) of -Id, where the log branches.
     """
     q = np.asarray(q, dtype=float)
-    vec = q[..., 1:]
-    s = np.linalg.norm(vec, axis=-1)
-    phi = np.arctan2(s, q[..., 0])
-    if np.any(phi > np.pi * (1.0 - cut_margin)):
-        raise CutLocusError("logarithm within %g of -Id" % cut_margin)
-    factor = np.where(s > 1e-300, phi / (np.pi * np.maximum(s, 1e-300)), 1.0 / np.pi)
-    out = np.empty((3,) + s.shape)
-    np.multiply(components_first(vec), factor, out=out)
+    factor = _log_factor(q, cut_margin)
+    out = np.empty((3,) + factor.shape)
+    np.multiply(components_first(q[..., 1:]), factor, out=out)
     return components_last(out)
+
+
+def alg_log_e(q, cut_margin=1e-9):
+    """The e coordinate of alg_log_quat(q), the others never computed."""
+    q = np.asarray(q, dtype=float)
+    return q[..., 1] * _log_factor(q, cut_margin)
 
 
 def torus_quat(theta):

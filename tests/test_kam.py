@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from su2kam import arithmetic, cocycle, fourier, kam
+from su2kam import arithmetic, cocycle, fourier, kam, su2
 from su2kam.arithmetic import DiophParams, Frequency, box_axes, dist_to_Z, max_norm
 from su2kam.cli import ExperimentConfig, synthesize_cocycle
 from su2kam.cocycle import Cocycle, NormalizationError, conjugate, conjugate_raw, normalize
@@ -694,10 +694,21 @@ def test_exp_factor_run_converges_below_1e_15():
 
 
 # Peak memory of one step, and of its conjugation, above the memory at entry,
-# in quaternion grids of the step's conjugation size.  They read 3.65 and
-# 3.25; a conjugation that keeps H(x) alive beside H(x + alpha) reads 4.4
-# and 4.25.
-PEAK_GRIDS = 4.0
+# in quaternion grids of the step's conjugation size.  On 140^2, whose grid
+# passes run in blocks, they read 2.84 and 2.70; with whole-grid passes they
+# read 3.65 and 3.25, and a conjugation that keeps H(x) alive beside
+# H(x + alpha) reads 4.4 and 4.25.
+PEAK_GRIDS = 3.0
+
+# The same on 88^2, one block, where the passes run on the whole grid: they
+# read 3.68 and 3.26, and may not exceed the 3.92 and 3.26 of the whole-grid
+# passes, rounded up to 0.01 grid.
+ONE_BLOCK_PEAK_GRIDS = (3.93, 3.26)
+
+# Peak of the chain's prefix norms above the memory at entry, in grids of
+# the double cover.  It reads 2.72; a fold that keeps the newest factor's
+# grid beside a new product reads 3.75.
+PREFIX_PEAK_GRIDS = 3.0
 
 
 def _traced_peak(fn, *args):
@@ -711,23 +722,48 @@ def _traced_peak(fn, *args):
         tracemalloc.stop()
 
 
-def test_step_peak_memory_stays_below_the_bound():
-    # step 2 of the first exp-2d benchmark experiment conjugates on 140^2
+def _step_peaks(step):
+    """Grid size and peak grids of a step of the first exp-2d benchmark
+    experiment, and of its conjugation."""
     cfg = _two_freq_config()
     phi, _truth = synthesize_cocycle(cfg)
     params = cfg.scheme_params
     state = kam.initial_state(phi, params)
-    for _ in range(2):
+    for _ in range(step):
         state = kam_step(state, params)
     after, peak = _traced_peak(kam_step, state, params)
     m = fourier.grid_size(after.diagnostics[-1].band_next, 2)
     grid_bytes = m * m * 4 * 8
-    assert m >= 128
-    assert peak / grid_bytes < PEAK_GRIDS
     # the step's own conjugation: by exp(Y), Y the newest exp factor
     y = next(f for f in after.chain.factors if isinstance(f, ExpFactor))
-    _samples, peak = _traced_peak(conjugate_raw, ConjugationChain((y,), 2), state.cocycle(), m)
-    assert peak / grid_bytes < PEAK_GRIDS
+    _samples, conjugation = _traced_peak(conjugate_raw, ConjugationChain((y,), 2),
+                                         state.cocycle(), m)
+    return m, peak / grid_bytes, conjugation / grid_bytes
+
+
+def test_step_peak_memory_stays_below_the_bound():
+    # step 2 conjugates on 140^2
+    m, step, conjugation = _step_peaks(2)
+    assert m == 140
+    assert step < PEAK_GRIDS and conjugation < PEAK_GRIDS
+
+
+def test_one_block_step_peak_memory_stays_at_the_whole_grid_bound():
+    # step 0 conjugates on 88^2, one block
+    m, step, conjugation = _step_peaks(0)
+    assert m * m <= su2.BLOCK_POINTS
+    assert step <= ONE_BLOCK_PEAK_GRIDS[0] and conjugation <= ONE_BLOCK_PEAK_GRIDS[1]
+
+
+def test_prefix_norms_peak_memory_stays_below_the_bound():
+    cfg = _two_freq_config()
+    phi, _truth = synthesize_cocycle(cfg)
+    nf = run_scheme(phi, cfg.scheme_params)
+    m = 2 * nf.chain.content_bound() + 8
+    nf.chain_prefix_norms()  # builds the memoised weights
+    norms, peak = _traced_peak(nf.chain_prefix_norms)
+    assert len(norms) > 2 and m >= 128
+    assert peak / (m * m * 4 * 8) < PREFIX_PEAK_GRIDS
 
 
 def test_scheme_grids_follow_the_content(monkeypatch):

@@ -6,7 +6,9 @@ pins that order; the property tests check that every helper gives the same
 bits as its interleaved form, written out here as the reference, on
 interleaved, component-major and broadcast-constant inputs.  The transform
 references run np.fft.irfftn and rfftn over every column, so they also pin
-the pruned transforms, at small sizes and at the scheme's grid sizes.
+the pruned transforms, at small sizes and at the scheme's grid sizes.  The
+grid passes that run block by block (su2.blockwise) are run at one block
+and at blocks that split every grid, and give the same bits.
 """
 
 import math
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from su2kam import kam, su2
 from su2kam.arithmetic import Frequency
 from su2kam.cocycle import Cocycle, conjugate_raw, fiber_mean
 from su2kam.fourier import (
@@ -33,6 +36,7 @@ from su2kam.fourier import (
 from su2kam.su2 import (
     GroupElement,
     alg_exp_quat,
+    alg_log_e,
     alg_log_quat,
     components_first,
     components_last,
@@ -43,6 +47,18 @@ from su2kam.su2 import (
 )
 
 FREQUENCY = ((math.sqrt(5.0) - 1.0) / 2.0, math.sqrt(2.0) - 1.0, math.sqrt(3.0) - 1.0)
+
+# block sizes of su2.blockwise: one block for every grid here, and ragged
+# runs of points that split every grid across its rows
+ONE_BLOCK = 1 << 30
+SPLIT = 37
+
+
+def _at_blocks(points, fn, *args):
+    """fn(*args) with blocks of at most `points` points."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(su2, "BLOCK_POINTS", points)
+        return fn(*args)
 
 
 def _component_major(grid):
@@ -160,6 +176,8 @@ def test_grids_are_component_major(d):
     _assert_component_major(phi.fiber_grid(m), shape + (4,))
     chain = ConjugationChain((ExpFactor(y), TorusMorphism(winding)), d)
     _assert_component_major(conjugate_raw(chain, phi, m), shape + (4,))
+    _assert_component_major(_at_blocks(SPLIT, phi.fiber_grid, m), shape + (4,))
+    _assert_component_major(_at_blocks(SPLIT, conjugate_raw, chain, phi, m), shape + (4,))
     # the coefficient tables keep their C order, which sobolev_norm's sum reads
     assert analyze(synthesize(y, m), 2).coeffs.flags.c_contiguous
 
@@ -198,6 +216,7 @@ def test_group_helpers_keep_their_bits(grid):
             assert np.array_equal(alg_exp_quat(w), old_alg_exp_quat(w))
         for q in (ln, near[(0,) * d], np.broadcast_to(near[(1,) * d], shape + (4,))):
             assert np.array_equal(alg_log_quat(q), old_alg_log_quat(q))
+            assert np.array_equal(alg_log_e(q), old_alg_log_quat(q)[..., 0])
         assert np.array_equal(fiber_mean(la), old_fiber_mean(np.ascontiguousarray(la)))
     assert np.array_equal(fiber_mean(tiled), old_fiber_mean(np.ascontiguousarray(tiled)))
 
@@ -238,6 +257,27 @@ def test_transforms_keep_their_bits_at_scheme_sizes(d, m):
         _check_transforms(d, m, band, rng)
 
 
+@pytest.mark.parametrize("d, m", SCHEME_GRIDS)
+def test_grid_passes_keep_their_bits_across_blocks(d, m):
+    # the scheme's conjugation by a lone exp factor, a recipe's conjugation
+    # by a longer chain, and the initial state's renormalisation, whose frame
+    # turn, theta shift and logarithms all run block by block
+    rng = np.random.default_rng(m)
+    band = max(0, (m - 4) // 4)  # the scheme's band for this size
+    phi = Cocycle(Frequency(FREQUENCY[:d]), GroupElement(quat_normalize(rng.standard_normal(4))),
+                  random_map(d, band, 1e-3, rng))
+    for chain in (ConjugationChain((ExpFactor(random_map(d, 2, 1e-3, rng)),), d),
+                  _prefix_chain(d, rng)):
+        whole = _at_blocks(ONE_BLOCK, conjugate_raw, chain, phi, m)
+        assert np.array_equal(_at_blocks(SPLIT, conjugate_raw, chain, phi, m), whole)
+    whole, split = (_at_blocks(points, kam.initial_state, phi, kam.SchemeParams())
+                    for points in (ONE_BLOCK, SPLIT))
+    assert len(whole.chain) == 1  # the frame is not the identity
+    assert (split.theta, split.initial_tail_l1) == (whole.theta, whole.initial_tail_l1)
+    assert np.array_equal(split.perturbation.coeffs, whole.perturbation.coeffs)
+    assert split.chain.to_dict() == whole.chain.to_dict()
+
+
 def _prefix_chain(d, rng):
     winding = tuple(int(c) for c in rng.integers(-1, 2, d))
     factors = (ExpFactor(random_map(d, 1, 0.1, rng)), TorusMorphism(winding),
@@ -253,10 +293,14 @@ def test_chain_prefix_norms_keep_their_bits(grid):
     chain = _prefix_chain(d, rng)
     m = 2 * m + 2 * chain.content_bound() + 2  # even, and resolves the content
     # the oldest factor is a constant, so the first prefix is a broadcast (4,)
-    assert chain_sobolev_partial(chain, -2.5, m) == old_chain_sobolev_partial(chain, -2.5, m)
+    reference = _at_blocks(ONE_BLOCK, old_chain_sobolev_partial, chain, -2.5, m)
+    for points in (ONE_BLOCK, SPLIT):
+        assert _at_blocks(points, chain_sobolev_partial, chain, -2.5, m) == reference
 
 
 @pytest.mark.parametrize("d, m", [(d, m) for d, m in SCHEME_GRIDS if m % 2 == 0])
 def test_chain_prefix_norms_keep_their_bits_at_scheme_sizes(d, m):
     chain = _prefix_chain(d, np.random.default_rng(m))
-    assert chain_sobolev_partial(chain, -2.5, m) == old_chain_sobolev_partial(chain, -2.5, m)
+    reference = _at_blocks(ONE_BLOCK, old_chain_sobolev_partial, chain, -2.5, m)
+    for points in (ONE_BLOCK, SPLIT):
+        assert _at_blocks(points, chain_sobolev_partial, chain, -2.5, m) == reference

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""The two checks of a change that must keep every result: code lines and
-output digests.
+"""The two checks of a change that must keep every result (code lines and
+output digests), and the peak memory of the largest runs.
 
     python3 tools/same_results.py lines
     python3 tools/same_results.py digests
+    python3 tools/same_results.py peaks
 
 `lines` prints the code lines of each module of `src/su2kam` and their
 total.  A code line holds a token that is not a comment, outside the
@@ -22,6 +23,14 @@ outputs of `digests` in each are equal, so
          <(python3 new/tools/same_results.py digests)
 
 is the check.  A full pass takes about 20 s on a 2-core x86-64 VM.
+
+`peaks` runs the first two exp-2d experiments and the three 3D configs as
+`digests` does, each twice in one process, and prints the tracemalloc peak
+of the repeat above the traced memory at its start, in MiB: the repeat
+reads the per-process tables that the first run built, as a benchmark pass
+does, so the figure is the run's own working memory.  The runs and their
+order are fixed, so the figures are too.  It puts on record the memory of
+the 3D runs, which no benchmark workload covers.
 """
 
 from __future__ import annotations
@@ -37,6 +46,7 @@ import os
 import sys
 import tempfile
 import tokenize
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -46,6 +56,7 @@ NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
             tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
 DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 ALPHA_3D = [2.0 ** 0.25 - 1.0, 2.0 ** 0.5 - 1.0, 2.0 ** 0.75 - 1.0]
+PEAK_RUNS = ("exp-2d/000", "exp-2d/001", "3d/1e-12", "3d/1e-13", "3d/resonant-twin")
 
 
 def code_lines(path: Path) -> int:
@@ -105,23 +116,47 @@ def _sha256(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def digests() -> int:
-    sys.path.insert(0, str(ROOT / "src"))
+def _run(cfg: dict) -> int:
+    """`su2kam run --config` on cfg, writing report.json and diag.csv in the
+    working directory; returns the exit code."""
     from su2kam import cli
 
+    with open("config.json", "w") as fh:
+        json.dump(cfg | {"report_path": "report.json", "csv_path": "diag.csv"}, fh)
+    for path in ("report.json", "diag.csv"):
+        if os.path.exists(path):
+            os.remove(path)
+    return cli.main(["run", "--config", "config.json"])
+
+
+def digests() -> int:
     failed = 0
     with tempfile.TemporaryDirectory() as folder, _chdir(folder):
         for name, cfg in configs():
-            with open("config.json", "w") as fh:
-                json.dump(cfg | {"report_path": "report.json", "csv_path": "diag.csv"}, fh)
-            for path in ("report.json", "diag.csv"):
-                if os.path.exists(path):
-                    os.remove(path)
-            code = cli.main(["run", "--config", "config.json"])
+            code = _run(cfg)
             failed += code != 0
             print("%-20s exit %d  report.json %s" % (name, code, _sha256("report.json")))
             print("%-20s exit %d  diag.csv    %s" % (name, code, _sha256("diag.csv")),
                   flush=True)
+    return 1 if failed else 0
+
+
+def peaks() -> int:
+    failed = 0
+    with tempfile.TemporaryDirectory() as folder, _chdir(folder):
+        for name, cfg in configs():
+            if name not in PEAK_RUNS:
+                continue
+            _run(cfg)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                code = _run(cfg)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            failed += code != 0
+            print("%-20s exit %d  peak %.3f MiB" % (name, code, peak / 2**20), flush=True)
     return 1 if failed else 0
 
 
@@ -139,9 +174,11 @@ def _chdir(folder):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("check", choices=("lines", "digests"))
+    parser.add_argument("check", choices=("lines", "digests", "peaks"))
     args = parser.parse_args(argv)
-    return lines() if args.check == "lines" else digests()
+    if args.check != "lines":
+        sys.path.insert(0, str(ROOT / "src"))
+    return {"lines": lines, "digests": digests, "peaks": peaks}[args.check]()
 
 
 if __name__ == "__main__":
