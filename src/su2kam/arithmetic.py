@@ -136,12 +136,15 @@ class ResonanceRecord:
 
     @property
     def knorm(self) -> int:
-        return max(abs(c) for c in self.k)
+        return int(max_norm(self.k))
 
     @property
     def near_rational(self) -> bool:
         """Defect underflow: input is numerically a rational relation."""
         return self.defect < NEAR_RATIONAL_FLOOR
+
+    def to_dict(self) -> dict:
+        return {**self.__dict__, "k": list(self.k)}
 
 
 class GridBudgetError(RuntimeError):

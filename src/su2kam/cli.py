@@ -471,11 +471,8 @@ def _dispatch(args) -> int:
             "alpha": list(cfg.alpha.components),
             "gamma": p.gamma, "tau": p.tau, "horizon": p.horizon,
             "diophantine_at_horizon": witness is None,
-            "witness": None if witness is None else {
-                "k": list(witness.k), "defect": witness.defect,
-                "threshold": witness.threshold,
-                "near_rational": witness.near_rational,
-            },
+            "witness": witness and {**witness.to_dict(),
+                                    "near_rational": witness.near_rational},
         }, None)
         return EXIT_OK
 

@@ -134,22 +134,22 @@ def _times_right(h, samples):
     return quat_mul(samples, h)
 
 
-def conjugate_raw(chain: ConjugationChain, phi: Cocycle, m: int) -> np.ndarray:
+def conjugate_raw(h, phi: Cocycle, m: int) -> np.ndarray:
     """Samples of H(x+alpha) fiber(x) H(x)^-1 on the m^d grid, unnormalised.
 
-    The fiber grid is the one sample grid: H(x)^-1 is multiplied into it on
-    the right, then H(x+alpha) on the left, in place, block by block
-    (su2.blockwise).  Each side synthesizes the chain's field once, whole,
-    and lifts it block by block, so a lone exp factor, the scheme step's
-    chain, is exponentiated one block at a time and exp(Y) is never a
-    whole grid.  Each product keeps the bits of the whole-grid one."""
-    if chain.dimension != phi.dimension:
+    h is any conjugator with a `dimension`, a `field(m, offset)` and a
+    pointwise `lift` from that field to its grid: a ConjugationChain (its
+    grid, lifted by the identity) or the ExpFactor of a scheme step (Y,
+    lifted by exp).  The fiber grid is the one sample grid: H(x)^-1 is
+    multiplied into it on the right, then H(x+alpha) on the left, in place,
+    block by block (su2.blockwise).  Each side synthesizes h's field once,
+    whole, and lifts it block by block, so a step's exp(Y) is never a whole
+    grid.  Each product keeps the bits of the whole-grid one."""
+    if h.dimension != phi.dimension:
         raise ValueError("chain dimension does not match the cocycle")
     samples = phi.fiber_grid(m)
-    samples = blockwise(partial(chain.field, m), chain.lift, quat_conj, _times_right,
-                        into=samples)
-    return blockwise(partial(chain.field, m, phi.alpha.vector), chain.lift, quat_mul,
-                     into=samples)
+    samples = blockwise(partial(h.field, m), h.lift, quat_conj, _times_right, into=samples)
+    return blockwise(partial(h.field, m, phi.alpha.vector), h.lift, quat_mul, into=samples)
 
 
 def conjugate(chain: ConjugationChain, phi: Cocycle) -> Cocycle:

@@ -412,7 +412,9 @@ class ConstantFactor:
 
 @dataclass(frozen=True)
 class ExpFactor:
-    """x -> exp(Y(x)) for an algebra map Y."""
+    """x -> exp(Y(x)) for an algebra map Y.  As the conjugator of a scheme
+    step (cocycle.conjugate_raw), its `field` is Y and its `lift` is exp,
+    applied block by block, so exp(Y) is never a whole grid."""
 
     map: AlgebraMap
 
@@ -426,6 +428,13 @@ class ExpFactor:
     def field(self, m: int, offset=None) -> np.ndarray:
         """Y on the m^d grid, shifted by offset: the grid before exp."""
         return synthesize(self.map if offset is None else translate(self.map, offset), m)
+
+    @property
+    def lift(self):
+        """exp, the pointwise map from `field` to the factor's grid.  Read
+        from the module at each call, so a rebinding of `alg_exp_quat`, as
+        perfbench's tracer makes, reaches the scheme step's exponentials."""
+        return alg_exp_quat
 
     def grid(self, m: int, offset=None, span: float = 1.0) -> np.ndarray:
         if span == 1.0:
@@ -447,10 +456,6 @@ class ExpFactor:
 
     def to_dict(self) -> dict:
         return {"type": "exp", "map": self.map.to_dict()}
-
-
-def _unchanged(q):
-    return q
 
 
 def factor_from_dict(data: dict):
@@ -518,22 +523,15 @@ class ConjugationChain:
             pass
         return last
 
-    @property
-    def lift(self):
-        """The pointwise map from `field` to the chain's grid: exp for a
-        lone exp factor, else nothing to do."""
-        if len(self.factors) == 1 and isinstance(self.factors[0], ExpFactor):
-            return alg_exp_quat
-        return _unchanged
-
     def field(self, m: int, offset=None) -> np.ndarray:
-        """The chain's grid before its pointwise `lift`, which a caller
-        applies block by block (su2.blockwise): a lone exp factor's
-        synthesized Y, so exp(Y) is never a whole grid; any other chain's
-        grid."""
-        if self.lift is alg_exp_quat:
-            return self.factors[0].field(m, offset)
+        """The chain's grid, as a conjugator of cocycle.conjugate_raw: the
+        whole product, folded factor by factor."""
         return self.grid(m, offset)
+
+    @staticmethod
+    def lift(q):
+        """The identity: a chain's `field` is already its grid."""
+        return q
 
     def application_prefixes(self):
         """Partial products in the order the factors were applied: the i-th
@@ -548,7 +546,7 @@ class ConjugationChain:
         total = 0
         for f in self.factors:
             if isinstance(f, TorusMorphism):
-                total += max(abs(c) for c in f.winding)
+                total += int(max_norm(f.winding))
             elif isinstance(f, ExpFactor):
                 total += 2 * f.map.band
         return total

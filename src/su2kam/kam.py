@@ -506,13 +506,11 @@ def kam_step(state: SchemeState, params: SchemeParams) -> SchemeState:
     band_next = max(1, state.perturbation.band + 2 * y.band)
     d = state.alpha.dimension
 
-    chain = state.chain
-    if np.any(y.coeffs != 0):
-        chain = chain.prepended(ExpFactor(y))
+    factor = ExpFactor(y)
+    chain = state.chain.prepended(factor) if np.any(y.coeffs != 0) else state.chain
     try:
         f_next, theta_next, dropped, chain = _renormalize(
-            partial(conjugate_raw, ConjugationChain((ExpFactor(y),), d), state.cocycle(),
-                    grid_size(band_next, d)),
+            partial(conjugate_raw, factor, state.cocycle(), grid_size(band_next, d)),
             band_next, chain, params, theta_prev=state.theta)
     except (NormalizationError, CutLocusError) as exc:
         raise DivergenceError(

@@ -22,7 +22,7 @@ from itertools import product
 import numpy as np
 
 from .arithmetic import (DiophParams, Frequency, ResonanceRecord, box_centre, least_winding,
-                         scan_box)
+                         max_norm, scan_box)
 from .cocycle import Cocycle, c0_distance, conjugate
 from .fourier import AlgebraMap, ConjugationChain, ExpFactor
 from .kam import NormalForm, run_scheme
@@ -46,11 +46,7 @@ class RotationVector:
     provenance: dict
 
     def to_dict(self) -> dict:
-        return {
-            "representative": self.representative,
-            "alpha": list(self.alpha.components),
-            "provenance": self.provenance,
-        }
+        return {**self.__dict__, "alpha": list(self.alpha.components)}
 
 
 def rotation_vector(nf: NormalForm) -> RotationVector:
@@ -131,16 +127,7 @@ class ArithmeticClassification:
     horizon: int
 
     def to_dict(self) -> dict:
-        return {
-            "classification": self.classification,
-            "beta": self.beta,
-            "witness": None if self.witness is None else {
-                "k": list(self.witness.k),
-                "defect": self.witness.defect,
-                "threshold": self.witness.threshold,
-            },
-            "horizon": self.horizon,
-        }
+        return {**self.__dict__, "witness": self.witness and self.witness.to_dict()}
 
 
 def classify_arithmetic(r: RotationVector, p: DiophParams) -> ArithmeticClassification:
@@ -199,7 +186,7 @@ def finite_resonance_audit(nf: NormalForm, r: RotationVector,
     issues = []
     checks = []
     for entry in nf.ledger:
-        knorm = max(abs(c) for c in entry.winding)
+        knorm = max_norm(entry.winding)
         flags = {
             "winding_within_scale": bool(knorm <= entry.scale),
             "defect_below_threshold": bool(entry.defect_before <= entry.threshold),

@@ -353,9 +353,9 @@ def test_step_grid_follows_the_content_not_the_scale(monkeypatch):
     # the grid of its content band, not on the 632^2 grid of the next scale
     calls = []
 
-    def recorded(chain, phi, m):
-        calls.append((chain.factors[0].map, phi.perturbation.band, m))
-        return conjugate_raw(chain, phi, m)
+    def recorded(factor, phi, m):
+        calls.append((factor.map, phi.perturbation.band, m))
+        return conjugate_raw(factor, phi, m)
 
     monkeypatch.setattr(kam, "conjugate_raw", recorded)
     alpha2 = Frequency((GOLDEN, math.sqrt(2.0) - 1.0))
@@ -736,8 +736,7 @@ def _step_peaks(step):
     grid_bytes = m * m * 4 * 8
     # the step's own conjugation: by exp(Y), Y the newest exp factor
     y = next(f for f in after.chain.factors if isinstance(f, ExpFactor))
-    _samples, conjugation = _traced_peak(conjugate_raw, ConjugationChain((y,), 2),
-                                         state.cocycle(), m)
+    _samples, conjugation = _traced_peak(conjugate_raw, y, state.cocycle(), m)
     return m, peak / grid_bytes, conjugation / grid_bytes
 
 

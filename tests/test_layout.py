@@ -12,6 +12,7 @@ and at blocks that split every grid, and give the same bits.
 """
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -259,17 +260,20 @@ def test_transforms_keep_their_bits_at_scheme_sizes(d, m):
 
 @pytest.mark.parametrize("d, m", SCHEME_GRIDS)
 def test_grid_passes_keep_their_bits_across_blocks(d, m):
-    # the scheme's conjugation by a lone exp factor, a recipe's conjugation
-    # by a longer chain, and the initial state's renormalisation, whose frame
-    # turn, theta shift and logarithms all run block by block
+    # the scheme's conjugation by an exp factor, which lifts Y block by
+    # block, against the same factor in a chain of one, which folds exp(Y)
+    # whole; a recipe's conjugation by a longer chain; and the initial
+    # state's renormalisation, whose frame turn, theta shift and logarithms
+    # all run block by block
     rng = np.random.default_rng(m)
     band = max(0, (m - 4) // 4)  # the scheme's band for this size
     phi = Cocycle(Frequency(FREQUENCY[:d]), GroupElement(quat_normalize(rng.standard_normal(4))),
                   random_map(d, band, 1e-3, rng))
-    for chain in (ConjugationChain((ExpFactor(random_map(d, 2, 1e-3, rng)),), d),
-                  _prefix_chain(d, rng)):
-        whole = _at_blocks(ONE_BLOCK, conjugate_raw, chain, phi, m)
-        assert np.array_equal(_at_blocks(SPLIT, conjugate_raw, chain, phi, m), whole)
+    factor = ExpFactor(random_map(d, 2, 1e-3, rng))
+    for conjugators in ((factor, ConjugationChain((factor,), d)), (_prefix_chain(d, rng),)):
+        whole = _at_blocks(ONE_BLOCK, conjugate_raw, conjugators[-1], phi, m)
+        for conjugator, points in product(conjugators, (ONE_BLOCK, SPLIT)):
+            assert np.array_equal(_at_blocks(points, conjugate_raw, conjugator, phi, m), whole)
     whole, split = (_at_blocks(points, kam.initial_state, phi, kam.SchemeParams())
                     for points in (ONE_BLOCK, SPLIT))
     assert len(whole.chain) == 1  # the frame is not the identity
