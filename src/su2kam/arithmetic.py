@@ -20,11 +20,13 @@ scans and truncates the Fourier boxes alike, is `max_norm` of the d
 per-axis components: the columns of flat rows or the axes of the dense form.
 
 Every question over the windings 0 < |k| <= n is answered by one scan of
-the box, which yields (k, |k|, k.alpha) in chunks of at most SCAN_ROWS rows,
-so memory stays bounded at any n and d; a box of more than SCAN_WINDINGS
-windings is refused before any chunk, which bounds the time, and so the
-scale a scheme step can reach.  A minimum by (|k|, lex) is the first
-winding in (shell, lex) order, so chunks need not follow max-norm shells.
+the box in chunks (k, |k|, k.alpha) of at most SCAN_ROWS rows.  A reader
+reduces each chunk before the next is built, and a chunk's defects and
+bounds are computed in place, so a scan holds one chunk at any n and d; a
+box of more than SCAN_WINDINGS windings is refused before any chunk, which
+bounds the time, and so the scale a scheme step can reach.  A minimum by
+(|k|, lex) is the first winding in (shell, lex) order, so chunks need not
+follow max-norm shells.
 
 One keyed reduction over the scan serves the defect questions
 |beta - k.alpha|_Z: the Diophantine witness is the least canonical violator
@@ -35,20 +37,20 @@ the scan directly.
 The pure tables of a box, and the Diophantine witness of a frequency, are
 memoised per process with `functools.lru_cache`: they depend on (d, n) or on
 the frozen (Frequency, DiophParams) pair alone, never on a cocycle, and every
-array they hold is read-only.  The scan's chunks are not memoised, so a scan
-keeps its bounded working set.
+array they hold is read-only.  The scan's chunks are not memoised.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
+from itertools import starmap
 
 import numpy as np
 
 # rows per chunk of the winding scan: its working set at any scale and dimension
-SCAN_ROWS = 4096
+SCAN_ROWS = 2048
 
 # windings (2n+1)^d of one scan of the box: at this size a scan stays under about 1 s
 SCAN_WINDINGS = 1 << 24
@@ -114,8 +116,11 @@ class DiophParams:
             raise ValueError("horizon must be a positive integer")
 
     def bound(self, knorm):
-        """gamma^-1 |k|^-tau; elementwise for an array of max-norms."""
-        return (1.0 / self.gamma) * np.asarray(knorm, dtype=float) ** -self.tau
+        """gamma^-1 |k|^-tau; elementwise, in place in one new array, for an
+        array of max-norms."""
+        b = np.array(knorm, dtype=float)
+        # [()]: a scalar for a scalar norm, a view of the array otherwise
+        return np.multiply(1.0 / self.gamma, np.power(b, -self.tau, out=b), out=b)[()]
 
 
 @dataclass(frozen=True)
@@ -155,9 +160,10 @@ class GridBudgetError(RuntimeError):
 def dist_to_Z(x):
     """Distance to the nearest integer; 1-periodic, even, valued in [0, 1/2]."""
     x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("dist_to_Z requires finite input")
-    d = np.abs(x - np.rint(x))
+    d = np.rint(x, out=np.empty(x.shape))
+    d = np.abs(np.subtract(x, d, out=d), out=d)
     return float(d) if d.ndim == 0 else d
 
 
@@ -167,8 +173,14 @@ def box_centre(d: int, n: int) -> int:
 
 
 def box_windings(d: int, n: int, flat) -> np.ndarray:
-    """Windings at the given flat indices of the box [-n, n]^d, one per row."""
-    return np.stack(np.unravel_index(flat, (2 * n + 1,) * d), axis=-1) - n
+    """Windings at the given flat indices of the box [-n, n]^d, one per row:
+    the digits of each index in base 2n + 1, the last axis the fastest."""
+    k = np.empty(np.shape(flat) + (d,), dtype=np.intp)
+    k[..., 0] = flat
+    for a in range(d - 1, 0, -1):
+        k[..., 0], k[..., a] = np.divmod(k[..., 0], 2 * n + 1)
+    k -= n
+    return k
 
 
 def read_only(array: np.ndarray) -> np.ndarray:
@@ -211,6 +223,8 @@ def scan_box(alpha: Frequency, n: int, first: int = 0):
 
     Rows run in lexicographic order from the flat index `first` on, at most
     SCAN_ROWS per chunk; see the module docstring for the order contract.
+    The scan lets go of a chunk before it builds the next, so a consumer
+    that reduces each chunk before asking for the next holds one chunk.
     Raises GridBudgetError, before any chunk is built, when the box holds
     more than SCAN_WINDINGS windings.
     """
@@ -222,6 +236,7 @@ def scan_box(alpha: Frequency, n: int, first: int = 0):
         k = box_windings(alpha.dimension, n, np.arange(start, min(start + SCAN_ROWS, total)))
         # vecdot matches the per-winding Frequency.dot bit for bit; k @ alpha does not
         yield k, max_norm(k.T), np.vecdot(k.astype(float), alpha.vector)
+        del k
 
 
 def least_winding(alpha: Frequency, n: int, beta: float = 0.0, bound=None,
@@ -232,26 +247,31 @@ def least_winding(alpha: Frequency, n: int, beta: float = 0.0, bound=None,
 
     With `bound`, only violators (defect < bound(|k|)) take part.  Returns a
     ResonanceRecord with threshold bound(|k|) (inf without a bound), or
-    None; the record does not keep n.
+    None; the record does not keep n.  Each chunk of the scan is reduced to
+    its least winding before the next chunk is built.
     """
-    best = None
     first = box_centre(alpha.dimension, n) + 1 if canonical else 0
-    for k, knorm, kalpha in scan_box(alpha, n, first):
-        defect = dist_to_Z(beta - kalpha)
-        with np.errstate(divide="ignore"):  # the bound at k = 0, which never takes part
-            threshold = bound(knorm) if bound else np.full(knorm.shape, np.inf)
-        rows = np.flatnonzero((knorm > 0) & (defect < threshold))
-        if rows.size == 0:
-            continue
-        columns = (knorm,) if canonical else (defect, knorm)
-        for col in columns:
-            rows = rows[col[rows] == col[rows].min()]
-        i = rows[0]
-        key = tuple(col[i] for col in columns)
-        # strict: on a tie the earlier chunk, lexicographically smaller, stays
-        if best is None or key < best[0]:
-            best = (key, ResonanceRecord(k[i], float(defect[i]), float(threshold[i])))
-    return None if best is None else best[1]
+    with np.errstate(divide="ignore"):  # the bound at k = 0, which never takes part
+        found = [least for least in starmap(partial(_least_in_chunk, beta, bound, canonical),
+                                            scan_box(alpha, n, first)) if least]
+    # min keeps the first of equal keys: the earlier chunk, lexicographically smaller
+    return min(found, key=lambda least: least[0])[1] if found else None
+
+
+def _least_in_chunk(beta, bound, canonical, k, knorm, kalpha):
+    """(key, record) of least_winding's order for one chunk of the scan, or
+    None when no winding of the chunk takes part."""
+    defect = dist_to_Z(beta - kalpha)
+    threshold = bound(knorm) if bound else np.full(knorm.shape, np.inf)
+    rows = np.flatnonzero((knorm > 0) & (defect < threshold))
+    if rows.size == 0:
+        return None
+    columns = (knorm,) if canonical else (defect, knorm)
+    for col in columns:
+        rows = rows[col[rows] == col[rows].min()]
+    i = rows[0]
+    return (tuple(col[i] for col in columns),
+            ResonanceRecord(k[i], float(defect[i]), float(threshold[i])))
 
 
 @lru_cache(maxsize=FREQUENCY_TABLES)

@@ -30,6 +30,9 @@ from .su2 import (
     alg_exp_quat,
     alg_log_quat,
     blockwise,
+    component_groups,
+    components_first,
+    point_blocks,
     quat_angle,
     quat_conj,
     quat_mul,
@@ -86,9 +89,19 @@ class Cocycle:
 def fiber_mean(samples: np.ndarray) -> np.ndarray:
     """Renormalised quaternion mean of fiber samples; raises
     NormalizationError when the mean collapses, the fiber far from constant,
-    or is not finite.  The mean is summed over the samples in C order, which
-    fixes its rounding whatever the grid's memory order."""
-    mean = np.mean(np.ascontiguousarray(samples).reshape(-1, 4), axis=0)
+    or is not finite.  The sum runs point after point in C order, as numpy
+    sums the rows of an (N, 4) array, whatever the grid's memory order: each
+    block of su2.BLOCK_POINTS points is copied in C order after the running
+    total and summed, so no C-ordered copy of the grid is made."""
+    rows = components_first(samples).reshape(4, -1)
+    total = np.zeros(4)
+    for block in point_blocks(rows.shape[1]):
+        points = rows[:, block]
+        summands = np.empty((points.shape[1] + 1, 4))
+        summands[0] = total
+        summands[1:] = points.T
+        total = np.add.reduce(summands, axis=0)
+    mean = total / rows.shape[1]
     if not np.linalg.norm(mean) >= 1e-3:  # a NaN mean fails too
         raise NormalizationError("fiber mean collapses; fiber is far from constant")
     return quat_normalize(mean)
@@ -108,9 +121,13 @@ def log_map(logs: np.ndarray, band: int) -> AlgebraMap:
     fiber."""
     m = logs.shape[0]
     amap = analyze(logs, band)
-    resynthesis = synthesize(amap, m)
-    resynthesis -= logs
-    err = float(np.max(np.abs(resynthesis, out=resynthesis)))
+    err = 0.0
+    for group in component_groups(logs):
+        resynthesis = synthesize(amap, m, group)
+        resynthesis -= logs[..., group]
+        # np.maximum, like np.max, keeps a NaN
+        err = float(np.maximum(err, np.abs(resynthesis, out=resynthesis).max()))
+        del resynthesis  # the next group's synthesis is built without it
     if err > RESYNTHESIS_TOL:
         raise NormalizationError(
             "band %d does not resolve the fiber (resynthesis error %.3g)" % (band, err))

@@ -30,6 +30,7 @@ from .su2 import (
     GroupElement,
     alg_exp_quat,
     blockwise,
+    component_groups,
     components_first,
     components_last,
     quat_mul,
@@ -276,8 +277,9 @@ def _half_index(band: int, m: int, dimension: int) -> tuple:
     return leading + (read_only(np.arange(band + 1)),)
 
 
-def synthesize(amap: AlgebraMap, m: int) -> np.ndarray:
-    """Grid values as real 3-vectors; requires m >= 2*band+2.  A real inverse
+def synthesize(amap: AlgebraMap, m: int, group=slice(None)) -> np.ndarray:
+    """Grid values as real 3-vectors, or the components a slice `group`
+    picks of them; requires m >= 2*band+2.  A real inverse
     FFT of the k_last >= 0 half of the box: the map is real, so that half
     determines it.  Only its band + 1 columns of the last axis are nonzero,
     so the leading axes are transformed on those columns alone, and the
@@ -285,8 +287,9 @@ def synthesize(amap: AlgebraMap, m: int) -> np.ndarray:
     d, band = amap.dimension, amap.band
     if m < 2 * band + 2:
         raise UndersampledGridError("grid %d undersamples band %d" % (m, band))
-    buf = np.zeros((3,) + (m,) * (d - 1) + (band + 1,), dtype=complex)
-    buf[(slice(None),) + _half_index(band, m, d)] = components_first(amap.coeffs[..., band:, :])
+    coeffs = components_first(amap.coeffs[..., band:, group])
+    buf = np.zeros(coeffs.shape[:1] + (m,) * (d - 1) + (band + 1,), dtype=complex)
+    buf[(slice(None),) + _half_index(band, m, d)] = coeffs
     # the order of np.fft.irfftn: the leading axes first, then the real axis
     for axis in range(1, d):
         np.fft.ifft(buf, axis=axis, out=buf)
@@ -300,7 +303,8 @@ def analyze(samples: np.ndarray, band: int) -> AlgebraMap:
     enforced: a real FFT gives the k_last >= 0 half, the other half is its
     flipped conjugate, and symmetrizing evens out the k_last = 0 plane.
     Only the band + 1 columns of the box are kept after the real FFT of the
-    last axis, before the leading axes are transformed."""
+    last axis, which takes one su2.component_groups group at a time, before
+    the leading axes are transformed."""
     samples = np.asarray(samples, dtype=float)
     dimension = samples.ndim - 1
     m = samples.shape[0]
@@ -308,7 +312,9 @@ def analyze(samples: np.ndarray, band: int) -> AlgebraMap:
         raise ValueError("expected a cubic grid")
     if m < 2 * band + 2:
         raise UndersampledGridError("grid %d undersamples band %d" % (m, band))
-    hat = np.fft.rfft(components_first(samples), axis=dimension)[..., :band + 1].copy()
+    hat = np.empty(samples.shape[-1:] + (m,) * (dimension - 1) + (band + 1,), dtype=complex)
+    for group in component_groups(samples):
+        hat[group] = np.fft.rfft(components_first(samples[..., group]), axis=-1)[..., :band + 1]
     # the order of np.fft.rfftn: the real axis first, then the leading axes backwards
     for axis in range(dimension - 1, 0, -1):
         np.fft.fft(hat, axis=axis, out=hat)
@@ -604,15 +610,16 @@ def chain_sobolev_partial(chain: ConjugationChain, s: float, m: int):
     weight = _double_cover_weight(d, m, s)
     norms = []
     for samples in chain.prefix_grids(m, span=2.0):
-        # np.fft.rfftn's stages, the leading axes transformed in place
-        hat = np.fft.rfft(components_first(samples), axis=d)
-        for axis in range(d - 1, 0, -1):
-            np.fft.fft(hat, axis=axis, out=hat)
-        hat /= float(m) ** d
         # summed in the C order of the (..., 4) spectrum, which fixes the rounding
-        power = np.empty(hat.shape[1:] + (4,))
-        np.abs(components_last(hat), out=power)
-        del hat  # no spectrum outlives its prefix into the next prefix grid's build
+        power = np.empty((m,) * (d - 1) + (m // 2 + 1, 4))
+        for group in component_groups(samples):
+            # np.fft.rfftn's stages, the leading axes transformed in place
+            hat = np.fft.rfft(components_first(samples[..., group]), axis=d)
+            for axis in range(d - 1, 0, -1):
+                np.fft.fft(hat, axis=axis, out=hat)
+            hat /= float(m) ** d
+            np.abs(components_last(hat), out=power[..., group])
+            del hat  # no spectrum outlives its group into the next one's
         np.square(power, out=power)
         power *= weight[..., None]
         norms.append(float(np.sqrt(np.sum(power))))

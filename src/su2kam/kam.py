@@ -426,13 +426,12 @@ def _renormalize(sample, band: int, chain: ConjugationChain,
     chain.
 
     One sample grid is alive at a time, and none during the analysis.  The
-    grid is built here, so no caller holds it.  The frame turn runs in place
-    and the logarithms block by block (su2.blockwise): the shift's e
-    coordinates go to one scalar grid, and the logarithms are written once,
-    to their own grid, after which the sample grid is released.  The fiber
-    mean, the shift's mean, and log_map's transforms and resynthesis maximum
-    stay whole-grid: a sum's rounding depends on its order, and a transform
-    reads every point.
+    grid is built here, so no caller holds it.  The fiber mean sums it block
+    by block, the frame turn runs in place and the logarithms block by block
+    (su2.blockwise): the shift's e coordinates go to one scalar grid, whose
+    mean is whole-grid, and the logarithms are written once, to their own
+    grid, after which the sample grid is released.  log_map's transforms
+    and resynthesis take one component at a time beyond one block.
 
     Whatever part of the straightened constant lies off the torus goes into
     the perturbation, so the renormalisation is exact up to the resynthesis

@@ -17,7 +17,8 @@ terminate, a resonant root means the cocycle reduces to a center element.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from functools import partial
+from itertools import product, starmap
 
 import numpy as np
 
@@ -81,29 +82,39 @@ def equivalence_witness(r1: RotationVector, r2: RotationVector,
     before -1, k before -k, lex of the canonical row): a dict of sign, k, m
     and residual, or None.  One scan of the zero winding and the canonical
     half tries each row as k and as -k, since (-k).alpha is -(k.alpha) bit
-    for bit."""
+    for bit; each chunk is reduced to its least match before the next chunk
+    is built."""
     if r1.alpha != r2.alpha:
         raise ValueError("rotation vectors live over different frequencies")
     best = None
-    for k, knorm, kalpha in scan_box(r1.alpha, horizon,
-                                      first=box_centre(r1.alpha.dimension, horizon)):
-        # c orders the moves: sign +1 before -1, then k before -k
-        for c, (sign, orientation) in enumerate(product((1, -1), repeat=2)):
-            rest = sign * r1.representative - r2.representative - orientation * kalpha
-            ms = np.rint(rest / 2.0)
-            residuals = np.abs(rest - 2.0 * ms)
-            rows = np.flatnonzero(residuals <= tol)
-            if rows.size == 0:
-                continue
-            i = rows[np.argmin(knorm[rows])]  # the first of least |k|, lexicographically
-            # the row makes the key total, so no tie depends on the chunking
-            key = (knorm[i], c, tuple(k[i]))
-            if best is None or key < best[0]:
-                best = (key, {"sign": sign, "k": (orientation * k[i]).tolist(),
-                              "m": int(ms[i]), "residual": float(residuals[i])})
-        if best is not None and best[0][0] == 0:  # the zero winding heads the scan
+    for found in starmap(partial(_least_match, r1, r2, tol),
+                         scan_box(r1.alpha, horizon, box_centre(r1.alpha.dimension, horizon))):
+        # the row makes the key total, so no tie depends on the chunking
+        if found and (best is None or found[0] < best[0]):
+            best = found
+        if best and best[0][0] == 0:  # the zero winding heads the scan
             break
     return None if best is None else best[1]
+
+
+def _least_match(r1: RotationVector, r2: RotationVector, tol: float, k, knorm, kalpha):
+    """(key, witness) of equivalence_witness's order for one chunk of the
+    scan, or None when no row of the chunk matches."""
+    best = None
+    # c orders the moves: sign +1 before -1, then k before -k
+    for c, (sign, orientation) in enumerate(product((1, -1), repeat=2)):
+        rest = sign * r1.representative - r2.representative - orientation * kalpha
+        ms = np.rint(rest / 2.0)
+        residuals = np.abs(rest - 2.0 * ms)
+        rows = np.flatnonzero(residuals <= tol)
+        if rows.size == 0:
+            continue
+        i = rows[np.argmin(knorm[rows])]  # the first of least |k|, lexicographically
+        key = (knorm[i], c, tuple(k[i]))
+        if best is None or key < best[0]:
+            best = (key, {"sign": sign, "k": (orientation * k[i]).tolist(),
+                          "m": int(ms[i]), "residual": float(residuals[i])})
+    return best
 
 
 def equivalence_check(r1: RotationVector, r2: RotationVector,

@@ -16,8 +16,9 @@ Vectorised helpers (quat_*, alg_*) act on arrays with a trailing axis of
 length 4 (quaternions) or 3 (algebra coordinates).  The grids they return
 keep that shape but are allocated component-major: a (..., 4) grid is the
 transposed view of a C-ordered (4, ...) array, so each q[..., i] is
-contiguous.  Elementwise results do not depend on the layout; a reduction
-whose order does (a sum over the whole grid) is taken on a C-ordered copy.
+contiguous.  Elementwise results do not depend on the layout; a sum whose
+rounding does (the fiber mean) runs over a C-ordered copy of one block at a
+time, headed by the running total, with the bits of one C-order sum.
 GroupElement holds one validated element, as read from configs and stored
 in conjugation factors.
 
@@ -26,11 +27,11 @@ most BLOCK_POINTS consecutive points: each block is the same slice of every
 component's contiguous row, and a pass run in place writes its result over
 the block it read.  So a pass holds block-sized temporaries beside its
 whole-grid operands, and every point is computed as it is on the whole
-grid, bit for bit.  Reductions and transforms are not pointwise and stay
-whole-grid: a sum's rounding depends on its order, and an FFT reads every
-point.  A grid of one block (up to 8192 points: a 2D grid up to 90^2, and
-any 1D grid the scheme reaches in practice) runs its passes on the whole
-grid, with nothing allocated beside them.
+grid, bit for bit.  A transform reads every point, so it is whole-grid, but
+it takes one component at a time (`component_groups`).  A grid of one block
+(up to 8192 points: a 2D grid up to 90^2, and any 1D grid the scheme
+reaches in practice) runs its passes on the whole grid, with nothing
+allocated beside them, and its transforms on all components at once.
 """
 
 from __future__ import annotations
@@ -64,6 +65,20 @@ def _rows(grid):
     """View of a component-major grid as one contiguous row per component."""
     c = components_first(grid)
     return c.reshape(c.shape[0], -1)
+
+
+def point_blocks(points: int) -> list:
+    """Slices of consecutive points, BLOCK_POINTS at most in each, that
+    cover a grid of `points` points."""
+    return [slice(start, start + BLOCK_POINTS) for start in range(0, points, BLOCK_POINTS)]
+
+
+def component_groups(grid) -> list:
+    """Slices of the component axis for a whole-grid stage: all components
+    at once on a grid of one block, as blockwise runs it, else one at a
+    time, so that the stage's whole-grid temporaries hold one component."""
+    c = grid.shape[-1]
+    return [slice(None)] if grid.size <= c * BLOCK_POINTS else [slice(i, i + 1) for i in range(c)]
 
 
 def blockwise(source, *passes, into=None):
@@ -100,8 +115,7 @@ def blockwise(source, *passes, into=None):
         if not np.may_share_memory(target, into):
             raise ValueError("blockwise writes only into a component-major grid")
     out = None
-    for start in range(0, points, BLOCK_POINTS):
-        block = slice(start, start + BLOCK_POINTS)
+    for block in point_blocks(points):
         x = source if rows is None else components_last(rows[:, block])
         for step in passes[:-1]:
             x = step(x)

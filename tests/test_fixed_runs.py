@@ -5,7 +5,9 @@ resonant twin, which take seconds each and run in `same_results.py check`.
 Exit codes, steps, ledgers, classes and truth witnesses must match exactly,
 rho within 1e-14 and the final residual within a factor of 10.  The
 digests of report.json and diag.csv are compared only on the recorded
-platform; elsewhere the test warns that it left them out.
+platform; elsewhere the test warns that it left them out.  The audit and
+the replay of the run that removes two resonances, which the record does
+not hold, are pinned here too.
 """
 
 import importlib.util
@@ -56,3 +58,19 @@ def test_compare_names_each_moved_result():
         [name, "final_residual recorded %r, observed %r" % (want["final_residual"],
                                                            moved["final_residual"])],
         ["unrecorded", "not in the record"]]
+
+
+def test_two_resonance_run_passes_its_audit_and_replays():
+    # the record holds neither the audit nor the replay of the one run whose
+    # ledger removes two resonances; its replay angle reads 5.3e-14
+    from su2kam import cli
+    from su2kam.kam import run_scheme
+    from su2kam.rotation import finite_resonance_audit, rotation_vector
+
+    cfg = cli.ExperimentConfig.from_dict(_tool().TWO_RESONANCES)
+    _head, phi = cli.prepare_experiment(cfg)
+    nf = run_scheme(phi, cfg.scheme_params)
+    audit = finite_resonance_audit(nf, rotation_vector(nf), cfg.dioph_params)
+    assert len(nf.ledger) == 2
+    assert audit["all_inequalities_hold"] and audit["issues"] == []
+    assert nf.replay_error() < 1e-13

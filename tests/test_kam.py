@@ -706,9 +706,10 @@ PEAK_GRIDS = 3.0
 ONE_BLOCK_PEAK_GRIDS = (3.93, 3.26)
 
 # Peak of the chain's prefix norms above the memory at entry, in grids of
-# the double cover.  It reads 2.72; a fold that keeps the newest factor's
-# grid beside a new product reads 3.75.
-PREFIX_PEAK_GRIDS = 3.0
+# the double cover.  It reads 2.50 with the spectrum taken one component at
+# a time, 2.72 with all four at once, and 3.75 with a fold that keeps the
+# newest factor's grid beside a new product.
+PREFIX_PEAK_GRIDS = 2.6
 
 
 def _traced_peak(fn, *args):

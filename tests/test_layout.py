@@ -7,8 +7,10 @@ bits as its interleaved form, written out here as the reference, on
 interleaved, component-major and broadcast-constant inputs.  The transform
 references run np.fft.irfftn and rfftn over every column, so they also pin
 the pruned transforms, at small sizes and at the scheme's grid sizes.  The
-grid passes that run block by block (su2.blockwise) are run at one block
-and at blocks that split every grid, and give the same bits.
+grid passes that run block by block (su2.blockwise), the fiber mean's
+running sum and the transforms that take one component at a time beyond
+one block are run at one block and at blocks that split every grid, and
+give the same bits.
 """
 
 import math
@@ -218,7 +220,9 @@ def test_group_helpers_keep_their_bits(grid):
         for q in (ln, near[(0,) * d], np.broadcast_to(near[(1,) * d], shape + (4,))):
             assert np.array_equal(alg_log_quat(q), old_alg_log_quat(q))
             assert np.array_equal(alg_log_e(q), old_alg_log_quat(q)[..., 0])
-        assert np.array_equal(fiber_mean(la), old_fiber_mean(np.ascontiguousarray(la)))
+        for points in (ONE_BLOCK, SPLIT):
+            assert np.array_equal(_at_blocks(points, fiber_mean, la),
+                                  old_fiber_mean(np.ascontiguousarray(la)))
     assert np.array_equal(fiber_mean(tiled), old_fiber_mean(np.ascontiguousarray(tiled)))
 
 

@@ -191,17 +191,37 @@ def test_equivalence_witness_shifts_by_periods_past_the_horizon():
     assert w["residual"] <= 1e-8
 
 
+def _scan_peak(fn, *args):
+    """fn(*args) and its tracemalloc peak above the traced memory at entry."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+# Peak of a search over the box, in chunks of SCAN_ROWS rows of (k, |k|,
+# k.alpha), d + 2 doubles a row.  The 2D search below reads 2.30 when each
+# chunk is reduced before the next is built, and 3.28 when the next chunk is
+# built beside the last one's reduction.
+WITNESS_PEAK_CHUNKS = 2.5
+
+# Peak of classify_arithmetic at golden's default horizon, in bytes per
+# scan row: a 1D chunk is 24 B a row, its defect and bound 8 B each and the
+# masks 3 B.  It reads 43.9 with the defect and the bound in place, and 72.5
+# with the next chunk built beside the last one's reduction.
+CLASSIFY_PEAK_ROW_BYTES = 48.0
+
+
 def test_equivalence_witness_streams_the_box(monkeypatch):
     # a pair that matches nowhere makes the search scan the whole box at
     # H = 300 (361201 windings); it holds one chunk at a time, not the box
     r1, r2 = rv(0.123456789, ALPHA2), rv(0.3141592653, ALPHA2)
-    tracemalloc.start()
-    try:
-        assert equivalence_witness(r1, r2, 300, tol=1e-12) is None
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    witness, peak = _scan_peak(equivalence_witness, r1, r2, 300, 1e-12)
+    assert witness is None
+    assert peak / (arithmetic.SCAN_ROWS * (ALPHA2.dimension + 2) * 8) < WITNESS_PEAK_CHUNKS
 
     # a box past the scan budget is refused before its first chunk
     def unreached(*args):
@@ -224,6 +244,16 @@ def test_fold_representative():
     assert fold_representative(1.7) == pytest.approx(0.3)
     assert fold_representative(-0.3) == pytest.approx(0.3)
     assert fold_representative(2.3) == pytest.approx(0.3)
+
+
+def test_classify_arithmetic_holds_one_chunk():
+    # golden at its default horizon scans 20001 windings, ten chunks
+    r = rv(0.17 + 3 * GOLDEN)
+    classify_arithmetic(r, DIOPH)  # the peak leaves out what a first call builds
+    c, peak = _scan_peak(classify_arithmetic, r, DIOPH)
+    assert c.classification == CLASS_DIOPHANTINE
+    assert 2 * DIOPH.horizon + 1 > 4 * arithmetic.SCAN_ROWS
+    assert peak / arithmetic.SCAN_ROWS < CLASSIFY_PEAK_ROW_BYTES
 
 
 def test_classify_diophantine_class():
