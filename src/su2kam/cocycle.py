@@ -31,10 +31,9 @@ from .su2 import (
     alg_log_quat,
     blockwise,
     component_groups,
-    components_first,
-    point_blocks,
     quat_angle,
     quat_conj,
+    quat_mean,
     quat_mul,
     quat_normalize,
 )
@@ -87,21 +86,10 @@ class Cocycle:
 
 
 def fiber_mean(samples: np.ndarray) -> np.ndarray:
-    """Renormalised quaternion mean of fiber samples; raises
+    """Renormalised quaternion mean (su2.quat_mean) of fiber samples; raises
     NormalizationError when the mean collapses, the fiber far from constant,
-    or is not finite.  The sum runs point after point in C order, as numpy
-    sums the rows of an (N, 4) array, whatever the grid's memory order: each
-    block of su2.BLOCK_POINTS points is copied in C order after the running
-    total and summed, so no C-ordered copy of the grid is made."""
-    rows = components_first(samples).reshape(4, -1)
-    total = np.zeros(4)
-    for block in point_blocks(rows.shape[1]):
-        points = rows[:, block]
-        summands = np.empty((points.shape[1] + 1, 4))
-        summands[0] = total
-        summands[1:] = points.T
-        total = np.add.reduce(summands, axis=0)
-    mean = total / rows.shape[1]
+    or is not finite."""
+    mean = quat_mean(samples)
     if not np.linalg.norm(mean) >= 1e-3:  # a NaN mean fails too
         raise NormalizationError("fiber mean collapses; fiber is far from constant")
     return quat_normalize(mean)
@@ -128,7 +116,7 @@ def log_map(logs: np.ndarray, band: int) -> AlgebraMap:
         # np.maximum, like np.max, keeps a NaN
         err = float(np.maximum(err, np.abs(resynthesis, out=resynthesis).max()))
         del resynthesis  # the next group's synthesis is built without it
-    if err > RESYNTHESIS_TOL:
+    if not err <= RESYNTHESIS_TOL:  # a NaN error fails too
         raise NormalizationError(
             "band %d does not resolve the fiber (resynthesis error %.3g)" % (band, err))
     return amap

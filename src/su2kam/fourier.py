@@ -381,11 +381,7 @@ class TorusMorphism:
         offset = np.zeros(self.dimension) if offset is None else np.asarray(offset, dtype=float)
         grids = np.ix_(*(span * np.arange(m) / m + offset[:, None]))
         t = sum(k * g for k, g in zip(self.winding, grids))
-        t = np.broadcast_to(t, (m,) * self.dimension)
-        out = np.zeros((4,) + t.shape)
-        np.cos(np.pi * t, out=out[0])
-        np.sin(np.pi * t, out=out[1])
-        return components_last(out)
+        return torus_quat(np.broadcast_to(t, (m,) * self.dimension))
 
     def inverse(self) -> "TorusMorphism":
         return TorusMorphism(tuple(-c for c in self.winding))

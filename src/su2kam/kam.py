@@ -49,7 +49,6 @@ from .fourier import (
 from .su2 import (
     CutLocusError,
     GroupElement,
-    alg_log_e,
     blockwise,
     diagonalize,
     quat_angle,
@@ -155,17 +154,12 @@ class SchemeState:
     theta: float
     perturbation: AlgebraMap
     scale: int
+    chain: ConjugationChain
     step: int = 0
-    chain: ConjugationChain = None
     ledger: tuple = ()
     diagnostics: tuple = ()
     sum_k_alpha: float = 0.0
     initial_tail_l1: float = 0.0  # l1 mass the initial renormalisation dropped
-
-    def __post_init__(self):
-        if self.chain is None:
-            object.__setattr__(self, "chain",
-                               ConjugationChain((), self.alpha.dimension))
 
     @property
     def accumulator(self) -> float:
@@ -416,22 +410,22 @@ def _renormalize(sample, band: int, chain: ConjugationChain,
     takes +e and theta in [0, 1]).  A frame other than the identity
     straightens the samples and is recorded as ConstantFactor(p); the
     identity is neither applied nor recorded.  theta then takes up the
-    constant torus mode: one shift by the grid mean of the e component of
-    log(exp(-theta e) . samples) moves c_e(0), which no homological solve
-    removes, into the constant, as in Eliasson's scheme, and leaves it at
-    round-off (a second pass changes no outcome).  The log_map of the
-    samples' cocycle.fiber_log relative to exp(theta e) is taken on the band
-    and stored on its content box.
+    constant torus mode: it is shifted by the grid mean of row e of the
+    samples' cocycle.fiber_log relative to exp(theta e).  The shift moves
+    c_e(0), which no homological solve removes, into the constant, as in
+    Eliasson's scheme, and leaves it at round-off (a second pass changes no
+    outcome).  The log_map of fiber_log relative to the shifted
+    exp(theta e) is taken on the band and stored on its content box.
     Returns the perturbation, theta, the l1 mass the trim dropped, and the
     chain.
 
     One sample grid is alive at a time, and none during the analysis.  The
     grid is built here, so no caller holds it.  The fiber mean sums it block
-    by block, the frame turn runs in place and the logarithms block by block
-    (su2.blockwise): the shift's e coordinates go to one scalar grid, whose
-    mean is whole-grid, and the logarithms are written once, to their own
-    grid, after which the sample grid is released.  log_map's transforms
-    and resynthesis take one component at a time beyond one block.
+    by block, the frame turn runs in place and both logarithms block by
+    block (su2.blockwise): the shift's logarithm grid is freed once its row
+    e is averaged, and the final one is written to its own grid, after which
+    the sample grid is released.  log_map's transforms and resynthesis take
+    one component at a time beyond one block.
 
     Whatever part of the straightened constant lies off the torus goes into
     the perturbation, so the renormalisation is exact up to the resynthesis
@@ -456,8 +450,7 @@ def _renormalize(sample, band: int, chain: ConjugationChain,
     if not np.array_equal(p_frame.q, np.array([1.0, 0.0, 0.0, 0.0])):
         samples = blockwise(quat_conj(p_frame.q), partial(_turned, p_frame.q), into=samples)
         chain = chain.prepended(ConstantFactor(p_frame))
-    theta += np.mean(blockwise(samples, partial(quat_mul, quat_conj(torus_quat(theta))),
-                               alg_log_e))
+    theta += np.mean(fiber_log(samples, torus_quat(theta))[..., 0])
     logs = fiber_log(samples, torus_quat(theta))
     del samples
     try:
@@ -546,7 +539,7 @@ def run_scheme(phi: Cocycle, params: SchemeParams = SchemeParams()) -> NormalFor
     max_steps is exhausted; returns the final state, closing row appended,
     as the normal form.  Whether nu exceeds the frequency's tau is the
     caller's to judge: the scheme runs on the nu it is given."""
-    if sobolev_norm(phi.perturbation, 0.0) > INITIAL_BOUND:
+    if not sobolev_norm(phi.perturbation, 0.0) <= INITIAL_BOUND:  # a NaN norm fails too
         raise SchemeError("initial perturbation outside the perturbative regime")
     state = initial_state(phi, params)
     while state.step < params.max_steps and state.norms[0] > params.stop_tolerance:

@@ -12,15 +12,17 @@ With this scaling the preimage lattice of the center {+-Id} in the torus
 direction is Z*e (exp(n*e) = (-1)^n Id), the root value of exp(t*e) is t, and
 the bi-invariant distance is scaled so that d(Id, -Id) = 1.
 
-Vectorised helpers (quat_*, alg_*) act on arrays with a trailing axis of
-length 4 (quaternions) or 3 (algebra coordinates).  The grids they return
-keep that shape but are allocated component-major: a (..., 4) grid is the
-transposed view of a C-ordered (4, ...) array, so each q[..., i] is
-contiguous.  Elementwise results do not depend on the layout; a sum whose
-rounding does (the fiber mean) runs over a C-ordered copy of one block at a
-time, headed by the running total, with the bits of one C-order sum.
-GroupElement holds one validated element, as read from configs and stored
-in conjugation factors.
+Vectorised helpers (quat_*, alg_*, torus_quat) act on arrays with a
+trailing axis of length 4 (quaternions) or 3 (algebra coordinates).  The
+grids they return keep that shape but are allocated component-major: a
+(..., 4) grid is the transposed view of a C-ordered (4, ...) array, so each
+q[..., i] is contiguous.  Each grid formula of the scheme has its one home
+here: the exponential and logarithm of the algebra, the torus exponential
+exp(theta*e), and the quaternion mean.  Elementwise results do not depend on
+the layout; the mean's rounding does, so `quat_mean` sums one block at a
+time in C order, headed by the running total, with the bits of one C-order
+sum.  GroupElement holds one validated element, as read from configs and
+stored in conjugation factors.
 
 A pointwise pass over a grid runs through `blockwise`, in blocks of at
 most BLOCK_POINTS consecutive points: each block is the same slice of every
@@ -178,6 +180,23 @@ def quat_normalize(q):
     return q / np.linalg.norm(q, axis=-1, keepdims=True)
 
 
+def quat_mean(q):
+    """Mean of a quaternion grid, with the bits of np.mean over its (N, 4)
+    rows in C order whatever the grid's memory order: numpy sums such rows
+    one point after another, so each block of BLOCK_POINTS points is copied
+    in C order after the running total and summed, and no C-ordered copy of
+    the grid is made."""
+    rows = components_first(q).reshape(4, -1)
+    total = np.zeros(4)
+    for block in point_blocks(rows.shape[1]):
+        points = rows[:, block]
+        summands = np.empty((points.shape[1] + 1, 4))
+        summands[0] = total
+        summands[1:] = points.T
+        total = np.add.reduce(summands, axis=0)
+    return total / rows.shape[1]
+
+
 def quat_angle(q):
     """Rotation angle of q on the scale where the antipode -Id is at 1."""
     q = np.asarray(q, dtype=float)
@@ -245,17 +264,13 @@ def alg_log_quat(q, cut_margin=1e-9):
     return components_last(out)
 
 
-def alg_log_e(q, cut_margin=1e-9):
-    """The e coordinate of alg_log_quat(q), the others never computed."""
-    q = np.asarray(q, dtype=float)
-    return q[..., 1] * _log_factor(q, cut_margin)
-
-
 def torus_quat(theta):
-    """Quaternion of exp(theta*e); vectorised over theta."""
+    """Quaternion of exp(theta*e); vectorised over theta, component-major."""
     t = np.asarray(theta, dtype=float)
-    zeros = np.zeros_like(t)
-    return np.stack([np.cos(np.pi * t), np.sin(np.pi * t), zeros, zeros], axis=-1)
+    out = np.zeros((4,) + t.shape)
+    np.cos(np.pi * t, out=out[0, ...])
+    np.sin(np.pi * t, out=out[1, ...])
+    return components_last(out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import settings
@@ -10,6 +11,17 @@ import su2kam.cli  # noqa: F401  (imports every module of the package)
 # deadline makes a slow machine fail a test
 settings.register_profile("su2kam", derandomize=True, database=None, deadline=None)
 settings.load_profile("su2kam")
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and its tracemalloc peak above the traced memory at entry."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

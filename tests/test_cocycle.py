@@ -12,6 +12,7 @@ from su2kam.cocycle import (
     conjugate_raw,
     fiber_mean,
     iterate,
+    log_map,
     normalize,
 )
 from su2kam.fourier import (
@@ -80,6 +81,14 @@ def test_fiber_mean_rejects_a_nan_sample():
     samples[5, 2] = np.nan
     with pytest.raises(NormalizationError):
         fiber_mean(samples)
+
+
+def test_log_map_rejects_a_nan_sample():
+    logs = synthesize(random_map(1, 4, 1e-3, np.random.default_rng(0)), 20)
+    assert np.isfinite(log_map(logs, 4).coeffs).all()
+    logs[7, 1] = np.nan
+    with pytest.raises(NormalizationError, match="does not resolve"):
+        log_map(logs, 4)
 
 
 def test_conjugate_empty_and_constant():

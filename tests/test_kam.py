@@ -1,6 +1,5 @@
 import math
 import re
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from su2kam import arithmetic, cocycle, fourier, kam, su2
 from su2kam.arithmetic import DiophParams, Frequency, box_axes, dist_to_Z, max_norm
 from su2kam.cli import ExperimentConfig, synthesize_cocycle
@@ -215,7 +215,8 @@ def test_remove_resonance_bookkeeping_and_grid_oracle():
     delta = 0.4 * float(n) ** -nu
     theta = (5 * GOLDEN + delta) % 1.0
     f = random_map(1, 4, 1e-5, rng)
-    state = SchemeState(alpha=ALPHA, theta=theta, perturbation=f, scale=n)
+    state = SchemeState(alpha=ALPHA, theta=theta, perturbation=f, scale=n,
+                        chain=ConjugationChain((), 1))
     rec = detect_resonance(theta, ALPHA, n, nu)
     assert rec is not None and rec.k == (5,)
     new = remove_resonance(state, rec)
@@ -248,7 +249,8 @@ def test_remove_resonance_mode_shift():
     e[4 + 1] = 1e-6  # torus mode at k = 1
     e[4 - 1] = 1e-6
     f = AlgebraMap.from_fields(1, 4, e, w)
-    state = SchemeState(alpha=ALPHA, theta=theta, perturbation=f, scale=8)
+    state = SchemeState(alpha=ALPHA, theta=theta, perturbation=f, scale=8,
+                        chain=ConjugationChain((), 1))
     rec = detect_resonance(theta, ALPHA, 8, 4.0)
     new = remove_resonance(state, rec)
     nb = new.perturbation.band
@@ -283,7 +285,7 @@ def test_removal_leaves_the_detected_defect(d):
         rec = detect_resonance(theta, alpha, n, nu)
         assert rec is not None
         state = SchemeState(alpha=alpha, theta=theta, perturbation=AlgebraMap.zeros(d, 1),
-                            scale=n)
+                            scale=n, chain=ConjugationChain((), d))
         removed = remove_resonance(state, rec)
         entry = removed.ledger[-1]
         assert entry.defect_after == entry.defect_before == rec.defect
@@ -314,7 +316,8 @@ def test_scheme_operations_reject_a_bad_scale_or_nu():
 
 
 def test_kam_step_zero_perturbation():
-    state = SchemeState(alpha=ALPHA, theta=0.17, perturbation=AlgebraMap.zeros(1, 4), scale=8)
+    state = SchemeState(alpha=ALPHA, theta=0.17, perturbation=AlgebraMap.zeros(1, 4), scale=8,
+                        chain=ConjugationChain((), 1))
     params = SchemeParams()
     out = kam_step(state, params)
     assert out.scale == 15
@@ -325,7 +328,8 @@ def test_kam_step_zero_perturbation():
 def test_kam_step_safety_bound():
     rng = np.random.default_rng(3)
     big = random_map(1, 4, 0.5, rng)
-    state = SchemeState(alpha=ALPHA, theta=0.17, perturbation=big, scale=8)
+    state = SchemeState(alpha=ALPHA, theta=0.17, perturbation=big, scale=8,
+                        chain=ConjugationChain((), 1))
     with pytest.raises(SchemeError):
         kam_step(state, SchemeParams())
 
@@ -343,7 +347,8 @@ def test_scan_budget_stops_the_scale(monkeypatch):
     f = random_map(3, 1, 1e-7, np.random.default_rng(8))
     assert sobolev_norm(f, 0.0) < 300.0 ** -kam.SAFETY_EXPONENT
     assert 601 ** 3 > arithmetic.SCAN_WINDINGS
-    state = SchemeState(alpha=alpha3, theta=0.1, perturbation=f, scale=300)
+    state = SchemeState(alpha=alpha3, theta=0.1, perturbation=f, scale=300,
+                        chain=ConjugationChain((), 3))
     with pytest.raises(fourier.GridBudgetError, match="scan of 217081801 windings for scale 300 "):
         kam_step(state, SchemeParams())
 
@@ -361,7 +366,8 @@ def test_step_grid_follows_the_content_not_the_scale(monkeypatch):
     alpha2 = Frequency((GOLDEN, math.sqrt(2.0) - 1.0))
     f = random_map(2, 0, 1e-9, np.random.default_rng(8), mean_free=False)
     assert f.band == 0
-    state = SchemeState(alpha=alpha2, theta=0.1, perturbation=f, scale=49)
+    state = SchemeState(alpha=alpha2, theta=0.1, perturbation=f, scale=49,
+                        chain=ConjugationChain((), 2))
     out = kam_step(state, SchemeParams())
     assert out.scale == 157
     [(y, band, m)] = calls
@@ -433,6 +439,15 @@ def test_run_scheme_nonperturbative_rejected():
     rng = np.random.default_rng(6)
     phi = Cocycle(ALPHA, GroupElement(torus_quat(0.17)), random_map(1, 4, 0.1, rng))
     with pytest.raises(SchemeError):
+        run_scheme(phi)
+
+
+def test_run_scheme_rejects_a_nan_perturbation():
+    # the gate reads the H^0 norm, which one NaN coefficient makes NaN
+    f = random_map(1, 4, 1e-4, np.random.default_rng(6))
+    f.coeffs[4 + 1, 0] = np.nan
+    phi = Cocycle(ALPHA, GroupElement(torus_quat(0.17)), f)
+    with pytest.raises(SchemeError, match="outside the perturbative regime"):
         run_scheme(phi)
 
 
@@ -712,17 +727,6 @@ ONE_BLOCK_PEAK_GRIDS = (3.93, 3.26)
 PREFIX_PEAK_GRIDS = 2.6
 
 
-def _traced_peak(fn, *args):
-    """fn(*args) and its tracemalloc peak above the traced memory at entry."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        out = fn(*args)
-        return out, tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-
-
 def _step_peaks(step):
     """Grid size and peak grids of a step of the first exp-2d benchmark
     experiment, and of its conjugation."""
@@ -732,12 +736,12 @@ def _step_peaks(step):
     state = kam.initial_state(phi, params)
     for _ in range(step):
         state = kam_step(state, params)
-    after, peak = _traced_peak(kam_step, state, params)
+    after, peak = traced_peak(kam_step, state, params)
     m = fourier.grid_size(after.diagnostics[-1].band_next, 2)
     grid_bytes = m * m * 4 * 8
     # the step's own conjugation: by exp(Y), Y the newest exp factor
     y = next(f for f in after.chain.factors if isinstance(f, ExpFactor))
-    _samples, conjugation = _traced_peak(conjugate_raw, y, state.cocycle(), m)
+    _samples, conjugation = traced_peak(conjugate_raw, y, state.cocycle(), m)
     return m, peak / grid_bytes, conjugation / grid_bytes
 
 
@@ -761,7 +765,7 @@ def test_prefix_norms_peak_memory_stays_below_the_bound():
     nf = run_scheme(phi, cfg.scheme_params)
     m = 2 * nf.chain.content_bound() + 8
     nf.chain_prefix_norms()  # builds the memoised weights
-    norms, peak = _traced_peak(nf.chain_prefix_norms)
+    norms, peak = traced_peak(nf.chain_prefix_norms)
     assert len(norms) > 2 and m >= 128
     assert peak / (m * m * 4 * 8) < PREFIX_PEAK_GRIDS
 
@@ -860,7 +864,8 @@ def test_collapsed_step_mean_diverges_with_the_state(monkeypatch):
 
     monkeypatch.setattr(kam, "conjugate_raw", split_fiber)
     f = random_map(1, 4, 1e-6, np.random.default_rng(9))
-    state = SchemeState(alpha=ALPHA, theta=0.17, perturbation=f, scale=8)
+    state = SchemeState(alpha=ALPHA, theta=0.17, perturbation=f, scale=8,
+                        chain=ConjugationChain((), 1))
     with pytest.raises(DivergenceError, match="mean collapses") as info:
         kam_step(state, SchemeParams())
     assert info.value.state is state

@@ -7,7 +7,7 @@ bits as its interleaved form, written out here as the reference, on
 interleaved, component-major and broadcast-constant inputs.  The transform
 references run np.fft.irfftn and rfftn over every column, so they also pin
 the pruned transforms, at small sizes and at the scheme's grid sizes.  The
-grid passes that run block by block (su2.blockwise), the fiber mean's
+grid passes that run block by block (su2.blockwise), the quaternion mean's
 running sum and the transforms that take one component at a time beyond
 one block are run at one block and at blocks that split every grid, and
 give the same bits.
@@ -39,14 +39,15 @@ from su2kam.fourier import (
 from su2kam.su2 import (
     GroupElement,
     alg_exp_quat,
-    alg_log_e,
     alg_log_quat,
     components_first,
     components_last,
     quat_angle,
     quat_conj,
+    quat_mean,
     quat_mul,
     quat_normalize,
+    torus_quat,
 )
 
 FREQUENCY = ((math.sqrt(5.0) - 1.0) / 2.0, math.sqrt(2.0) - 1.0, math.sqrt(3.0) - 1.0)
@@ -133,8 +134,18 @@ def old_analyze(samples, band):
     return AlgebraMap(d, band, np.concatenate([flipped, half], axis=d - 1)).symmetrized()
 
 
+def old_torus_quat(theta):
+    t = np.asarray(theta, dtype=float)
+    zeros = np.zeros_like(t)
+    return np.stack([np.cos(np.pi * t), np.sin(np.pi * t), zeros, zeros], axis=-1)
+
+
+def old_quat_mean(samples):
+    return np.mean(samples.reshape(-1, 4), axis=0)
+
+
 def old_fiber_mean(samples):
-    return quat_normalize(np.mean(samples.reshape(-1, 4), axis=0))
+    return quat_normalize(old_quat_mean(samples))
 
 
 def old_chain_sobolev_partial(chain, s, m):
@@ -168,6 +179,7 @@ def test_grids_are_component_major(d):
     _assert_component_major(quat_mul(interleaved, interleaved), shape + (4,))
     _assert_component_major(quat_mul(const, interleaved), shape + (4,))
     _assert_component_major(quat_mul(interleaved, const), shape + (4,))
+    _assert_component_major(torus_quat(rng.uniform(-3.0, 3.0, shape)), shape + (4,))
     winding = tuple(range(1, d + 1))
     offset = np.full(d, 0.3)
     _assert_component_major(TorusMorphism(winding).grid(m), shape + (4,))
@@ -219,11 +231,16 @@ def test_group_helpers_keep_their_bits(grid):
             assert np.array_equal(alg_exp_quat(w), old_alg_exp_quat(w))
         for q in (ln, near[(0,) * d], np.broadcast_to(near[(1,) * d], shape + (4,))):
             assert np.array_equal(alg_log_quat(q), old_alg_log_quat(q))
-            assert np.array_equal(alg_log_e(q), old_alg_log_quat(q)[..., 0])
         for points in (ONE_BLOCK, SPLIT):
+            assert np.array_equal(_at_blocks(points, quat_mean, la),
+                                  old_quat_mean(np.ascontiguousarray(la)))
             assert np.array_equal(_at_blocks(points, fiber_mean, la),
                                   old_fiber_mean(np.ascontiguousarray(la)))
     assert np.array_equal(fiber_mean(tiled), old_fiber_mean(np.ascontiguousarray(tiled)))
+    t = rng.uniform(-3.0, 3.0, shape)
+    for theta in (t, t[(0,) * d], float(t[(0,) * d]), np.broadcast_to(t[(0,) * d], shape)):
+        assert np.array_equal(torus_quat(theta), old_torus_quat(theta))
+    assert torus_quat(float(t[(0,) * d])).shape == (4,)
 
 
 # sizes the scheme's grids take (4 * band + 4, and the double covers of the

@@ -1,15 +1,16 @@
 import dataclasses
 import math
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from su2kam import arithmetic
 from su2kam.arithmetic import DiophParams, Frequency, GridBudgetError
+from su2kam.cli import ExperimentConfig, synthesize_cocycle
 from su2kam.cocycle import Cocycle, c0_distance, conjugate
 from su2kam.fourier import (
     AlgebraMap,
@@ -191,17 +192,6 @@ def test_equivalence_witness_shifts_by_periods_past_the_horizon():
     assert w["residual"] <= 1e-8
 
 
-def _scan_peak(fn, *args):
-    """fn(*args) and its tracemalloc peak above the traced memory at entry."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        out = fn(*args)
-        return out, tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-
-
 # Peak of a search over the box, in chunks of SCAN_ROWS rows of (k, |k|,
 # k.alpha), d + 2 doubles a row.  The 2D search below reads 2.30 when each
 # chunk is reduced before the next is built, and 3.28 when the next chunk is
@@ -219,7 +209,7 @@ def test_equivalence_witness_streams_the_box(monkeypatch):
     # a pair that matches nowhere makes the search scan the whole box at
     # H = 300 (361201 windings); it holds one chunk at a time, not the box
     r1, r2 = rv(0.123456789, ALPHA2), rv(0.3141592653, ALPHA2)
-    witness, peak = _scan_peak(equivalence_witness, r1, r2, 300, 1e-12)
+    witness, peak = traced_peak(equivalence_witness, r1, r2, 300, 1e-12)
     assert witness is None
     assert peak / (arithmetic.SCAN_ROWS * (ALPHA2.dimension + 2) * 8) < WITNESS_PEAK_CHUNKS
 
@@ -250,7 +240,7 @@ def test_classify_arithmetic_holds_one_chunk():
     # golden at its default horizon scans 20001 windings, ten chunks
     r = rv(0.17 + 3 * GOLDEN)
     classify_arithmetic(r, DIOPH)  # the peak leaves out what a first call builds
-    c, peak = _scan_peak(classify_arithmetic, r, DIOPH)
+    c, peak = traced_peak(classify_arithmetic, r, DIOPH)
     assert c.classification == CLASS_DIOPHANTINE
     assert 2 * DIOPH.horizon + 1 > 4 * arithmetic.SCAN_ROWS
     assert peak / arithmetic.SCAN_ROWS < CLASSIFY_PEAK_ROW_BYTES
@@ -324,6 +314,29 @@ def test_rotation_class_is_invariant_under_conjugation(data, dimension, theta, s
     for factor in (ExpFactor(b), TorusMorphism(k)):
         conjugated = conjugate(ConjugationChain((factor,), dimension), phi)
         assert equivalence_check(r, rotation_vector(run_scheme(conjugated, params)), 2)
+
+
+def test_rotation_class_is_invariant_under_conjugation_in_3d():
+    # the 3D config of test_kam.py at 1e-12 and its conjugate by a torus
+    # morphism of winding (1, 0, 0) and a small exp factor: the witness of
+    # their one class is that winding, matched to round-off
+    cfg = ExperimentConfig.from_dict({
+        "frequency": {"value": [2.0 ** 0.25 - 1.0, 2.0 ** 0.5 - 1.0, 2.0 ** 0.75 - 1.0]},
+        "theta": 0.1,
+        "chain": [{"kind": "torus", "winding": [1, 0, 1]},
+                  {"kind": "exp", "band": 1, "amplitude": 1e-3}],
+        "perturbation": {"band": 1, "amplitude": 1e-5},
+        "scheme": {"n0": 6, "nu": 8.0, "stop_tolerance": 1e-12},
+        "dioph": {"gamma": 32.0, "tau": 4.0, "horizon": 20},
+    })
+    phi, _truth = synthesize_cocycle(cfg)
+    chain = ConjugationChain((TorusMorphism((1, 0, 0)),
+                              ExpFactor(random_map(3, 1, 1e-4, np.random.default_rng(1)))), 3)
+    r1 = rotation_vector(run_scheme(phi, cfg.scheme_params))
+    r2 = rotation_vector(run_scheme(conjugate(chain, phi), cfg.scheme_params))
+    w = equivalence_witness(r1, r2, 20, 1e-10)
+    assert w["k"] == [1, 0, 0]
+    assert w["residual"] <= 1e-12
 
 
 def test_invariance_probe_small_exponential():

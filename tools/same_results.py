@@ -46,8 +46,9 @@ digests, and exits non-zero on any mismatch.  The tier-1 test
 `tests/test_fixed_runs.py` makes the same comparison over every run but
 the two slowest 3D ones.
 
-`peaks` runs the first two sweep-1d and the first two exp-2d experiments,
-the benchmark's memory span of each, and the three 3D configs, as
+`peaks` runs the first two sweep-1d experiments, the first two-freq-2d
+one and the first two exp-2d ones, the benchmark's memory span of each
+workload, and the three 3D configs, as
 `digests` does, each twice in one process, and prints the tracemalloc peak
 of the repeat above the traced memory at its start, in MiB: the repeat
 reads the per-process tables that the first run built, as a benchmark pass
@@ -81,8 +82,8 @@ NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
             tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
 DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 ALPHA_3D = [2.0 ** 0.25 - 1.0, 2.0 ** 0.5 - 1.0, 2.0 ** 0.75 - 1.0]
-PEAK_RUNS = ("sweep-1d/000", "sweep-1d/001", "exp-2d/000", "exp-2d/001", "3d/1e-12",
-             "3d/1e-13", "3d/resonant-twin")
+PEAK_RUNS = ("sweep-1d/000", "sweep-1d/001", "two-freq-2d/000", "exp-2d/000", "exp-2d/001",
+             "3d/1e-12", "3d/1e-13", "3d/resonant-twin")
 RHO_TOL = 1e-14
 RESIDUAL_FACTOR = 10.0
 # what must match exactly; rho, the residual and the digests are compared apart
