@@ -341,7 +341,8 @@ def run_experiment(cfg: ExperimentConfig):
 def _dump_report(report: dict, fh) -> None:
     """One line of JSON with sorted keys, through json's C encoder (json.dump
     and indent both fall back to the pure-Python one)."""
-    fh.write(json.dumps(report, sort_keys=True) + "\n")
+    fh.write(json.dumps(report, sort_keys=True))
+    fh.write("\n")  # apart, so that the report string is not copied
 
 
 def _emit(doc: dict, path) -> None:

@@ -20,6 +20,7 @@ from .arithmetic import Frequency
 from .fourier import (
     AlgebraMap,
     ConjugationChain,
+    Synthesis,
     analyze,
     grid_size,
     synthesize,
@@ -60,9 +61,10 @@ class Cocycle:
         return self.alpha.dimension
 
     def fiber_grid(self, m: int) -> np.ndarray:
-        """Quaternion samples of A exp(F) on the m^d grid: F is synthesized
-        whole, then exponentiated and multiplied block by block."""
-        return blockwise(partial(synthesize, self.perturbation, m), alg_exp_quat,
+        """Quaternion samples of A exp(F) on the m^d grid: F is synthesized,
+        exponentiated and multiplied block by block of lines (a
+        fourier.Synthesis), so it is never a whole grid beyond one block."""
+        return blockwise(Synthesis(self.perturbation, m), alg_exp_quat,
                          partial(quat_mul, self.constant.q))
 
     def fiber_at(self, x) -> np.ndarray:
@@ -95,11 +97,34 @@ def fiber_mean(samples: np.ndarray) -> np.ndarray:
     return quat_normalize(mean)
 
 
-def fiber_log(samples: np.ndarray, reference: np.ndarray) -> np.ndarray:
+def fiber_log(samples: np.ndarray, reference: np.ndarray, into=None) -> np.ndarray:
     """The grid of F with fiber = reference exp(F): the logarithm of
-    reference^-1 fiber, block by block.  Raises CutLocusError when a sample
-    is too far from the reference for the logarithm."""
-    return blockwise(samples, partial(quat_mul, quat_conj(reference)), alg_log_quat)
+    reference^-1 fiber, block by block, written into `into` if given, as
+    su2.blockwise does (so the caller rebinds it to the result).  `into` may
+    be components 1..3 of the samples themselves, since each block is read
+    whole before its logarithm is written.  Raises CutLocusError when a
+    sample is too far from the reference for the logarithm."""
+    if into is None:
+        return blockwise(samples, _relative(reference), alg_log_quat)
+    return blockwise(samples, _relative(reference), _log_into, into=into)
+
+
+def fiber_log_e(samples: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """Row e of fiber_log, a scalar grid: each block's logarithm is taken
+    whole, and its rows jx and jy are dropped with it."""
+    return blockwise(samples, _relative(reference), alg_log_quat, _row_e)
+
+
+def _relative(reference):
+    return partial(quat_mul, quat_conj(reference))
+
+
+def _log_into(q, _logs):
+    return alg_log_quat(q)
+
+
+def _row_e(logs):
+    return logs[..., 0]
 
 
 def log_map(logs: np.ndarray, band: int) -> AlgebraMap:
@@ -147,9 +172,11 @@ def conjugate_raw(h, phi: Cocycle, m: int) -> np.ndarray:
     grid, lifted by the identity) or the ExpFactor of a scheme step (Y,
     lifted by exp).  The fiber grid is the one sample grid: H(x)^-1 is
     multiplied into it on the right, then H(x+alpha) on the left, in place,
-    block by block (su2.blockwise).  Each side synthesizes h's field once,
-    whole, and lifts it block by block, so a step's exp(Y) is never a whole
-    grid.  Each product keeps the bits of the whole-grid one."""
+    block by block (su2.blockwise).  An exp factor's field is a line source
+    (fourier.Synthesis), so each side builds Y and exp(Y) a block of lines
+    at a time, and neither is a whole grid beyond one block; a chain's
+    field is its whole grid.  Each product keeps the bits of the whole-grid
+    one."""
     if h.dimension != phi.dimension:
         raise ValueError("chain dimension does not match the cocycle")
     samples = phi.fiber_grid(m)

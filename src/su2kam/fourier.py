@@ -20,7 +20,7 @@ process, read-only, like the box tables of `arithmetic`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .arithmetic import (TABLE_ENTRIES, Frequency, GridBudgetError, box_axes, bo
                          box_inner, box_shells, box_windings, max_norm, read_only)
 from .su2 import (
     GroupElement,
+    LineSource,
     alg_exp_quat,
     blockwise,
     component_groups,
@@ -62,6 +63,14 @@ def grid_size(band: int, dimension: int) -> int:
 
 def _flip_conj(coeffs: np.ndarray, dimension: int) -> np.ndarray:
     return np.conj(np.flip(coeffs, axis=tuple(range(dimension))))
+
+
+def _symmetrize(coeffs: np.ndarray, dimension: int) -> np.ndarray:
+    """coeffs evened out in place, 0.5 (c(k) + conj(c(-k))): IEEE + and x
+    commute, so it has the bits of the expression as written."""
+    coeffs += _flip_conj(coeffs, dimension)
+    coeffs *= 0.5
+    return coeffs
 
 
 def _phases(dimension: int, band: int, x) -> np.ndarray:
@@ -157,8 +166,8 @@ class AlgebraMap:
         self.coeffs[self._index(tuple(-c for c in k))] = np.conj(value)
 
     def symmetrized(self) -> "AlgebraMap":
-        sym = 0.5 * (self.coeffs + _flip_conj(self.coeffs, self.dimension))
-        return AlgebraMap(self.dimension, self.band, sym)
+        coeffs = _symmetrize(self.coeffs.copy(), self.dimension)
+        return AlgebraMap(self.dimension, self.band, coeffs)
 
     def e_field(self) -> np.ndarray:
         return self.coeffs[..., 0].copy()
@@ -277,25 +286,69 @@ def _half_index(band: int, m: int, dimension: int) -> tuple:
     return leading + (read_only(np.arange(band + 1)),)
 
 
-def synthesize(amap: AlgebraMap, m: int, group=slice(None)) -> np.ndarray:
-    """Grid values as real 3-vectors, or the components a slice `group`
-    picks of them; requires m >= 2*band+2.  A real inverse
-    FFT of the k_last >= 0 half of the box: the map is real, so that half
-    determines it.  Only its band + 1 columns of the last axis are nonzero,
-    so the leading axes are transformed on those columns alone, and the
-    real inverse over the last axis pads them to m // 2 + 1."""
-    d, band = amap.dimension, amap.band
+def _resolve(m: int, band: int) -> None:
     if m < 2 * band + 2:
         raise UndersampledGridError("grid %d undersamples band %d" % (m, band))
+
+
+def _spectrum(amap: AlgebraMap, m: int, group=slice(None)) -> np.ndarray:
+    """The k_last >= 0 half of the box, its band + 1 columns of the last
+    axis only, with the leading axes inverse-transformed: (c, m, ..., m,
+    band + 1), one row of coefficients per line of the m^d grid."""
+    d, band = amap.dimension, amap.band
+    _resolve(m, band)
     coeffs = components_first(amap.coeffs[..., band:, group])
     buf = np.zeros(coeffs.shape[:1] + (m,) * (d - 1) + (band + 1,), dtype=complex)
     buf[(slice(None),) + _half_index(band, m, d)] = coeffs
     # the order of np.fft.irfftn: the leading axes first, then the real axis
     for axis in range(1, d):
         np.fft.ifft(buf, axis=axis, out=buf)
-    grid = np.fft.irfft(buf, n=m, axis=d)
-    grid *= float(m) ** d
-    return components_last(grid)
+    return buf
+
+
+def _lines(rows: np.ndarray, m: int, d: int) -> np.ndarray:
+    """The grid lines of rows of a _spectrum: the real inverse FFT of the
+    last axis, which pads each row to m // 2 + 1."""
+    lines = np.fft.irfft(rows, n=m, axis=-1)
+    lines *= float(m) ** d
+    return lines
+
+
+def synthesize(amap: AlgebraMap, m: int, group=slice(None)) -> np.ndarray:
+    """Grid values as real 3-vectors, or the components a slice `group`
+    picks of them; requires m >= 2*band+2.  A real inverse FFT of the
+    k_last >= 0 half of the box: the map is real, so that half determines
+    it.  Only its band + 1 columns of the last axis are nonzero, so the
+    leading axes are transformed on those columns alone (_spectrum), and the
+    real inverse over the last axis pads them to m // 2 + 1 (_lines).  The
+    whole grid at once; a Synthesis builds it a block of lines at a time."""
+    return components_last(_lines(_spectrum(amap, m, group), m, amap.dimension))
+
+
+class Synthesis(LineSource):
+    """synthesize(amap, m) as a line source (su2.blockwise): the leading
+    axes are transformed once, on the band + 1 columns of _spectrum, when
+    the first block is built, and each block of lines is the real inverse
+    FFT of its rows, with the bits of the whole grid's lines.  On one block
+    it is synthesize's grid."""
+
+    __slots__ = ("amap", "m", "shape", "_rows")
+
+    def __init__(self, amap: AlgebraMap, m: int):
+        self.amap, self.m = amap, m
+        self.shape = (m,) * amap.dimension + (3,)
+        self._rows = None
+
+    def grid(self) -> np.ndarray:
+        return synthesize(self.amap, self.m)
+
+    def block(self, points: slice) -> np.ndarray:
+        m = self.m
+        if self._rows is None:
+            spectrum = _spectrum(self.amap, m)
+            self._rows = spectrum.reshape(spectrum.shape[0], -1, spectrum.shape[-1])
+        lines = _lines(self._rows[:, points.start // m:points.stop // m], m, self.amap.dimension)
+        return lines.reshape(lines.shape[0], -1)
 
 
 def analyze(samples: np.ndarray, band: int) -> AlgebraMap:
@@ -304,25 +357,30 @@ def analyze(samples: np.ndarray, band: int) -> AlgebraMap:
     flipped conjugate, and symmetrizing evens out the k_last = 0 plane.
     Only the band + 1 columns of the box are kept after the real FFT of the
     last axis, which takes one su2.component_groups group at a time, before
-    the leading axes are transformed."""
+    the leading axes are transformed.  The spectrum is freed before the
+    coefficient table is assembled, and the table is symmetrized in place."""
     samples = np.asarray(samples, dtype=float)
     dimension = samples.ndim - 1
     m = samples.shape[0]
     if any(samples.shape[a] != m for a in range(dimension)):
         raise ValueError("expected a cubic grid")
-    if m < 2 * band + 2:
-        raise UndersampledGridError("grid %d undersamples band %d" % (m, band))
+    _resolve(m, band)
     hat = np.empty(samples.shape[-1:] + (m,) * (dimension - 1) + (band + 1,), dtype=complex)
     for group in component_groups(samples):
         hat[group] = np.fft.rfft(components_first(samples[..., group]), axis=-1)[..., :band + 1]
     # the order of np.fft.rfftn: the real axis first, then the leading axes backwards
     for axis in range(dimension - 1, 0, -1):
         np.fft.fft(hat, axis=axis, out=hat)
-    # back to the coefficient layout, C order, before the flip and concatenation
-    half = np.ascontiguousarray(components_last(
-        hat[(slice(None),) + _half_index(band, m, dimension)] / float(m) ** dimension))
-    coeffs = np.concatenate([_flip_conj(half[..., 1:, :], dimension), half], axis=dimension - 1)
-    return AlgebraMap(dimension, band, coeffs).symmetrized()
+    half = hat[(slice(None),) + _half_index(band, m, dimension)]
+    del hat
+    half /= float(m) ** dimension
+    # the k_last >= 0 half, then the other half its flipped conjugate
+    coeffs = np.empty((2 * band + 1,) * dimension + samples.shape[-1:], dtype=complex)
+    coeffs[..., band:, :] = components_last(half)
+    del half
+    np.conj(np.flip(coeffs[..., band + 1:, :], axis=tuple(range(dimension))),
+            out=coeffs[..., :band, :])
+    return AlgebraMap(dimension, band, _symmetrize(coeffs, dimension))
 
 
 def translate(amap: AlgebraMap, alpha) -> AlgebraMap:
@@ -356,8 +414,15 @@ def random_map(dimension: int, band: int, amplitude: float, rng,
 # structured group-valued factors and conjugation chains
 
 
+class _WholeFactor:
+    """A factor whose blockwise source in a chain's fold is its grid."""
+
+    def source(self, m: int, offset=None, span: float = 1.0):
+        return self.grid(m, offset, span)
+
+
 @dataclass(frozen=True)
-class TorusMorphism:
+class TorusMorphism(_WholeFactor):
     """x -> exp((k.x) e): winds through the fixed maximal torus.
 
     Sends lattice points of Z^d into the center {+-Id}; under fibered
@@ -391,7 +456,7 @@ class TorusMorphism:
 
 
 @dataclass(frozen=True)
-class ConstantFactor:
+class ConstantFactor(_WholeFactor):
     element: GroupElement
 
     @property
@@ -412,11 +477,54 @@ class ConstantFactor:
         return {"type": "constant", "element": self.element.q.tolist()}
 
 
+class _Cover(LineSource):
+    """A grid of period 1 on the double cover [0, 2)^d, as a line source:
+    its period, the grid's h^d points on [0, 1)^d, h = m / 2, tiled into
+    the 2^d cells.  A block copies each of its lines' period lines twice,
+    so the tiled grid is never whole beside the period; on one block,
+    grid() tiles it whole by broadcasting, faster at small sizes.  Neither
+    makes an intermediate grid, as np.tile does."""
+
+    __slots__ = ("period", "shape")
+
+    def __init__(self, period: np.ndarray, m: int):
+        self.period = components_first(period)
+        self.shape = (m,) * (period.ndim - 1) + (4,)
+
+    def grid(self) -> np.ndarray:
+        m, d = self.shape[0], len(self.shape) - 1
+        tiled = np.empty((4,) + (2, m // 2) * d)
+        tiled[...] = self.period.reshape((4,) + (1, m // 2) * d)
+        return components_last(tiled.reshape((4,) + (m,) * d))
+
+    def block(self, points: slice) -> np.ndarray:
+        m, d = self.shape[0], len(self.shape) - 1
+        h = m // 2
+        periods = self.period.reshape(4, -1, h)
+        first, stop = points.start // m, points.stop // m
+        tiled = np.empty((4, stop - first, 2, h))
+        # the leading indices of a line, taken mod h, give its period line,
+        # which steps by one from line to line up to a multiple of h
+        start = first
+        while start < stop:
+            end = min(stop, (start // h + 1) * h)
+            line, index, scale = start, 0, 1
+            for _ in range(d - 1):
+                line, i = divmod(line, m)
+                index += i % h * scale
+                scale *= h
+            tiled[:, start - first:end - first, 0] = periods[:, index:index + end - start]
+            start = end
+        tiled[:, :, 1] = tiled[:, :, 0]
+        return tiled.reshape(4, -1)
+
+
 @dataclass(frozen=True)
 class ExpFactor:
     """x -> exp(Y(x)) for an algebra map Y.  As the conjugator of a scheme
-    step (cocycle.conjugate_raw), its `field` is Y and its `lift` is exp,
-    applied block by block, so exp(Y) is never a whole grid."""
+    step (cocycle.conjugate_raw), its `field` is Y, a line source, and its
+    `lift` is exp, applied block by block, so neither Y nor exp(Y) is a
+    whole grid beyond one block."""
 
     map: AlgebraMap
 
@@ -427,9 +535,10 @@ class ExpFactor:
     def evaluate_at(self, x) -> np.ndarray:
         return alg_exp_quat(self.map.evaluate_at(x))
 
-    def field(self, m: int, offset=None) -> np.ndarray:
-        """Y on the m^d grid, shifted by offset: the grid before exp."""
-        return synthesize(self.map if offset is None else translate(self.map, offset), m)
+    def field(self, m: int, offset=None) -> Synthesis:
+        """Y on the m^d grid, shifted by offset, as a line source: the grid
+        before exp."""
+        return Synthesis(self.map if offset is None else translate(self.map, offset), m)
 
     @property
     def lift(self):
@@ -440,18 +549,20 @@ class ExpFactor:
 
     def grid(self, m: int, offset=None, span: float = 1.0) -> np.ndarray:
         if span == 1.0:
-            return blockwise(partial(self.field, m, offset), alg_exp_quat)
+            return blockwise(self.field(m, offset), alg_exp_quat)
+        return self.source(m, offset, span).grid()
+
+    def source(self, m: int, offset=None, span: float = 1.0):
+        """Its blockwise source in a chain's fold: its grid, or on the double
+        cover (span 2) a line source that tiles its grid on one period, since
+        exp is pointwise and Y has period 1."""
+        if span == 1.0:
+            return self.grid(m, offset)
         if span != 2.0:
             raise ValueError("span must be 1 or 2")
         if m % 2:
             raise ValueError("double-cover sampling needs an even grid")
-        # exp is pointwise, so one period is exponentiated, then copied into
-        # each of the 2^d cells, with no intermediate grid as np.tile makes
-        h, d = m // 2, self.dimension
-        period = components_first(blockwise(partial(self.field, h, offset), alg_exp_quat))
-        tiled = np.empty((4,) + (2, h) * d)
-        tiled[...] = period.reshape((4,) + (1, h) * d)
-        return components_last(tiled.reshape((4,) + (m,) * d))
+        return _Cover(self.grid(m // 2, offset), m)
 
     def inverse(self) -> "ExpFactor":
         return ExpFactor((-1.0) * self.map)
@@ -503,19 +614,19 @@ class ConjugationChain:
         return q
 
     def prefix_grids(self, m: int, offset=None, span: float = 1.0):
-        """Grids (read-only views) of the application-order prefixes: prefix
-        i+1 is the next newer factor's grid times prefix i, multiplied into
-        prefix i in place, block by block (su2.blockwise).  The factor's
-        grid is released before the yield, so a caller that transforms a
-        prefix holds one grid beside its transform; a yielded grid is valid
-        until the generator resumes, which may write the next prefix over
-        it."""
+        """Grids (read-only views) of the application-order prefixes: the
+        oldest factor's grid, then prefix i+1, the next newer factor's
+        `source` (its grid, or an exp factor's line source on the double
+        cover) times prefix i, multiplied into prefix i in place, block by
+        block (su2.blockwise), or into a new grid when prefix i is a
+        constant.  The factor's source is released before the yield, so a
+        caller that transforms a prefix holds one grid beside its
+        transform; a yielded grid is valid until the generator resumes,
+        which may write the next prefix over it."""
         acc = None
         for f in reversed(self.factors):
-            g = f.grid(m, offset, span)
-            # a constant prefix is a point, one block: the product is new
-            acc = g if acc is None else blockwise(g, quat_mul, into=acc)
-            del g
+            acc = (f.grid(m, offset, span) if acc is None
+                   else blockwise(f.source(m, offset, span), quat_mul, into=acc))
             yield np.broadcast_to(acc, (m,) * self.dimension + (4,))
 
     def grid(self, m: int, offset=None, span: float = 1.0) -> np.ndarray:

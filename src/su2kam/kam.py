@@ -34,8 +34,8 @@ from .arithmetic import (
     relative_defect_minimum,
 )
 from . import fourier
-from .cocycle import (Cocycle, NormalizationError, conjugate_raw, fiber_log, fiber_mean,
-                      log_map)
+from .cocycle import (Cocycle, NormalizationError, conjugate_raw, fiber_log, fiber_log_e,
+                      fiber_mean, log_map)
 from .fourier import (
     AlgebraMap,
     ConjugationChain,
@@ -411,21 +411,22 @@ def _renormalize(sample, band: int, chain: ConjugationChain,
     straightens the samples and is recorded as ConstantFactor(p); the
     identity is neither applied nor recorded.  theta then takes up the
     constant torus mode: it is shifted by the grid mean of row e of the
-    samples' cocycle.fiber_log relative to exp(theta e).  The shift moves
-    c_e(0), which no homological solve removes, into the constant, as in
-    Eliasson's scheme, and leaves it at round-off (a second pass changes no
-    outcome).  The log_map of fiber_log relative to the shifted
+    samples' logarithm relative to exp(theta e) (cocycle.fiber_log_e).  The
+    shift moves c_e(0), which no homological solve removes, into the
+    constant, as in Eliasson's scheme, and leaves it at round-off (a second
+    pass changes no outcome).  The log_map of fiber_log relative to the shifted
     exp(theta e) is taken on the band and stored on its content box.
     Returns the perturbation, theta, the l1 mass the trim dropped, and the
     chain.
 
-    One sample grid is alive at a time, and none during the analysis.  The
-    grid is built here, so no caller holds it.  The fiber mean sums it block
-    by block, the frame turn runs in place and both logarithms block by
-    block (su2.blockwise): the shift's logarithm grid is freed once its row
-    e is averaged, and the final one is written to its own grid, after which
-    the sample grid is released.  log_map's transforms and resynthesis take
-    one component at a time beyond one block.
+    The sample grid is the one whole grid.  It is built here, so no caller
+    holds it.  The fiber mean sums it block by block, the frame turn runs in
+    place and both logarithms block by block (su2.blockwise): the shift's
+    logarithm keeps only row e, a scalar grid, and the final one is written
+    over components 1..3 of the samples, which log_map analyses.  log_map's
+    transforms and resynthesis take one component at a time beyond one
+    block.  On one block, the final logarithm is a new grid and the samples
+    are released.
 
     Whatever part of the straightened constant lies off the torus goes into
     the perturbation, so the renormalisation is exact up to the resynthesis
@@ -450,8 +451,8 @@ def _renormalize(sample, band: int, chain: ConjugationChain,
     if not np.array_equal(p_frame.q, np.array([1.0, 0.0, 0.0, 0.0])):
         samples = blockwise(quat_conj(p_frame.q), partial(_turned, p_frame.q), into=samples)
         chain = chain.prepended(ConstantFactor(p_frame))
-    theta += np.mean(fiber_log(samples, torus_quat(theta))[..., 0])
-    logs = fiber_log(samples, torus_quat(theta))
+    theta += np.mean(fiber_log_e(samples, torus_quat(theta)))
+    logs = fiber_log(samples, torus_quat(theta), into=samples[..., 1:])
     del samples
     try:
         f = log_map(logs, band)
@@ -487,10 +488,11 @@ def kam_step(state: SchemeState, params: SchemeParams) -> SchemeState:
             raise CorruptStateError("constant still resonant after removal (winding %r)"
                                     % (again.k,))
 
-    w, _obstruction, _remainder = solve_homological(
-        state.theta, state.perturbation, state.alpha, state.scale, params.nu)
-    rot = quat_rotation_matrix(torus_quat(state.theta))
-    y = (-1.0) * w.rotated(rot)
+    # only Y outlives the solve: no other table of it stays bound through
+    # the renormalisation
+    y = solve_homological(state.theta, state.perturbation, state.alpha, state.scale,
+                          params.nu)[0]
+    y = (-1.0) * y.rotated(quat_rotation_matrix(torus_quat(state.theta)))
 
     n_next = max(state.scale + 1, int(round(float(state.scale) ** (1.0 + params.sigma))))
     # the conjugated fiber has the band of its content, whatever the scale:

@@ -24,19 +24,27 @@ time in C order, headed by the running total, with the bits of one C-order
 sum.  GroupElement holds one validated element, as read from configs and
 stored in conjugation factors.
 
-A pointwise pass over a grid runs through `blockwise`, in blocks of at
-most BLOCK_POINTS consecutive points: each block is the same slice of every
-component's contiguous row, and a pass run in place writes its result over
-the block it read.  So a pass holds block-sized temporaries beside its
-whole-grid operands, and every point is computed as it is on the whole
-grid, bit for bit.  A transform reads every point, so it is whole-grid, but
-it takes one component at a time (`component_groups`).  A grid of one block
-(up to 8192 points: a 2D grid up to 90^2, and any 1D grid the scheme
-reaches in practice) runs its passes on the whole grid, with nothing
-allocated beside them, and its transforms on all components at once.
+A pointwise pass over a grid runs through `blockwise`, in blocks of whole
+lines along the last axis (`point_blocks`): a grid's lines are shared
+equally over ceil(points / BLOCK_POINTS) blocks (so a 1D grid, one line, is
+one block), and each block is the same slice of every component's
+contiguous row.  A pass run in place writes its result over the block it
+read.  A grid that is computed line by line, as a synthesis is by its
+last-axis inverse FFT, enters as a `LineSource`, which builds one block of
+lines at a time, so that it is never a whole grid beside the grid it feeds.
+So a pass holds block-sized temporaries beside its whole-grid operands, and
+every point is computed as it is on the whole grid, bit for bit.  A
+transform reads every point, so it is whole-grid, but it takes one
+component at a time (`component_groups`).  A grid of one block (up to 8192
+points: a 2D grid up to 90^2, and any 1D grid the scheme reaches in
+practice) runs its passes on the whole grid, a line source built whole,
+with nothing allocated beside them, and its transforms on all components at
+once.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -69,10 +77,19 @@ def _rows(grid):
     return c.reshape(c.shape[0], -1)
 
 
-def point_blocks(points: int) -> list:
-    """Slices of consecutive points, BLOCK_POINTS at most in each, that
-    cover a grid of `points` points."""
-    return [slice(start, start + BLOCK_POINTS) for start in range(0, points, BLOCK_POINTS)]
+def point_blocks(shape) -> list:
+    """Slices of the flat points of a grid of (spatial) shape `shape` that
+    cover it in whole lines along its last axis: ceil(points / BLOCK_POINTS)
+    blocks, or one per line when the lines are fewer, the lines shared
+    equally, so that no block is a short remainder."""
+    points = math.prod(shape)
+    if points <= BLOCK_POINTS:
+        return [slice(0, points)]
+    line = shape[-1]
+    lines = points // line
+    count = min(lines, -(-points // BLOCK_POINTS))
+    return [slice(line * (lines * i // count), line * (lines * (i + 1) // count))
+            for i in range(count)]
 
 
 def component_groups(grid) -> list:
@@ -83,55 +100,79 @@ def component_groups(grid) -> list:
     return [slice(None)] if grid.size <= c * BLOCK_POINTS else [slice(i, i + 1) for i in range(c)]
 
 
+class LineSource:
+    """A component-major grid of `shape` (its attribute), built one block
+    of whole lines at a time, as blockwise's source.  `block(points)` builds
+    the component rows (c, n) of a point_blocks slice, and `grid()` the
+    whole grid, which blockwise takes on a grid of one block."""
+
+    __slots__ = ()
+
+    def block(self, points: slice) -> np.ndarray:
+        raise NotImplementedError
+
+    def grid(self) -> np.ndarray:
+        raise NotImplementedError
+
+
 def blockwise(source, *passes, into=None):
-    """Apply pointwise passes in turn to a grid, BLOCK_POINTS points at a
+    """Apply pointwise passes in turn to a grid, one point_blocks block at a
     time.
 
     source is a component-major grid (..., c), one point (c,) that every
-    block shares, or a function of no arguments that builds either.  Without
-    `into`, the last pass's results fill a new component-major grid of
-    source's points, a scalar grid if that pass drops the component axis.
-    With `into`, a component-major grid, the last pass takes each block and
-    the same block of `into`, and its result is written over that block of
-    `into`, which is returned.
+    block shares, a LineSource, or a function of no arguments that builds
+    one of these.  Without `into`, the last pass's results fill a new
+    component-major grid of source's points, a scalar grid if that pass
+    drops the component axis.  With `into`, a component-major grid, the
+    last pass takes each block and the same block of `into`, and its result
+    is written over that block of `into`, which is returned.  An `into` of
+    one point is not written: the last pass takes each block and the point,
+    and its results fill a new grid as without `into`.
 
-    A grid of at most BLOCK_POINTS points, or an `into` of one point, is
-    one block: the passes take the whole grids, and the last pass's result
-    is returned, with no grid allocated or written beside it, so the caller
-    rebinds `into` to the result.  A source that blockwise builds is freed
-    once the first pass has read it, since no caller holds it (CPython 3.10
-    holds an argument passed inline until the call returns).
+    A grid of at most BLOCK_POINTS points is one block: the passes take the
+    whole grids, a line source's grid() among them, and the last pass's
+    result is returned, with no grid allocated or written beside it, so the
+    caller rebinds `into` to the result.  A source that blockwise builds is
+    freed once the first pass has read it, since no caller holds it (CPython
+    3.10 holds an argument passed inline until the call returns).
     """
     if callable(source):
         source = source()
-    grid = source if into is None else into
-    points = grid.size // grid.shape[-1]
+    grid = source if into is None or into.ndim == 1 else into
+    shape = grid.shape[:-1]
+    points = math.prod(shape)
+    lines = isinstance(source, LineSource)
     if points <= BLOCK_POINTS:
+        if lines:
+            source = source.grid()
         for step in passes[:-1]:
             source = step(source)
         return passes[-1](source) if into is None else passes[-1](source, into)
-    rows = _rows(source) if source.ndim > 1 else None
+    rows = _rows(source) if not lines and source.ndim > 1 else None
     target = None
-    if into is not None:
+    if grid is into:
         target = _rows(into)
         if not np.may_share_memory(target, into):
             raise ValueError("blockwise writes only into a component-major grid")
     out = None
-    for block in point_blocks(points):
-        x = source if rows is None else components_last(rows[:, block])
+    for block in point_blocks(shape):
+        if lines:
+            x = components_last(source.block(block))
+        else:
+            x = source if rows is None else components_last(rows[:, block])
         for step in passes[:-1]:
             x = step(x)
         if target is not None:
             target[:, block] = components_first(passes[-1](x, components_last(target[:, block])))
             continue
-        x = passes[-1](x)
+        x = passes[-1](x) if into is None else passes[-1](x, into)
         if out is None:
             out = np.empty(x.shape[1:] + (points,))
         out[..., block] = components_first(x)
     if target is not None:
         return into
-    out = out.reshape(out.shape[:-1] + grid.shape[:-1])
-    return components_last(out) if out.ndim > grid.ndim - 1 else out
+    out = out.reshape(out.shape[:-1] + shape)
+    return components_last(out) if out.ndim > len(shape) else out
 
 
 def quat_mul(a, b):
@@ -183,12 +224,12 @@ def quat_normalize(q):
 def quat_mean(q):
     """Mean of a quaternion grid, with the bits of np.mean over its (N, 4)
     rows in C order whatever the grid's memory order: numpy sums such rows
-    one point after another, so each block of BLOCK_POINTS points is copied
-    in C order after the running total and summed, and no C-ordered copy of
+    one point after another, so each point_blocks block is copied in C
+    order after the running total and summed, and no C-ordered copy of
     the grid is made."""
     rows = components_first(q).reshape(4, -1)
     total = np.zeros(4)
-    for block in point_blocks(rows.shape[1]):
+    for block in point_blocks(q.shape[:-1]):
         points = rows[:, block]
         summands = np.empty((points.shape[1] + 1, 4))
         summands[0] = total

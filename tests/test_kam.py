@@ -709,22 +709,30 @@ def test_exp_factor_run_converges_below_1e_15():
 
 
 # Peak memory of one step, and of its conjugation, above the memory at entry,
-# in quaternion grids of the step's conjugation size.  On 140^2, whose grid
-# passes run in blocks, they read 2.84 and 2.70; with whole-grid passes they
-# read 3.65 and 3.25, and a conjugation that keeps H(x) alive beside
-# H(x + alpha) reads 4.4 and 4.25.
-PEAK_GRIDS = 3.0
+# in quaternion grids of the step's conjugation size.  On 140^2, three blocks
+# of whole lines, where the syntheses are built a block of lines at a time
+# and the final logarithm is written over the samples, they read 2.20 and
+# 1.92; with each synthesis and logarithm a whole grid they read 2.84 and
+# 2.70, with whole-grid passes 3.65 and 3.25, and a conjugation that keeps
+# H(x) alive beside H(x + alpha) reads 4.4 and 4.25.
+PEAK_GRIDS = (2.3, 2.0)
+
+# The same on 108^2, two blocks of 54 lines: they read 2.57 and 2.34, and
+# 3.65 and 3.34 with a whole-grid synthesis and logarithm and blocks of 8192
+# and 3472 points, above the 3.26 of a whole-grid conjugation.
+TWO_BLOCK_PEAK_GRIDS = (2.8, 2.45)
 
 # The same on 88^2, one block, where the passes run on the whole grid: they
-# read 3.68 and 3.26, and may not exceed the 3.92 and 3.26 of the whole-grid
+# read 3.51 and 3.26, and may not exceed the 3.92 and 3.26 of the whole-grid
 # passes, rounded up to 0.01 grid.
 ONE_BLOCK_PEAK_GRIDS = (3.93, 3.26)
 
 # Peak of the chain's prefix norms above the memory at entry, in grids of
-# the double cover.  It reads 2.50 with the spectrum taken one component at
-# a time, 2.72 with all four at once, and 3.75 with a fold that keeps the
+# the double cover.  It reads 2.09 with each exp factor's cover tiled a
+# block of lines at a time, 2.50 with the cover tiled whole, 2.72 with all
+# four spectrum components at once, and 3.75 with a fold that keeps the
 # newest factor's grid beside a new product.
-PREFIX_PEAK_GRIDS = 2.6
+PREFIX_PEAK_GRIDS = 2.2
 
 
 def _step_peaks(step):
@@ -749,7 +757,14 @@ def test_step_peak_memory_stays_below_the_bound():
     # step 2 conjugates on 140^2
     m, step, conjugation = _step_peaks(2)
     assert m == 140
-    assert step < PEAK_GRIDS and conjugation < PEAK_GRIDS
+    assert step < PEAK_GRIDS[0] and conjugation < PEAK_GRIDS[1]
+
+
+def test_two_block_step_peak_memory_stays_below_the_bound():
+    # step 1 conjugates on 108^2, two blocks
+    m, step, conjugation = _step_peaks(1)
+    assert m == 108 and len(su2.point_blocks((m, m))) == 2
+    assert step < TWO_BLOCK_PEAK_GRIDS[0] and conjugation < TWO_BLOCK_PEAK_GRIDS[1]
 
 
 def test_one_block_step_peak_memory_stays_at_the_whole_grid_bound():

@@ -7,10 +7,12 @@ bits as its interleaved form, written out here as the reference, on
 interleaved, component-major and broadcast-constant inputs.  The transform
 references run np.fft.irfftn and rfftn over every column, so they also pin
 the pruned transforms, at small sizes and at the scheme's grid sizes.  The
-grid passes that run block by block (su2.blockwise), the quaternion mean's
-running sum and the transforms that take one component at a time beyond
-one block are run at one block and at blocks that split every grid, and
-give the same bits.
+grid passes that run block by block (su2.blockwise), the line sources that
+build their grids a block of lines at a time (a synthesis, an exp factor
+tiled on the double cover), the logarithms written over the samples or
+kept to row e, the quaternion mean's running sum and the transforms that
+take one component at a time beyond one block are run at one block and at
+blocks that split every grid, and give the same bits.
 """
 
 import math
@@ -23,12 +25,13 @@ from hypothesis import strategies as st
 
 from su2kam import kam, su2
 from su2kam.arithmetic import Frequency
-from su2kam.cocycle import Cocycle, conjugate_raw, fiber_mean
+from su2kam.cocycle import Cocycle, conjugate_raw, fiber_log, fiber_log_e, fiber_mean
 from su2kam.fourier import (
     AlgebraMap,
     ConjugationChain,
     ConstantFactor,
     ExpFactor,
+    Synthesis,
     TorusMorphism,
     _half_index,
     analyze,
@@ -40,6 +43,7 @@ from su2kam.su2 import (
     GroupElement,
     alg_exp_quat,
     alg_log_quat,
+    blockwise,
     components_first,
     components_last,
     quat_angle,
@@ -132,6 +136,19 @@ def old_analyze(samples, band):
     half = hat[_half_index(band, m, d)]
     flipped = np.conj(np.flip(half[..., 1:, :], axis=tuple(range(d))))
     return AlgebraMap(d, band, np.concatenate([flipped, half], axis=d - 1)).symmetrized()
+
+
+def old_prefix_grids(chain, m, span):
+    """The fold with each factor's grid whole, an exp factor's double cover
+    tiled by np.tile, and each product a new grid."""
+    acc = None
+    for f in reversed(chain.factors):
+        if isinstance(f, ExpFactor) and span == 2.0:
+            g = np.tile(f.grid(m // 2), (2,) * chain.dimension + (1,))
+        else:
+            g = f.grid(m, span=span)
+        acc = g if acc is None else quat_mul(g, acc)
+        yield np.broadcast_to(acc, (m,) * chain.dimension + (4,))
 
 
 def old_torus_quat(theta):
@@ -329,3 +346,85 @@ def test_chain_prefix_norms_keep_their_bits_at_scheme_sizes(d, m):
     reference = _at_blocks(ONE_BLOCK, old_chain_sobolev_partial, chain, -2.5, m)
     for points in (ONE_BLOCK, SPLIT):
         assert _at_blocks(points, chain_sobolev_partial, chain, -2.5, m) == reference
+
+
+def _same(q):
+    return q
+
+
+def _line_blocks(source, points):
+    """The blocks of a line source at blocks of at most `points` points,
+    and the grid blockwise assembles from them."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(su2, "BLOCK_POINTS", points)
+        blocks = [(block, source.block(block)) for block in su2.point_blocks(source.shape[:-1])]
+        return blocks, blockwise(source, _same)
+
+
+@pytest.mark.parametrize("d, m", [(1, 12), (1, 75), (2, 12), (2, 88), (2, 101), (3, 7), (3, 16)])
+def test_line_sources_keep_their_bits(d, m):
+    # a synthesis against synthesize, and an exp factor's double cover
+    # against its period tiled by np.tile; every block, and the grid built
+    # from them, at one block and split
+    rng = np.random.default_rng(m)
+    f = random_map(d, (m - 2) // 2, 1.0, rng, mean_free=False)
+    y = ExpFactor(random_map(d, 1, 0.1, rng))
+    cover = 2 * m
+    for source, reference in (
+            (Synthesis(f, m), synthesize(f, m)),
+            (y.source(cover, span=2.0), np.tile(y.grid(m), (2,) * d + (1,)))):
+        rows = components_first(reference).reshape(reference.shape[-1], -1)
+        for points in (ONE_BLOCK, SPLIT):
+            blocks, grid = _line_blocks(source, points)
+            assert blocks[-1][0].stop == rows.shape[1]
+            for block, values in blocks:
+                assert np.array_equal(values, rows[:, block])
+            assert np.array_equal(grid, reference)
+            _assert_component_major(grid, reference.shape)
+    assert np.array_equal(synthesize(f, m), old_synthesize(f, m))
+
+
+@pytest.mark.parametrize("d, m", [(1, 12), (2, 12), (2, 24), (3, 8)])
+def test_prefix_fold_over_line_blocks_keeps_its_bits(d, m):
+    # the double cover of each exp factor goes block by block into the
+    # prefix, or into a new grid after a constant prefix
+    rng = np.random.default_rng(m)
+    chain = _prefix_chain(d, rng)
+    chain = ConjugationChain(chain.factors[:1] + chain.factors, d)
+    cover = 2 * m
+    reference = [p.copy() for p in old_prefix_grids(chain, cover, 2.0)]
+    for points in (ONE_BLOCK, SPLIT):
+        folded = _at_blocks(points, lambda: [p.copy() for p in chain.prefix_grids(cover, span=2.0)])
+        assert len(folded) == len(reference) == len(chain)
+        assert all(np.array_equal(a, b) for a, b in zip(folded, reference))
+
+
+@pytest.mark.parametrize("d, m", [(1, 72), (2, 12), (2, 88), (3, 7)])
+def test_logarithms_over_the_samples_keep_their_bits(d, m):
+    # the logarithm written over components 1..3 of the samples, and row e
+    # kept alone, against fiber_log
+    rng = np.random.default_rng(m)
+    samples = _component_major(_quaternions(rng, (m,) * d, 0.1))
+    reference = fiber_mean(samples)
+    logs = fiber_log(samples, reference)
+    for points in (ONE_BLOCK, SPLIT):
+        row_e = _at_blocks(points, fiber_log_e, samples, reference)
+        assert np.array_equal(row_e, logs[..., 0])
+        assert np.mean(row_e) == np.mean(logs[..., 0])
+        written = samples.copy(order="K")
+        over = _at_blocks(points, fiber_log, written, reference, written[..., 1:])
+        assert np.array_equal(over, logs)
+        # a split grid is written over the samples, a grid of one block is new
+        assert np.shares_memory(over, written) == (points == SPLIT and m ** d > SPLIT)
+
+
+def test_point_blocks_share_the_lines_equally():
+    assert su2.BLOCK_POINTS == 8192
+    assert su2.point_blocks((88, 88)) == [slice(0, 88 * 88)]
+    assert su2.point_blocks((108, 108)) == [slice(0, 54 * 108), slice(54 * 108, 108 * 108)]
+    assert [b.stop - b.start for b in su2.point_blocks((140, 140))] == [46 * 140, 47 * 140, 47 * 140]
+    assert su2.point_blocks((20000,)) == [slice(0, 20000)]  # one line is one block
+    assert su2.point_blocks(()) == [slice(0, 1)]  # one point
+    blocks = su2.point_blocks((30, 30, 30))
+    assert len(blocks) == 4 and all((b.stop - b.start) % 30 == 0 for b in blocks)
+    assert [b.start for b in blocks[1:]] == [b.stop for b in blocks[:-1]] and blocks[-1].stop == 30 ** 3
