@@ -47,7 +47,6 @@ from .fourier import (
     grid_size,
     random_map,
     sobolev_norm,
-    synthesize as synthesize_map,
 )
 from .kam import TAIL_SHARE, SchemeError, SchemeParams, run_scheme
 from .rotation import (
@@ -57,7 +56,7 @@ from .rotation import (
     finite_resonance_audit,
     rotation_vector,
 )
-from .su2 import GroupElement, alg_exp_quat, quat_mul, torus_quat
+from .su2 import GroupElement, blockwise, quat_mul, torus_quat
 
 EXIT_OK = 0
 EXIT_TRUTH_MISMATCH = 1
@@ -238,8 +237,9 @@ def build_chain(cfg: ExperimentConfig, alpha: Frequency, rng) -> ConjugationChai
 
 def synthesize_cocycle(cfg: ExperimentConfig):
     """Build Phi = Conj_H (alpha, exp(theta e)) with H from the recipe, plus
-    an optional seeded multiplicative perturbation.  Returns the cocycle and
-    its ground-truth rotation class."""
+    an optional seeded multiplicative perturbation exp(P), multiplied into
+    the samples on the right block by block from its exp factor's source.
+    Returns the cocycle and its ground-truth rotation class."""
     alpha = cfg.alpha
     rng = np.random.default_rng(cfg.seed)
     chain = build_chain(cfg, alpha, rng)
@@ -254,7 +254,7 @@ def synthesize_cocycle(cfg: ExperimentConfig):
     if cfg.perturbation is not None:
         pert = random_map(alpha.dimension, pert_band,
                           cfg.perturbation.get("amplitude", 1e-4), rng)
-        samples = quat_mul(samples, alg_exp_quat(synthesize_map(pert, m)))
+        samples = blockwise(ExpFactor(pert).source(m), lambda e, q: quat_mul(q, e), into=samples)
     try:
         phi = normalize(samples, alpha, band)
     except NormalizationError as exc:

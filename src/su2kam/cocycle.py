@@ -61,11 +61,10 @@ class Cocycle:
         return self.alpha.dimension
 
     def fiber_grid(self, m: int) -> np.ndarray:
-        """Quaternion samples of A exp(F) on the m^d grid: F is synthesized,
-        exponentiated and multiplied block by block of lines (a
+        """Quaternion samples of A exp(F) on the m^d grid: exp(F) is
+        synthesized and multiplied block by block of lines (a
         fourier.Synthesis), so it is never a whole grid beyond one block."""
-        return blockwise(Synthesis(self.perturbation, m), alg_exp_quat,
-                         partial(quat_mul, self.constant.q))
+        return blockwise(Synthesis(self.perturbation, m), partial(quat_mul, self.constant.q))
 
     def fiber_at(self, x) -> np.ndarray:
         """A exp(F(x)) at points x of shape (..., d): shape x.shape[:-1] + (4,)."""
@@ -167,21 +166,19 @@ def _times_right(h, samples):
 def conjugate_raw(h, phi: Cocycle, m: int) -> np.ndarray:
     """Samples of H(x+alpha) fiber(x) H(x)^-1 on the m^d grid, unnormalised.
 
-    h is any conjugator with a `dimension`, a `field(m, offset)` and a
-    pointwise `lift` from that field to its grid: a ConjugationChain (its
-    grid, lifted by the identity) or the ExpFactor of a scheme step (Y,
-    lifted by exp).  The fiber grid is the one sample grid: H(x)^-1 is
-    multiplied into it on the right, then H(x+alpha) on the left, in place,
-    block by block (su2.blockwise).  An exp factor's field is a line source
-    (fourier.Synthesis), so each side builds Y and exp(Y) a block of lines
-    at a time, and neither is a whole grid beyond one block; a chain's
-    field is its whole grid.  Each product keeps the bits of the whole-grid
+    h is any conjugator with a `dimension` and a blockwise `source(m,
+    offset)`: a ConjugationChain (its whole grid) or the ExpFactor of a
+    scheme step (a line source, fourier.Synthesis, which builds Y and exp(Y)
+    a block of lines at a time, so neither is a whole grid beyond one
+    block).  The fiber grid is the one sample grid: H(x)^-1 is multiplied
+    into it on the right, then H(x+alpha) on the left, in place, block by
+    block (su2.blockwise).  Each product keeps the bits of the whole-grid
     one."""
     if h.dimension != phi.dimension:
         raise ValueError("chain dimension does not match the cocycle")
     samples = phi.fiber_grid(m)
-    samples = blockwise(partial(h.field, m), h.lift, quat_conj, _times_right, into=samples)
-    return blockwise(partial(h.field, m, phi.alpha.vector), h.lift, quat_mul, into=samples)
+    samples = blockwise(partial(h.source, m), quat_conj, _times_right, into=samples)
+    return blockwise(partial(h.source, m, phi.alpha.vector), quat_mul, into=samples)
 
 
 def conjugate(chain: ConjugationChain, phi: Cocycle) -> Cocycle:

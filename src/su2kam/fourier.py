@@ -28,7 +28,6 @@ from .arithmetic import (TABLE_ENTRIES, Frequency, GridBudgetError, box_axes, bo
                          box_inner, box_shells, box_windings, max_norm, read_only)
 from .su2 import (
     GroupElement,
-    LineSource,
     alg_exp_quat,
     blockwise,
     component_groups,
@@ -321,26 +320,27 @@ def synthesize(amap: AlgebraMap, m: int, group=slice(None)) -> np.ndarray:
     it.  Only its band + 1 columns of the last axis are nonzero, so the
     leading axes are transformed on those columns alone (_spectrum), and the
     real inverse over the last axis pads them to m // 2 + 1 (_lines).  The
-    whole grid at once; a Synthesis builds it a block of lines at a time."""
+    whole grid at once; a Synthesis builds exp of it a block of lines at a
+    time."""
     return components_last(_lines(_spectrum(amap, m, group), m, amap.dimension))
 
 
-class Synthesis(LineSource):
-    """synthesize(amap, m) as a line source (su2.blockwise): the leading
-    axes are transformed once, on the band + 1 columns of _spectrum, when
-    the first block is built, and each block of lines is the real inverse
-    FFT of its rows, with the bits of the whole grid's lines.  On one block
-    it is synthesize's grid."""
+class Synthesis:
+    """exp(synthesize(amap, m)), the quaternion grid of exp(Y), as a line
+    source (su2.blockwise): the leading axes are transformed once, on the
+    band + 1 columns of _spectrum, when the first block is built, and each
+    block of lines is the real inverse FFT of its rows, exponentiated, with
+    the bits of the whole grid's.  On one block it is the whole grid."""
 
     __slots__ = ("amap", "m", "shape", "_rows")
 
     def __init__(self, amap: AlgebraMap, m: int):
         self.amap, self.m = amap, m
-        self.shape = (m,) * amap.dimension + (3,)
+        self.shape = (m,) * amap.dimension + (4,)
         self._rows = None
 
     def grid(self) -> np.ndarray:
-        return synthesize(self.amap, self.m)
+        return alg_exp_quat(synthesize(self.amap, self.m))
 
     def block(self, points: slice) -> np.ndarray:
         m = self.m
@@ -348,7 +348,7 @@ class Synthesis(LineSource):
             spectrum = _spectrum(self.amap, m)
             self._rows = spectrum.reshape(spectrum.shape[0], -1, spectrum.shape[-1])
         lines = _lines(self._rows[:, points.start // m:points.stop // m], m, self.amap.dimension)
-        return lines.reshape(lines.shape[0], -1)
+        return components_first(alg_exp_quat(components_last(lines.reshape(lines.shape[0], -1))))
 
 
 def analyze(samples: np.ndarray, band: int) -> AlgebraMap:
@@ -415,7 +415,7 @@ def random_map(dimension: int, band: int, amplitude: float, rng,
 
 
 class _WholeFactor:
-    """A factor whose blockwise source in a chain's fold is its grid."""
+    """A factor, or a chain, whose blockwise source is its whole grid."""
 
     def source(self, m: int, offset=None, span: float = 1.0):
         return self.grid(m, offset, span)
@@ -477,7 +477,7 @@ class ConstantFactor(_WholeFactor):
         return {"type": "constant", "element": self.element.q.tolist()}
 
 
-class _Cover(LineSource):
+class _Cover:
     """A grid of period 1 on the double cover [0, 2)^d, as a line source:
     its period, the grid's h^d points on [0, 1)^d, h = m / 2, tiled into
     the 2^d cells.  A block copies each of its lines' period lines twice,
@@ -521,10 +521,12 @@ class _Cover(LineSource):
 
 @dataclass(frozen=True)
 class ExpFactor:
-    """x -> exp(Y(x)) for an algebra map Y.  As the conjugator of a scheme
-    step (cocycle.conjugate_raw), its `field` is Y, a line source, and its
-    `lift` is exp, applied block by block, so neither Y nor exp(Y) is a
-    whole grid beyond one block."""
+    """x -> exp(Y(x)) for an algebra map Y.  Its values reach a grid
+    through its `source`, a line source: Y synthesized and exponentiated a
+    block of lines at a time (a Synthesis), or on the double cover its grid
+    on one period copied into each block (_Cover).  So, as the conjugator of
+    a scheme step (cocycle.conjugate_raw) or a factor of a chain's fold,
+    neither Y nor exp(Y) is a whole grid beyond one block."""
 
     map: AlgebraMap
 
@@ -535,29 +537,20 @@ class ExpFactor:
     def evaluate_at(self, x) -> np.ndarray:
         return alg_exp_quat(self.map.evaluate_at(x))
 
-    def field(self, m: int, offset=None) -> Synthesis:
-        """Y on the m^d grid, shifted by offset, as a line source: the grid
-        before exp."""
-        return Synthesis(self.map if offset is None else translate(self.map, offset), m)
-
-    @property
-    def lift(self):
-        """exp, the pointwise map from `field` to the factor's grid.  Read
-        from the module at each call, so a rebinding of `alg_exp_quat`, as
-        perfbench's tracer makes, reaches the scheme step's exponentials."""
-        return alg_exp_quat
-
     def grid(self, m: int, offset=None, span: float = 1.0) -> np.ndarray:
+        """Its source's grid: the synthesis's blocks assembled (np.asarray
+        is the identity pass), or on the double cover the period tiled whole
+        by broadcasting."""
         if span == 1.0:
-            return blockwise(self.field(m, offset), alg_exp_quat)
+            return blockwise(self.source(m, offset), np.asarray)
         return self.source(m, offset, span).grid()
 
     def source(self, m: int, offset=None, span: float = 1.0):
-        """Its blockwise source in a chain's fold: its grid, or on the double
-        cover (span 2) a line source that tiles its grid on one period, since
-        exp is pointwise and Y has period 1."""
+        """Its blockwise source, a line source: exp(Y) on the m^d grid,
+        shifted by offset, or on the double cover (span 2) its grid on one
+        period tiled, since exp is pointwise and Y has period 1."""
         if span == 1.0:
-            return self.grid(m, offset)
+            return Synthesis(self.map if offset is None else translate(self.map, offset), m)
         if span != 2.0:
             raise ValueError("span must be 1 or 2")
         if m % 2:
@@ -583,9 +576,11 @@ def factor_from_dict(data: dict):
 
 
 @dataclass(frozen=True)
-class ConjugationChain:
+class ConjugationChain(_WholeFactor):
     """Ordered product of conjugation factors; the leftmost factor is the
-    most recent one (applied last), matching the update H_new = G . H_old."""
+    most recent one (applied last), matching the update H_new = G . H_old.
+    As a conjugator (cocycle.conjugate_raw), its source is its grid, the
+    whole product."""
 
     factors: tuple
     dimension: int
@@ -616,12 +611,12 @@ class ConjugationChain:
     def prefix_grids(self, m: int, offset=None, span: float = 1.0):
         """Grids (read-only views) of the application-order prefixes: the
         oldest factor's grid, then prefix i+1, the next newer factor's
-        `source` (its grid, or an exp factor's line source on the double
-        cover) times prefix i, multiplied into prefix i in place, block by
-        block (su2.blockwise), or into a new grid when prefix i is a
-        constant.  The factor's source is released before the yield, so a
-        caller that transforms a prefix holds one grid beside its
-        transform; a yielded grid is valid until the generator resumes,
+        `source` (its grid, or an exp factor's line source, on the grid or
+        on the double cover) times prefix i, multiplied into prefix i in
+        place, block by block (su2.blockwise), or into a new grid when
+        prefix i is a constant.  The factor's source is released before the
+        yield, so a caller that transforms a prefix holds one grid beside
+        its transform; a yielded grid is valid until the generator resumes,
         which may write the next prefix over it."""
         acc = None
         for f in reversed(self.factors):
@@ -635,16 +630,6 @@ class ConjugationChain:
         for last in self.prefix_grids(m, offset, span):
             pass
         return last
-
-    def field(self, m: int, offset=None) -> np.ndarray:
-        """The chain's grid, as a conjugator of cocycle.conjugate_raw: the
-        whole product, folded factor by factor."""
-        return self.grid(m, offset)
-
-    @staticmethod
-    def lift(q):
-        """The identity: a chain's `field` is already its grid."""
-        return q
 
     def application_prefixes(self):
         """Partial products in the order the factors were applied: the i-th

@@ -29,17 +29,17 @@ lines along the last axis (`point_blocks`): a grid's lines are shared
 equally over ceil(points / BLOCK_POINTS) blocks (so a 1D grid, one line, is
 one block), and each block is the same slice of every component's
 contiguous row.  A pass run in place writes its result over the block it
-read.  A grid that is computed line by line, as a synthesis is by its
-last-axis inverse FFT, enters as a `LineSource`, which builds one block of
-lines at a time, so that it is never a whole grid beside the grid it feeds.
-So a pass holds block-sized temporaries beside its whole-grid operands, and
-every point is computed as it is on the whole grid, bit for bit.  A
-transform reads every point, so it is whole-grid, but it takes one
-component at a time (`component_groups`).  A grid of one block (up to 8192
-points: a 2D grid up to 90^2, and any 1D grid the scheme reaches in
-practice) runs its passes on the whole grid, a line source built whole,
-with nothing allocated beside them, and its transforms on all components at
-once.
+read.  A grid that is computed line by line, as exp(Y) is from the
+last-axis inverse FFT of Y, enters as a line source (see `blockwise`),
+which builds one block of lines at a time, so that it is never a whole grid
+beside the grid it feeds.  So a pass holds block-sized temporaries beside
+its whole-grid operands, and every point is computed as it is on the whole
+grid, bit for bit.  A transform reads every point, so it is whole-grid, but
+it takes one component at a time (`component_groups`).  A grid of one block
+(up to 8192 points: a 2D grid up to 90^2, and any 1D grid the scheme
+reaches in practice) runs its passes on the whole grid, a line source built
+whole, with nothing allocated beside them, and its transforms on all
+components at once.
 """
 
 from __future__ import annotations
@@ -100,48 +100,40 @@ def component_groups(grid) -> list:
     return [slice(None)] if grid.size <= c * BLOCK_POINTS else [slice(i, i + 1) for i in range(c)]
 
 
-class LineSource:
-    """A component-major grid of `shape` (its attribute), built one block
-    of whole lines at a time, as blockwise's source.  `block(points)` builds
-    the component rows (c, n) of a point_blocks slice, and `grid()` the
-    whole grid, which blockwise takes on a grid of one block."""
-
-    __slots__ = ()
-
-    def block(self, points: slice) -> np.ndarray:
-        raise NotImplementedError
-
-    def grid(self) -> np.ndarray:
-        raise NotImplementedError
-
-
 def blockwise(source, *passes, into=None):
     """Apply pointwise passes in turn to a grid, one point_blocks block at a
     time.
 
     source is a component-major grid (..., c), one point (c,) that every
-    block shares, a LineSource, or a function of no arguments that builds
-    one of these.  Without `into`, the last pass's results fill a new
-    component-major grid of source's points, a scalar grid if that pass
-    drops the component axis.  With `into`, a component-major grid, the
-    last pass takes each block and the same block of `into`, and its result
-    is written over that block of `into`, which is returned.  An `into` of
-    one point is not written: the last pass takes each block and the point,
-    and its results fill a new grid as without `into`.
+    block shares, a line source, or a function of no arguments that builds
+    one of these.  A line source is any object with a `block` method: it
+    has the `shape` of the grid it stands for, (..., c); `grid()` builds
+    that whole component-major grid, and `block(points)` the component rows
+    (c, n) of one point_blocks slice, a block of whole lines.
+
+    Without `into`, the last pass's results fill a new component-major grid
+    of source's points, a scalar grid if that pass drops the component
+    axis.  With `into`, a component-major grid, the last pass takes each
+    block and the same block of `into`, and its result is written over that
+    block of `into`, which is returned.  An `into` of one point is not
+    written: the last pass takes each block and the point, and its results
+    fill a new grid as without `into`.
 
     A grid of at most BLOCK_POINTS points is one block: the passes take the
     whole grids, a line source's grid() among them, and the last pass's
     result is returned, with no grid allocated or written beside it, so the
     caller rebinds `into` to the result.  A source that blockwise builds is
     freed once the first pass has read it, since no caller holds it (CPython
-    3.10 holds an argument passed inline until the call returns).
+    3.10 holds an argument passed inline until the call returns).  Beyond
+    one block, each block's pass results are let go before the next block
+    is built.
     """
     if callable(source):
         source = source()
     grid = source if into is None or into.ndim == 1 else into
     shape = grid.shape[:-1]
     points = math.prod(shape)
-    lines = isinstance(source, LineSource)
+    lines = hasattr(source, "block")
     if points <= BLOCK_POINTS:
         if lines:
             source = source.grid()
@@ -164,11 +156,12 @@ def blockwise(source, *passes, into=None):
             x = step(x)
         if target is not None:
             target[:, block] = components_first(passes[-1](x, components_last(target[:, block])))
-            continue
-        x = passes[-1](x) if into is None else passes[-1](x, into)
-        if out is None:
-            out = np.empty(x.shape[1:] + (points,))
-        out[..., block] = components_first(x)
+        else:
+            x = passes[-1](x) if into is None else passes[-1](x, into)
+            if out is None:
+                out = np.empty(x.shape[1:] + (points,))
+            out[..., block] = components_first(x)
+        del x
     if target is not None:
         return into
     out = out.reshape(out.shape[:-1] + shape)

@@ -8,14 +8,17 @@ interleaved, component-major and broadcast-constant inputs.  The transform
 references run np.fft.irfftn and rfftn over every column, so they also pin
 the pruned transforms, at small sizes and at the scheme's grid sizes.  The
 grid passes that run block by block (su2.blockwise), the line sources that
-build their grids a block of lines at a time (a synthesis, an exp factor
-tiled on the double cover), the logarithms written over the samples or
-kept to row e, the quaternion mean's running sum and the transforms that
-take one component at a time beyond one block are run at one block and at
-blocks that split every grid, and give the same bits.
+build their grids a block of lines at a time (exp of a synthesis, an exp
+factor shifted or tiled on the double cover), the logarithms written over
+the samples or kept to row e, the quaternion mean's running sum and the
+transforms that take one component at a time beyond one block are run at
+one block and at blocks that split every grid, and give the same bits; a
+probe line source checks that blockwise lets go of each block's pass
+results before it builds the next block.
 """
 
 import math
+import weakref
 from itertools import product
 
 import numpy as np
@@ -38,6 +41,7 @@ from su2kam.fourier import (
     chain_sobolev_partial,
     random_map,
     synthesize,
+    translate,
 )
 from su2kam.su2 import (
     GroupElement,
@@ -298,8 +302,8 @@ def test_transforms_keep_their_bits_at_scheme_sizes(d, m):
 
 @pytest.mark.parametrize("d, m", SCHEME_GRIDS)
 def test_grid_passes_keep_their_bits_across_blocks(d, m):
-    # the scheme's conjugation by an exp factor, which lifts Y block by
-    # block, against the same factor in a chain of one, which folds exp(Y)
+    # the scheme's conjugation by an exp factor, which exponentiates Y block
+    # by block, against the same factor in a chain of one, which folds exp(Y)
     # whole; a recipe's conjugation by a longer chain; and the initial
     # state's renormalisation, whose frame turn, theta shift and logarithms
     # all run block by block
@@ -363,15 +367,18 @@ def _line_blocks(source, points):
 
 @pytest.mark.parametrize("d, m", [(1, 12), (1, 75), (2, 12), (2, 88), (2, 101), (3, 7), (3, 16)])
 def test_line_sources_keep_their_bits(d, m):
-    # a synthesis against synthesize, and an exp factor's double cover
+    # a synthesis against exp of synthesize, an exp factor's shifted grid
+    # against exp of its translated map's synthesis, and its double cover
     # against its period tiled by np.tile; every block, and the grid built
     # from them, at one block and split
     rng = np.random.default_rng(m)
     f = random_map(d, (m - 2) // 2, 1.0, rng, mean_free=False)
     y = ExpFactor(random_map(d, 1, 0.1, rng))
+    offset = np.array(FREQUENCY[:d])
     cover = 2 * m
     for source, reference in (
-            (Synthesis(f, m), synthesize(f, m)),
+            (Synthesis(f, m), alg_exp_quat(synthesize(f, m))),
+            (y.source(m, offset), alg_exp_quat(synthesize(translate(y.map, offset), m))),
             (y.source(cover, span=2.0), np.tile(y.grid(m), (2,) * d + (1,)))):
         rows = components_first(reference).reshape(reference.shape[-1], -1)
         for points in (ONE_BLOCK, SPLIT):
@@ -416,6 +423,36 @@ def test_logarithms_over_the_samples_keep_their_bits(d, m):
         assert np.array_equal(over, logs)
         # a split grid is written over the samples, a grid of one block is new
         assert np.shares_memory(over, written) == (points == SPLIT and m ** d > SPLIT)
+
+
+@pytest.mark.parametrize("into", [False, True])
+def test_blockwise_lets_go_of_each_block_before_the_next(into):
+    # a probe line source checks, as it builds each block, that no pass
+    # result of an earlier block is alive
+    alive = []
+
+    class Probe:
+        shape = (12, 12, 4)
+
+        def block(self, points):
+            assert all(ref() is None for ref in alive), "a block outlived its pass"
+            return np.ones((4, points.stop - points.start))
+
+    def first(q):
+        out = quat_conj(q)
+        alive.append(weakref.ref(out))
+        return out
+
+    def last(q, *samples):
+        out = quat_mul(q, *samples) if samples else quat_conj(q)
+        alive.append(weakref.ref(out))
+        return out
+
+    samples = _component_major(np.full((12, 12, 4), 0.5)) if into else None
+    grid = _at_blocks(SPLIT, lambda: blockwise(Probe(), first, last, into=samples))
+    assert len(alive) == 2 * 4  # two passes over each of four blocks
+    expected = quat_mul(quat_conj(np.ones(4)), np.full(4, 0.5)) if into else np.ones(4)
+    assert np.array_equal(grid, np.broadcast_to(expected, (12, 12, 4)))
 
 
 def test_point_blocks_share_the_lines_equally():

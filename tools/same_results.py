@@ -48,13 +48,14 @@ the two slowest 3D ones.
 
 `peaks` runs the first two sweep-1d experiments, the first two-freq-2d
 one and the first two exp-2d ones, the benchmark's memory span of each
-workload, and the three 3D configs, as
-`digests` does, each twice in one process, and prints the tracemalloc peak
-of the repeat above the traced memory at its start, in MiB: the repeat
-reads the per-process tables that the first run built, as a benchmark pass
-does, so the figure is the run's own working memory.  The runs and their
-order are fixed, so the figures are too.  It puts on record the memory of
-the 3D runs, which no benchmark workload covers.
+workload, and the three 3D configs, as `digests` does, each twice in one
+process, and prints the tracemalloc peak of the repeat above the traced
+memory at its start, in MiB: the repeat reads the per-process tables that
+the first run built, as a benchmark pass does, and runs with the garbage
+collector paused after a full collection, so the figure is the run's own
+working memory, not the collector's timing.  The runs and their order are
+fixed, so the figures are too.  It puts on record the memory of the 3D
+runs, which no benchmark workload covers.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ from __future__ import annotations
 import argparse
 import ast
 import contextlib
+import gc
 import hashlib
 import importlib.util
 import io
@@ -297,6 +299,8 @@ def peaks() -> int:
             if name not in PEAK_RUNS:
                 continue
             _run(cfg)
+            gc.collect()
+            gc.disable()
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
@@ -304,6 +308,7 @@ def peaks() -> int:
                 peak = tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
+                gc.enable()
             failed += code != 0
             print("%-20s exit %d  peak %.3f MiB" % (name, code, peak / 2**20), flush=True)
     return 1 if failed else 0
