@@ -13,8 +13,8 @@ truncation reads `arithmetic.max_norm`, so that it matches the winding
 bounds of the resonance search.
 
 The pure tables of a box and of a grid (the Sobolev weights, the FFT bins of
-the box, the double-cover weights of the chain diagnostic) are memoised per
-process, read-only, like the box tables of `arithmetic`.
+the box, the coset weights and twists of the chain diagnostic) are memoised
+per process, read-only, like the box tables of `arithmetic`.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ from .su2 import (
 
 GRID_POINTS = 1 << 22  # bound on the total points m^d of any grid
 
-# entries kept by the memoised weights of the chain diagnostic, each the
-# size of a half spectrum
+# entries kept by the memoised tables of the chain diagnostic, each the
+# size of a scalar grid of one period
 SPECTRUM_TABLES = 16
 
 
@@ -477,56 +477,14 @@ class ConstantFactor(_WholeFactor):
         return {"type": "constant", "element": self.element.q.tolist()}
 
 
-class _Cover:
-    """A grid of period 1 on the double cover [0, 2)^d, as a line source:
-    its period, the grid's h^d points on [0, 1)^d, h = m / 2, tiled into
-    the 2^d cells.  A block copies each of its lines' period lines twice,
-    so the tiled grid is never whole beside the period; on one block,
-    grid() tiles it whole by broadcasting, faster at small sizes.  Neither
-    makes an intermediate grid, as np.tile does."""
-
-    __slots__ = ("period", "shape")
-
-    def __init__(self, period: np.ndarray, m: int):
-        self.period = components_first(period)
-        self.shape = (m,) * (period.ndim - 1) + (4,)
-
-    def grid(self) -> np.ndarray:
-        m, d = self.shape[0], len(self.shape) - 1
-        tiled = np.empty((4,) + (2, m // 2) * d)
-        tiled[...] = self.period.reshape((4,) + (1, m // 2) * d)
-        return components_last(tiled.reshape((4,) + (m,) * d))
-
-    def block(self, points: slice) -> np.ndarray:
-        m, d = self.shape[0], len(self.shape) - 1
-        h = m // 2
-        periods = self.period.reshape(4, -1, h)
-        first, stop = points.start // m, points.stop // m
-        tiled = np.empty((4, stop - first, 2, h))
-        # the leading indices of a line, taken mod h, give its period line,
-        # which steps by one from line to line up to a multiple of h
-        start = first
-        while start < stop:
-            end = min(stop, (start // h + 1) * h)
-            line, index, scale = start, 0, 1
-            for _ in range(d - 1):
-                line, i = divmod(line, m)
-                index += i % h * scale
-                scale *= h
-            tiled[:, start - first:end - first, 0] = periods[:, index:index + end - start]
-            start = end
-        tiled[:, :, 1] = tiled[:, :, 0]
-        return tiled.reshape(4, -1)
-
-
 @dataclass(frozen=True)
 class ExpFactor:
     """x -> exp(Y(x)) for an algebra map Y.  Its values reach a grid
     through its `source`, a line source: Y synthesized and exponentiated a
-    block of lines at a time (a Synthesis), or on the double cover its grid
-    on one period copied into each block (_Cover).  So, as the conjugator of
-    a scheme step (cocycle.conjugate_raw) or a factor of a chain's fold,
-    neither Y nor exp(Y) is a whole grid beyond one block."""
+    block of lines at a time (a Synthesis).  So, as the conjugator of a
+    scheme step (cocycle.conjugate_raw) or a factor of a chain's fold,
+    neither Y nor exp(Y) is a whole grid beyond one block.  On the double
+    cover (span 2) its source is its grid, the period tiled whole."""
 
     map: AlgebraMap
 
@@ -539,23 +497,28 @@ class ExpFactor:
 
     def grid(self, m: int, offset=None, span: float = 1.0) -> np.ndarray:
         """Its source's grid: the synthesis's blocks assembled (np.asarray
-        is the identity pass), or on the double cover the period tiled whole
-        by broadcasting."""
+        is the identity pass), or on the double cover its grid on one
+        period, h = m / 2 points per axis, tiled into the 2^d cells by
+        broadcasting, with no intermediate grid (as np.tile makes), since
+        exp is pointwise and Y has period 1."""
         if span == 1.0:
             return blockwise(self.source(m, offset), np.asarray)
-        return self.source(m, offset, span).grid()
-
-    def source(self, m: int, offset=None, span: float = 1.0):
-        """Its blockwise source, a line source: exp(Y) on the m^d grid,
-        shifted by offset, or on the double cover (span 2) its grid on one
-        period tiled, since exp is pointwise and Y has period 1."""
-        if span == 1.0:
-            return Synthesis(self.map if offset is None else translate(self.map, offset), m)
         if span != 2.0:
             raise ValueError("span must be 1 or 2")
         if m % 2:
             raise ValueError("double-cover sampling needs an even grid")
-        return _Cover(self.grid(m // 2, offset), m)
+        d, h = self.dimension, m // 2
+        tiled = np.empty((4,) + (2, h) * d)
+        tiled[...] = components_first(self.grid(h, offset)).reshape((4,) + (1, h) * d)
+        return components_last(tiled.reshape((4,) + (m,) * d))
+
+    def source(self, m: int, offset=None, span: float = 1.0):
+        """Its blockwise source: exp(Y) on the m^d grid, shifted by offset,
+        as a Synthesis line source, or on the double cover (span 2) its
+        grid, which blockwise takes whole."""
+        if span == 1.0:
+            return Synthesis(self.map if offset is None else translate(self.map, offset), m)
+        return self.grid(m, offset, span)
 
     def inverse(self) -> "ExpFactor":
         return ExpFactor((-1.0) * self.map)
@@ -611,13 +574,13 @@ class ConjugationChain(_WholeFactor):
     def prefix_grids(self, m: int, offset=None, span: float = 1.0):
         """Grids (read-only views) of the application-order prefixes: the
         oldest factor's grid, then prefix i+1, the next newer factor's
-        `source` (its grid, or an exp factor's line source, on the grid or
-        on the double cover) times prefix i, multiplied into prefix i in
-        place, block by block (su2.blockwise), or into a new grid when
-        prefix i is a constant.  The factor's source is released before the
-        yield, so a caller that transforms a prefix holds one grid beside
-        its transform; a yielded grid is valid until the generator resumes,
-        which may write the next prefix over it."""
+        `source` (its grid, or at span 1 an exp factor's Synthesis line
+        source) times prefix i, multiplied into prefix i in place, block by
+        block (su2.blockwise), or into a new grid when prefix i is a
+        constant.  The factor's source is released before the yield, so a
+        caller that transforms a prefix holds one grid beside its transform;
+        a yielded grid is valid until the generator resumes, which may write
+        the next prefix over it."""
         acc = None
         for f in reversed(self.factors):
             acc = (f.grid(m, offset, span) if acc is None
@@ -669,51 +632,61 @@ class ConjugationChain(_WholeFactor):
 
 
 @lru_cache(maxsize=SPECTRUM_TABLES)
-def _double_cover_weight(dimension: int, m: int, s: float) -> np.ndarray:
-    """(1 + |k|^2)^s on the half-integer frequencies of a real FFT of the
-    m^d double cover, the interior bins of the last axis counted twice: real
-    FFTs keep the k_last >= 0 half, and those bins stand for their conjugate
-    partners too.  Memoised per (dimension, m, s), read-only; an entry holds
-    m^(d-1) (m // 2 + 1) doubles, at most 16 MiB for a grid of GRID_POINTS,
+def _coset_tables(h: int, s: float, parity: tuple) -> tuple:
+    """The weight and the twist of a prefix of winding parity `parity` on
+    the h^d grid of one period: the weight (1 + |l + parity / 2|^2)^s on
+    the bins l of its FFT, with a unit axis for the components, then the
+    twist exp(-i pi x_a) of each odd axis a, one vector each, shaped to
+    broadcast along axis a of a component-major grid (c, h, ..., h).
+    Memoised per (h, s, parity), read-only; an entry holds h^d doubles and
+    h complex numbers, at most 16 MiB for a double cover of GRID_POINTS,
     so SPECTRUM_TABLES x 16 MiB = 256 MiB at worst."""
-    freqs = ([np.fft.fftfreq(m, d=1.0 / m) / 2.0] * (dimension - 1)
-             + [np.fft.rfftfreq(m, d=1.0 / m) / 2.0])
+    d = len(parity)
+    phase = read_only(np.exp(-1j * np.pi * np.arange(h) / h))
+    twist = tuple(phase.reshape((h,) + (1,) * (d - 1 - a)) for a in range(d) if parity[a])
+    freqs = [np.fft.fftfreq(h, d=1.0 / h) + p / 2.0 for p in parity]
     k2 = sum(g ** 2 for g in np.ix_(*freqs))
-    twice = np.full(m // 2 + 1, 2.0)
-    twice[[0, -1]] = 1.0
-    return read_only((1.0 + k2) ** s * twice)
+    return (read_only(((1.0 + k2) ** s)[..., None]),) + twist
 
 
 def chain_sobolev_partial(chain: ConjugationChain, s: float, m: int):
-    """H^s norms of the application-order prefix products of the chain.
+    """H^s norms of the application-order prefix products of the chain, on
+    the half-integer lattice of the m^d double cover [0, 2)^d.
 
-    Prefixes are sampled on the double cover [0, 2)^d (torus morphisms with
-    odd windings are only periodic there; for even windings this agrees with
-    the single-period computation) and analysed componentwise on the
-    quaternion coordinates, so frequencies live on the half-integer lattice.
-    This is the Cauchy diagnostic for convergence in negative Sobolev spaces.
+    A torus morphism of odd winding is only 2-periodic, so a prefix P whose
+    torus windings sum to K has P(x + e_a) = (-1)^(K_a) P(x): its spectrum
+    lies on the coset K / 2 + Z^d.  Each prefix is folded on one period, h
+    = m / 2 points per axis, the double cover's points in [0, 1)^d, and
+    twisted by exp(-i pi (K mod 2).x) into a 1-periodic grid, whose
+    complex FFT, per quaternion coordinate, holds every coefficient; bin l
+    stands for the frequency l + (K mod 2) / 2.  This is the Cauchy
+    diagnostic for convergence in negative Sobolev spaces.
     """
     if m % 2:
         raise ValueError("double-cover sampling needs an even grid")
     need = 2 * chain.content_bound() + 2
     if m < need:
         raise UndersampledGridError("grid %d undersamples chain content (need >= %d)" % (m, need))
-    d = chain.dimension
-    weight = _double_cover_weight(d, m, s)
+    d, h = chain.dimension, m // 2
+    parity = (0,) * d
     norms = []
-    for samples in chain.prefix_grids(m, span=2.0):
+    for f, samples in zip(reversed(chain.factors), chain.prefix_grids(h)):
+        if isinstance(f, TorusMorphism):
+            parity = tuple((p + k) % 2 for p, k in zip(parity, f.winding))
+        weight, *twist = _coset_tables(h, s, parity)
         # summed in the C order of the (..., 4) spectrum, which fixes the rounding
-        power = np.empty((m,) * (d - 1) + (m // 2 + 1, 4))
+        power = np.empty((h,) * d + (4,))
         for group in component_groups(samples):
-            # np.fft.rfftn's stages, the leading axes transformed in place
-            hat = np.fft.rfft(components_first(samples[..., group]), axis=d)
-            for axis in range(d - 1, 0, -1):
+            hat = np.ascontiguousarray(components_first(samples[..., group]), dtype=complex)
+            for phase in twist:
+                hat *= phase
+            for axis in range(1, d + 1):
                 np.fft.fft(hat, axis=axis, out=hat)
-            hat /= float(m) ** d
+            hat /= float(h) ** d
             np.abs(components_last(hat), out=power[..., group])
             del hat  # no spectrum outlives its group into the next one's
         np.square(power, out=power)
-        power *= weight[..., None]
+        power *= weight
         norms.append(float(np.sqrt(np.sum(power))))
         del power
     return norms

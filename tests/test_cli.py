@@ -143,14 +143,28 @@ def test_report_is_one_line_of_sorted_json(tmp_path):
 
 
 def test_run_experiment_uses_real_ffts_and_the_c_json_encoder(tmp_path, monkeypatch):
-    # every grid is real, so no complex n-d FFT runs, and the report goes
+    # every grid is real, so no complex n-d FFT runs, and a complex 1D FFT
+    # takes only complex data: the leading axes of a real transform's
+    # spectrum, or a chain prefix twisted onto its coset.  The report goes
     # through json's C encoder, never the pure-Python one that
     # _make_iterencode builds
     def forbidden(*args, **kwargs):
         raise AssertionError("complex FFT or pure-Python JSON encoder used")
 
+    calls = []
+
+    def complex_only(name, transform):
+        def checked(a, *args, **kwargs):
+            if not np.iscomplexobj(a):
+                raise AssertionError("np.fft.%s of a real array" % name)
+            calls.append(name)
+            return transform(a, *args, **kwargs)
+        return checked
+
     monkeypatch.setattr(np.fft, "fftn", forbidden)
     monkeypatch.setattr(np.fft, "ifftn", forbidden)
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, complex_only(name, getattr(np.fft, name)))
     monkeypatch.setattr(json.encoder, "_make_iterencode", forbidden)
     cfg = ExperimentConfig.from_dict({
         **TWO_FREQ_CONFIG,
@@ -163,6 +177,7 @@ def test_run_experiment_uses_real_ffts_and_the_c_json_encoder(tmp_path, monkeypa
     assert report["normal_form"]["converged"]
     assert json.loads((tmp_path / "report.json").read_text()) == json.loads(json.dumps(report))
     assert (tmp_path / "diag.csv").read_text().startswith("n,N,resonant,k,")
+    assert set(calls) == {"fft", "ifft"}
 
 
 def test_run_experiment_constant_cocycle():

@@ -418,8 +418,8 @@ def test_point_evaluation_takes_a_batch(d, kind):
 def test_chain_sobolev_partial_matches_per_prefix_reference(d):
     # a full complex FFT of each prefix's double-cover grid; the odd windings
     # (3, 1) and (1, 1) live only on the double cover, and the two pads give
-    # an even and an odd count of the last-axis bins between 0 and the
-    # Nyquist bin, which the real FFT counts twice
+    # an even and an odd period h = m / 2, whose twisted FFT ends its bins on
+    # the coset differently
     chain = _mixed_chain(d)
     for pad in (8, 10):
         m = 2 * chain.content_bound() + pad
@@ -437,15 +437,18 @@ def test_chain_sobolev_partial_matches_per_prefix_reference(d):
 
 
 def test_chain_sobolev_partial_builds_each_factor_grid_once(monkeypatch):
+    # the fold builds the oldest factor's grid, then each newer factor's
+    # source: an exp factor's Synthesis, any other factor's grid
     calls = []
-    for cls in (ConstantFactor, ExpFactor, TorusMorphism):
-        def counted(self, *args, _grid=cls.grid, **kwargs):
-            calls.append(self)
-            return _grid(self, *args, **kwargs)
-        monkeypatch.setattr(cls, "grid", counted)
+    for cls, method in ((ConstantFactor, "grid"), (TorusMorphism, "grid"), (ExpFactor, "source")):
+        def counted(self, *args, _build=getattr(cls, method), **kwargs):
+            calls.append(id(self))
+            return _build(self, *args, **kwargs)
+        monkeypatch.setattr(cls, method, counted)
     chain = _mixed_chain(1)
+    assert isinstance(chain.factors[-1], TorusMorphism)  # the oldest
     chain_sobolev_partial(chain, -2.0, 2 * chain.content_bound() + 8)
-    assert len(calls) == len(chain)
+    assert sorted(calls) == sorted(map(id, chain.factors))
 
 
 def test_chain_sobolev_constants_constant():

@@ -405,6 +405,23 @@ def test_run_scheme_contraction_and_replay():
     assert all(b < a for a, b in zip(ys, ys[1:]))
 
 
+def test_replay_compares_beyond_the_first_two_orbit_points():
+    # a final F doctored by eps (cos 2 pi x - 1)(cos 2 pi x - cos 2 pi alpha)
+    # in e, a map of band 2 that vanishes at x = 0 and x = alpha only: the
+    # replay sees it at the orbit points after those two
+    rng = np.random.default_rng(4)
+    nf = run_scheme(Cocycle(ALPHA, GroupElement(torus_quat(0.17)), random_map(1, 4, 1e-4, rng)))
+    assert nf.converged and nf.replay_error() < 1e-12
+    eps, c = 1e-6, math.cos(2 * math.pi * GOLDEN)
+    off = AlgebraMap(1, 2)
+    # cos^2 2 pi x = (1 + cos 4 pi x) / 2
+    for k, value in ((0, 0.5 + c), (1, -(1.0 + c) / 2), (2, 0.25)):
+        off.set_mode_pair((k,), [eps * value, 0.0, 0.0])
+    assert np.max(np.abs(off.evaluate_at(np.array([[0.0], [GOLDEN]])))) < 1e-20
+    doctored = replace(nf, perturbation=nf.perturbation + off)
+    assert doctored.replay_error() > eps / 10
+
+
 def test_run_scheme_planted_resonance():
     rng = np.random.default_rng(5)
     delta = 0.5 * 8.0**-4
@@ -728,11 +745,13 @@ TWO_BLOCK_PEAK_GRIDS = (2.8, 2.45)
 ONE_BLOCK_PEAK_GRIDS = (3.93, 3.26)
 
 # Peak of the chain's prefix norms above the memory at entry, in grids of
-# the double cover.  It reads 2.09 with each exp factor's cover tiled a
-# block of lines at a time, 2.50 with the cover tiled whole, 2.72 with all
-# four spectrum components at once, and 3.75 with a fold that keeps the
-# newest factor's grid beside a new product.
-PREFIX_PEAK_GRIDS = 2.2
+# the double cover.  Folded on one period, 72^2 here, one block, and twisted
+# in place, it reads 1.20, and 2.01 with np.fft.fftn in place of the axis
+# transforms; on the double cover it read 2.09 with each exp factor's cover
+# tiled a block of lines at a time, 2.50 with the cover tiled whole, 2.72
+# with all four spectrum components at once, and 3.75 with a fold that kept
+# the newest factor's grid beside a new product.
+PREFIX_PEAK_GRIDS = 1.3
 
 
 def _step_peaks(step):

@@ -9,12 +9,15 @@ references run np.fft.irfftn and rfftn over every column, so they also pin
 the pruned transforms, at small sizes and at the scheme's grid sizes.  The
 grid passes that run block by block (su2.blockwise), the line sources that
 build their grids a block of lines at a time (exp of a synthesis, an exp
-factor shifted or tiled on the double cover), the logarithms written over
-the samples or kept to row e, the quaternion mean's running sum and the
-transforms that take one component at a time beyond one block are run at
-one block and at blocks that split every grid, and give the same bits; a
-probe line source checks that blockwise lets go of each block's pass
-results before it builds the next block.
+factor shifted), the exp factor's double cover tiled by broadcasting, the
+logarithms written over the samples or kept to row e, the quaternion mean's
+running sum and the transforms that take one component at a time beyond one
+block are run at one block and at blocks that split every grid, and give the
+same bits; a probe line source checks that blockwise lets go of each block's
+pass results before it builds the next block.  The chain prefix norms, which
+fold on one period and twist each prefix by its winding parity, give the
+same bits at every block size, and agree with the double-cover computation
+they replaced, kept here as the reference, to 1e-15 relative.
 """
 
 import math
@@ -170,6 +173,7 @@ def old_fiber_mean(samples):
 
 
 def old_chain_sobolev_partial(chain, s, m):
+    """The prefix norms on the m^d double cover, by a real FFT."""
     d = chain.dimension
     freqs = [np.fft.fftfreq(m, d=1.0 / m) / 2.0] * (d - 1) + [np.fft.rfftfreq(m, d=1.0 / m) / 2.0]
     k2 = sum(g ** 2 for g in np.ix_(*freqs))
@@ -324,11 +328,23 @@ def test_grid_passes_keep_their_bits_across_blocks(d, m):
     assert split.chain.to_dict() == whole.chain.to_dict()
 
 
-def _prefix_chain(d, rng):
-    winding = tuple(int(c) for c in rng.integers(-1, 2, d))
+def _prefix_chain(d, rng, winding=None):
+    if winding is None:
+        winding = tuple(int(c) for c in rng.integers(-1, 2, d))
     factors = (ExpFactor(random_map(d, 1, 0.1, rng)), TorusMorphism(winding),
                ConstantFactor(GroupElement(quat_normalize(rng.standard_normal(4)))))
     return ConjugationChain(factors, d)
+
+
+def _check_prefix_norms(chain, m):
+    """The same bits at one block and split, within 1e-15 relative of the
+    double cover."""
+    reference = _at_blocks(ONE_BLOCK, old_chain_sobolev_partial, chain, -2.5, m)
+    norms = _at_blocks(ONE_BLOCK, chain_sobolev_partial, chain, -2.5, m)
+    assert _at_blocks(SPLIT, chain_sobolev_partial, chain, -2.5, m) == norms
+    assert len(norms) == len(reference) == len(chain)
+    for norm, ref in zip(norms, reference):
+        assert abs(norm - ref) <= 1e-15 * ref
 
 
 @settings(max_examples=20)
@@ -337,19 +353,25 @@ def test_chain_prefix_norms_keep_their_bits(grid):
     d, m, seed = grid
     rng = np.random.default_rng(seed)
     chain = _prefix_chain(d, rng)
-    m = 2 * m + 2 * chain.content_bound() + 2  # even, and resolves the content
     # the oldest factor is a constant, so the first prefix is a broadcast (4,)
-    reference = _at_blocks(ONE_BLOCK, old_chain_sobolev_partial, chain, -2.5, m)
-    for points in (ONE_BLOCK, SPLIT):
-        assert _at_blocks(points, chain_sobolev_partial, chain, -2.5, m) == reference
+    _check_prefix_norms(chain, 2 * m + 2 * chain.content_bound() + 2)  # even, resolved
 
 
 @pytest.mark.parametrize("d, m", [(d, m) for d, m in SCHEME_GRIDS if m % 2 == 0])
 def test_chain_prefix_norms_keep_their_bits_at_scheme_sizes(d, m):
-    chain = _prefix_chain(d, np.random.default_rng(m))
-    reference = _at_blocks(ONE_BLOCK, old_chain_sobolev_partial, chain, -2.5, m)
-    for points in (ONE_BLOCK, SPLIT):
-        assert _at_blocks(points, chain_sobolev_partial, chain, -2.5, m) == reference
+    _check_prefix_norms(_prefix_chain(d, np.random.default_rng(m)), m)
+
+
+@pytest.mark.parametrize("winding", [(2, -1), (-1, 0), (-1, 2, 0), (0, -3, 2), (-2, 0, -1)])
+def test_chain_prefix_norms_on_every_coset(winding):
+    # a winding odd on one axis only, each axis in turn, with a negative
+    # component; then the torus (1, ..., 1) flips the parity pattern and the
+    # winding again makes it odd on every axis, so that, over the windings of
+    # each dimension, the twist meets the reference on every pattern
+    d = len(winding)
+    chain = _prefix_chain(d, np.random.default_rng(d), winding)
+    chain = chain.prepended(TorusMorphism((1,) * d)).prepended(TorusMorphism(winding))
+    _check_prefix_norms(chain, 2 * chain.content_bound() + 4)
 
 
 def _same(q):
@@ -367,19 +389,22 @@ def _line_blocks(source, points):
 
 @pytest.mark.parametrize("d, m", [(1, 12), (1, 75), (2, 12), (2, 88), (2, 101), (3, 7), (3, 16)])
 def test_line_sources_keep_their_bits(d, m):
-    # a synthesis against exp of synthesize, an exp factor's shifted grid
-    # against exp of its translated map's synthesis, and its double cover
-    # against its period tiled by np.tile; every block, and the grid built
-    # from them, at one block and split
+    # a synthesis against exp of synthesize, and an exp factor's shifted
+    # grid against exp of its translated map's synthesis; every block, and
+    # the grid built from them, at one block and split.  The exp factor's
+    # double cover, its period tiled by broadcasting, against np.tile
     rng = np.random.default_rng(m)
     f = random_map(d, (m - 2) // 2, 1.0, rng, mean_free=False)
     y = ExpFactor(random_map(d, 1, 0.1, rng))
     offset = np.array(FREQUENCY[:d])
-    cover = 2 * m
+    tiled = np.tile(y.grid(m), (2,) * d + (1,))
+    for points in (ONE_BLOCK, SPLIT):
+        cover = _at_blocks(points, y.grid, 2 * m, None, 2.0)
+        assert np.array_equal(cover, tiled)
+        _assert_component_major(cover, tiled.shape)
     for source, reference in (
             (Synthesis(f, m), alg_exp_quat(synthesize(f, m))),
-            (y.source(m, offset), alg_exp_quat(synthesize(translate(y.map, offset), m))),
-            (y.source(cover, span=2.0), np.tile(y.grid(m), (2,) * d + (1,)))):
+            (y.source(m, offset), alg_exp_quat(synthesize(translate(y.map, offset), m)))):
         rows = components_first(reference).reshape(reference.shape[-1], -1)
         for points in (ONE_BLOCK, SPLIT):
             blocks, grid = _line_blocks(source, points)
@@ -393,17 +418,19 @@ def test_line_sources_keep_their_bits(d, m):
 
 @pytest.mark.parametrize("d, m", [(1, 12), (2, 12), (2, 24), (3, 8)])
 def test_prefix_fold_over_line_blocks_keeps_its_bits(d, m):
-    # the double cover of each exp factor goes block by block into the
-    # prefix, or into a new grid after a constant prefix
+    # each exp factor's synthesis, on one period, or its double cover goes
+    # block by block into the prefix, or into a new grid after a constant
+    # prefix
     rng = np.random.default_rng(m)
     chain = _prefix_chain(d, rng)
     chain = ConjugationChain(chain.factors[:1] + chain.factors, d)
-    cover = 2 * m
-    reference = [p.copy() for p in old_prefix_grids(chain, cover, 2.0)]
-    for points in (ONE_BLOCK, SPLIT):
-        folded = _at_blocks(points, lambda: [p.copy() for p in chain.prefix_grids(cover, span=2.0)])
-        assert len(folded) == len(reference) == len(chain)
-        assert all(np.array_equal(a, b) for a, b in zip(folded, reference))
+    for size, span in ((m, 1.0), (2 * m, 2.0)):
+        reference = [p.copy() for p in old_prefix_grids(chain, size, span)]
+        for points in (ONE_BLOCK, SPLIT):
+            folded = _at_blocks(points, lambda: [p.copy()
+                                                 for p in chain.prefix_grids(size, None, span)])
+            assert len(folded) == len(reference) == len(chain)
+            assert all(np.array_equal(a, b) for a, b in zip(folded, reference))
 
 
 @pytest.mark.parametrize("d, m", [(1, 72), (2, 12), (2, 88), (3, 7)])

@@ -25,7 +25,7 @@ ARRAY_TABLES = (
     (arithmetic.box_shells, (2, 3)),
     (fourier._sobolev_weight, (2, 3, -5.0)),
     (fourier._half_index, (3, 16, 2)),
-    (fourier._double_cover_weight, (2, 16, -5.0)),
+    (fourier._coset_tables, (8, -5.0, (1, 0))),
     (kam._divisor_tables, (PAIR, 3)),
 )
 
