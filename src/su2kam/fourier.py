@@ -417,8 +417,8 @@ def random_map(dimension: int, band: int, amplitude: float, rng,
 class _WholeFactor:
     """A factor, or a chain, whose blockwise source is its whole grid."""
 
-    def source(self, m: int, offset=None, span: float = 1.0):
-        return self.grid(m, offset, span)
+    def source(self, m: int, offset=None):
+        return self.grid(m, offset)
 
 
 @dataclass(frozen=True)
@@ -442,9 +442,9 @@ class TorusMorphism(_WholeFactor):
     def evaluate_at(self, x) -> np.ndarray:
         return torus_quat(np.vecdot(np.atleast_1d(x), self.winding))
 
-    def grid(self, m: int, offset=None, span: float = 1.0) -> np.ndarray:
+    def grid(self, m: int, offset=None) -> np.ndarray:
         offset = np.zeros(self.dimension) if offset is None else np.asarray(offset, dtype=float)
-        grids = np.ix_(*(span * np.arange(m) / m + offset[:, None]))
+        grids = np.ix_(*(np.arange(m) / m + offset[:, None]))
         t = sum(k * g for k, g in zip(self.winding, grids))
         return torus_quat(np.broadcast_to(t, (m,) * self.dimension))
 
@@ -466,7 +466,7 @@ class ConstantFactor(_WholeFactor):
     def evaluate_at(self, x) -> np.ndarray:
         return np.tile(self.element.q, np.shape(x)[:-1] + (1,))
 
-    def grid(self, m: int, offset=None, span: float = 1.0) -> np.ndarray:
+    def grid(self, m: int, offset=None) -> np.ndarray:
         """The quaternion itself; quat_mul broadcasts it over the grid."""
         return self.element.q
 
@@ -483,8 +483,7 @@ class ExpFactor:
     through its `source`, a line source: Y synthesized and exponentiated a
     block of lines at a time (a Synthesis).  So, as the conjugator of a
     scheme step (cocycle.conjugate_raw) or a factor of a chain's fold,
-    neither Y nor exp(Y) is a whole grid beyond one block.  On the double
-    cover (span 2) its source is its grid, the period tiled whole."""
+    neither Y nor exp(Y) is a whole grid beyond one block."""
 
     map: AlgebraMap
 
@@ -495,30 +494,15 @@ class ExpFactor:
     def evaluate_at(self, x) -> np.ndarray:
         return alg_exp_quat(self.map.evaluate_at(x))
 
-    def grid(self, m: int, offset=None, span: float = 1.0) -> np.ndarray:
+    def grid(self, m: int, offset=None) -> np.ndarray:
         """Its source's grid: the synthesis's blocks assembled (np.asarray
-        is the identity pass), or on the double cover its grid on one
-        period, h = m / 2 points per axis, tiled into the 2^d cells by
-        broadcasting, with no intermediate grid (as np.tile makes), since
-        exp is pointwise and Y has period 1."""
-        if span == 1.0:
-            return blockwise(self.source(m, offset), np.asarray)
-        if span != 2.0:
-            raise ValueError("span must be 1 or 2")
-        if m % 2:
-            raise ValueError("double-cover sampling needs an even grid")
-        d, h = self.dimension, m // 2
-        tiled = np.empty((4,) + (2, h) * d)
-        tiled[...] = components_first(self.grid(h, offset)).reshape((4,) + (1, h) * d)
-        return components_last(tiled.reshape((4,) + (m,) * d))
+        is the identity pass)."""
+        return blockwise(self.source(m, offset), np.asarray)
 
-    def source(self, m: int, offset=None, span: float = 1.0):
+    def source(self, m: int, offset=None):
         """Its blockwise source: exp(Y) on the m^d grid, shifted by offset,
-        as a Synthesis line source, or on the double cover (span 2) its
-        grid, which blockwise takes whole."""
-        if span == 1.0:
-            return Synthesis(self.map if offset is None else translate(self.map, offset), m)
-        return self.grid(m, offset, span)
+        as a Synthesis line source."""
+        return Synthesis(self.map if offset is None else translate(self.map, offset), m)
 
     def inverse(self) -> "ExpFactor":
         return ExpFactor((-1.0) * self.map)
@@ -571,26 +555,32 @@ class ConjugationChain(_WholeFactor):
             q = quat_mul(q, f.evaluate_at(x))
         return q
 
-    def prefix_grids(self, m: int, offset=None, span: float = 1.0):
+    def prefix_grids(self, m: int, offset=None):
         """Grids (read-only views) of the application-order prefixes: the
         oldest factor's grid, then prefix i+1, the next newer factor's
-        `source` (its grid, or at span 1 an exp factor's Synthesis line
-        source) times prefix i, multiplied into prefix i in place, block by
-        block (su2.blockwise), or into a new grid when prefix i is a
-        constant.  The factor's source is released before the yield, so a
-        caller that transforms a prefix holds one grid beside its transform;
-        a yielded grid is valid until the generator resumes, which may write
-        the next prefix over it."""
+        `source` (its grid, or an exp factor's Synthesis line source) times
+        prefix i, multiplied into prefix i in place, block by block
+        (su2.blockwise), or into a new grid when prefix i is a constant.
+        The factor's source is released before the yield, so a caller that
+        transforms a prefix holds one grid beside its transform; a yielded
+        grid is valid until the generator resumes, which may write the next
+        prefix over it."""
         acc = None
         for f in reversed(self.factors):
-            acc = (f.grid(m, offset, span) if acc is None
-                   else blockwise(f.source(m, offset, span), quat_mul, into=acc))
+            acc = (f.grid(m, offset) if acc is None
+                   else blockwise(f.source(m, offset), quat_mul, into=acc))
             yield np.broadcast_to(acc, (m,) * self.dimension + (4,))
 
     def grid(self, m: int, offset=None, span: float = 1.0) -> np.ndarray:
-        """The whole product: the fold's last prefix (identity if empty)."""
+        """The whole product: the fold's last prefix (identity if empty).
+        At a span other than 1, the direct sums of evaluate_at on the m^d
+        points span * j / m + offset, a reference apart from the fold."""
+        if span != 1.0:
+            offset = np.zeros(self.dimension) if offset is None else np.asarray(offset, dtype=float)
+            axes = np.meshgrid(*(span * np.arange(m) / m + offset[:, None]), indexing="ij")
+            return self.evaluate_at(np.stack(axes, axis=-1))
         last = np.broadcast_to(np.array([1.0, 0.0, 0.0, 0.0]), (m,) * self.dimension + (4,))
-        for last in self.prefix_grids(m, offset, span):
+        for last in self.prefix_grids(m, offset):
             pass
         return last
 

@@ -217,10 +217,11 @@ class NormalForm(SchemeState):
     def chain_prefix_norms(self):
         """Negative-regularity norms of the chain prefixes in application
         order, aligned so that entry i is the full chain as it stood when i
-        factors existed; nan when the grid's m^d points would exceed
-        fourier.GRID_POINTS; empty for an empty chain."""
+        factors existed; nan when the (m / 2)^d points of one period that
+        chain_sobolev_partial samples would exceed fourier.GRID_POINTS;
+        empty for an empty chain."""
         m = 2 * self.chain.content_bound() + 8
-        if m ** self.alpha.dimension > fourier.GRID_POINTS:
+        if (m // 2) ** self.alpha.dimension > fourier.GRID_POINTS:
             return [float("nan")] * len(self.chain)
         return chain_sobolev_partial(
             self.chain, -(self.alpha.dimension + ALGEBRA_DIMENSION), m)

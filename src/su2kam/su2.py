@@ -83,9 +83,7 @@ def point_blocks(shape) -> list:
     blocks, or one per line when the lines are fewer, the lines shared
     equally, so that no block is a short remainder."""
     points = math.prod(shape)
-    if points <= BLOCK_POINTS:
-        return [slice(0, points)]
-    line = shape[-1]
+    line = math.prod(shape[-1:])
     lines = points // line
     count = min(lines, -(-points // BLOCK_POINTS))
     return [slice(line * (lines * i // count), line * (lines * (i + 1) // count))

@@ -70,8 +70,9 @@ def test_analyze_synthesize_roundtrip():
 @given(d=st.integers(1, 3), band=st.integers(0, 4), extra=st.integers(0, 5),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_real_transforms_match_the_complex_reference(d, band, extra, seed):
-    # extra runs over even and odd grids: ExpFactor.grid(span=2) synthesises
-    # at m // 2, which can be odd
+    # extra runs over even and odd grids: chain_sobolev_partial synthesises
+    # its exp factors on one period, h = m / 2 points per axis, which can be
+    # odd
     rng = np.random.default_rng(seed)
     f = random_map(d, band, 1.0, rng, mean_free=False)
     m = 2 * band + 2 + extra
@@ -434,6 +435,21 @@ def test_chain_sobolev_partial_matches_per_prefix_reference(d):
             for norm, hat in zip(norms, hats):
                 ref = float(np.sqrt(np.sum(weight[..., None] * np.abs(hat) ** 2)))
                 assert abs(norm - ref) <= 1e-13 * ref
+
+
+@settings(max_examples=20)
+@given(d=st.integers(1, 2), h=st.integers(1, 12))
+def test_prefixes_flip_by_their_winding_parity_over_one_period(d, h):
+    # the fact that chain_sobolev_partial's twist rests on, by direct sums
+    # on the double cover: a prefix whose torus windings sum to K has
+    # P(x + e_a) = (-1)^(K_a) P(x), a shift of h points on the (2h)^d grid
+    for prefix in _mixed_chain(d).application_prefixes():
+        winding = sum(np.array(f.winding) for f in prefix.factors
+                      if isinstance(f, TorusMorphism))
+        cover = prefix.grid(2 * h, span=2.0)
+        for a in range(d):
+            flipped = (-1.0) ** winding[a] * cover
+            assert np.max(np.abs(np.roll(cover, -h, axis=a) - flipped)) <= 1e-14
 
 
 def test_chain_sobolev_partial_builds_each_factor_grid_once(monkeypatch):

@@ -828,9 +828,16 @@ def test_prefix_norms_are_nan_past_the_grid_point_bound(monkeypatch):
     phi = Cocycle(alpha2, GroupElement(torus_quat(0.23)), random_map(2, 2, 1e-5, rng))
     nf = run_scheme(phi, SchemeParams(n0=4, max_steps=6))
     m = 2 * nf.chain.content_bound() + 8
-    assert len(nf.chain) > 0 and np.all(np.isfinite(nf.chain_prefix_norms()))
-    # the bound is on m^d points, not on the axis length m
-    monkeypatch.setattr(fourier, "GRID_POINTS", m ** 2 - 1)
+    unbounded = nf.chain_prefix_norms()
+    assert len(nf.chain) > 0 and np.all(np.isfinite(unbounded))
+    # the bound is on the (m / 2)^d points of one period that
+    # chain_sobolev_partial samples, not on the m^d of the double cover
+    s = -(nf.alpha.dimension + kam.ALGEBRA_DIMENSION)
+    for points in (m ** 2 - 1, (m // 2) ** 2):
+        monkeypatch.setattr(fourier, "GRID_POINTS", points)
+        assert nf.chain_prefix_norms() == unbounded == chain_sobolev_partial(nf.chain, s, m)
+    # nor on the axis length m
+    monkeypatch.setattr(fourier, "GRID_POINTS", (m // 2) ** 2 - 1)
     assert m < fourier.GRID_POINTS
     norms = nf.chain_prefix_norms()
     assert len(norms) == len(nf.chain) and np.all(np.isnan(norms))

@@ -7,17 +7,17 @@ bits as its interleaved form, written out here as the reference, on
 interleaved, component-major and broadcast-constant inputs.  The transform
 references run np.fft.irfftn and rfftn over every column, so they also pin
 the pruned transforms, at small sizes and at the scheme's grid sizes.  The
-grid passes that run block by block (su2.blockwise), the line sources that
-build their grids a block of lines at a time (exp of a synthesis, an exp
-factor shifted), the exp factor's double cover tiled by broadcasting, the
-logarithms written over the samples or kept to row e, the quaternion mean's
-running sum and the transforms that take one component at a time beyond one
-block are run at one block and at blocks that split every grid, and give the
-same bits; a probe line source checks that blockwise lets go of each block's
-pass results before it builds the next block.  The chain prefix norms, which
-fold on one period and twist each prefix by its winding parity, give the
-same bits at every block size, and agree with the double-cover computation
-they replaced, kept here as the reference, to 1e-15 relative.
+grid passes that run block by block (su2.blockwise), the line sources
+that build their grids a block of lines at a time (exp of a synthesis, an
+exp factor shifted), the logarithms written over the samples or kept to row
+e, the quaternion mean's running sum and the transforms that take one
+component at a time beyond one block are run at one block and at blocks that
+split every grid, and give the same bits; a probe line source checks that
+blockwise lets go of each block's pass results before it builds the next
+block.  The chain prefix norms, which fold on one period and twist each
+prefix by its winding parity, give the same bits at every block size, and
+agree with the double-cover computation they replaced, kept here as the
+reference on the double cover's direct sums, to 1e-15 relative.
 """
 
 import math
@@ -145,15 +145,11 @@ def old_analyze(samples, band):
     return AlgebraMap(d, band, np.concatenate([flipped, half], axis=d - 1)).symmetrized()
 
 
-def old_prefix_grids(chain, m, span):
-    """The fold with each factor's grid whole, an exp factor's double cover
-    tiled by np.tile, and each product a new grid."""
+def old_prefix_grids(chain, m):
+    """The fold with each factor's grid whole, and each product a new grid."""
     acc = None
     for f in reversed(chain.factors):
-        if isinstance(f, ExpFactor) and span == 2.0:
-            g = np.tile(f.grid(m // 2), (2,) * chain.dimension + (1,))
-        else:
-            g = f.grid(m, span=span)
+        g = f.grid(m)
         acc = g if acc is None else quat_mul(g, acc)
         yield np.broadcast_to(acc, (m,) * chain.dimension + (4,))
 
@@ -173,7 +169,8 @@ def old_fiber_mean(samples):
 
 
 def old_chain_sobolev_partial(chain, s, m):
-    """The prefix norms on the m^d double cover, by a real FFT."""
+    """The prefix norms on the m^d double cover, its direct sums, by a
+    real FFT."""
     d = chain.dimension
     freqs = [np.fft.fftfreq(m, d=1.0 / m) / 2.0] * (d - 1) + [np.fft.rfftfreq(m, d=1.0 / m) / 2.0]
     k2 = sum(g ** 2 for g in np.ix_(*freqs))
@@ -181,8 +178,8 @@ def old_chain_sobolev_partial(chain, s, m):
     twice[[0, -1]] = 1.0
     weight = (1.0 + k2) ** s * twice
     norms = []
-    for samples in chain.prefix_grids(m, span=2.0):
-        samples = np.ascontiguousarray(samples)  # the interleaved grid
+    for prefix in chain.application_prefixes():
+        samples = np.ascontiguousarray(prefix.grid(m, span=2.0))  # the interleaved grid
         hat = np.fft.rfftn(samples, axes=tuple(range(d))) / float(m) ** d
         norms.append(float(np.sqrt(np.sum(weight[..., None] * np.abs(hat) ** 2))))
     return norms
@@ -208,10 +205,8 @@ def test_grids_are_component_major(d):
     winding = tuple(range(1, d + 1))
     offset = np.full(d, 0.3)
     _assert_component_major(TorusMorphism(winding).grid(m), shape + (4,))
-    _assert_component_major(TorusMorphism(winding).grid(m, offset, span=2.0), shape + (4,))
     _assert_component_major(ExpFactor(y).grid(m), shape + (4,))
     _assert_component_major(ExpFactor(y).grid(m, offset), shape + (4,))
-    _assert_component_major(ExpFactor(y).grid(m, span=2.0), shape + (4,))
     phi = Cocycle(Frequency(FREQUENCY[:d]), GroupElement(const), random_map(d, 2, 1e-3, rng))
     _assert_component_major(phi.fiber_grid(m), shape + (4,))
     chain = ConjugationChain((ExpFactor(y), TorusMorphism(winding)), d)
@@ -391,17 +386,11 @@ def _line_blocks(source, points):
 def test_line_sources_keep_their_bits(d, m):
     # a synthesis against exp of synthesize, and an exp factor's shifted
     # grid against exp of its translated map's synthesis; every block, and
-    # the grid built from them, at one block and split.  The exp factor's
-    # double cover, its period tiled by broadcasting, against np.tile
+    # the grid built from them, at one block and split
     rng = np.random.default_rng(m)
     f = random_map(d, (m - 2) // 2, 1.0, rng, mean_free=False)
     y = ExpFactor(random_map(d, 1, 0.1, rng))
     offset = np.array(FREQUENCY[:d])
-    tiled = np.tile(y.grid(m), (2,) * d + (1,))
-    for points in (ONE_BLOCK, SPLIT):
-        cover = _at_blocks(points, y.grid, 2 * m, None, 2.0)
-        assert np.array_equal(cover, tiled)
-        _assert_component_major(cover, tiled.shape)
     for source, reference in (
             (Synthesis(f, m), alg_exp_quat(synthesize(f, m))),
             (y.source(m, offset), alg_exp_quat(synthesize(translate(y.map, offset), m)))):
@@ -418,19 +407,16 @@ def test_line_sources_keep_their_bits(d, m):
 
 @pytest.mark.parametrize("d, m", [(1, 12), (2, 12), (2, 24), (3, 8)])
 def test_prefix_fold_over_line_blocks_keeps_its_bits(d, m):
-    # each exp factor's synthesis, on one period, or its double cover goes
-    # block by block into the prefix, or into a new grid after a constant
-    # prefix
+    # each exp factor's synthesis goes block by block into the prefix, or
+    # into a new grid after a constant prefix
     rng = np.random.default_rng(m)
     chain = _prefix_chain(d, rng)
     chain = ConjugationChain(chain.factors[:1] + chain.factors, d)
-    for size, span in ((m, 1.0), (2 * m, 2.0)):
-        reference = [p.copy() for p in old_prefix_grids(chain, size, span)]
-        for points in (ONE_BLOCK, SPLIT):
-            folded = _at_blocks(points, lambda: [p.copy()
-                                                 for p in chain.prefix_grids(size, None, span)])
-            assert len(folded) == len(reference) == len(chain)
-            assert all(np.array_equal(a, b) for a, b in zip(folded, reference))
+    reference = [p.copy() for p in old_prefix_grids(chain, m)]
+    for points in (ONE_BLOCK, SPLIT):
+        folded = _at_blocks(points, lambda: [p.copy() for p in chain.prefix_grids(m)])
+        assert len(folded) == len(reference) == len(chain)
+        assert all(np.array_equal(a, b) for a, b in zip(folded, reference))
 
 
 @pytest.mark.parametrize("d, m", [(1, 72), (2, 12), (2, 88), (3, 7)])

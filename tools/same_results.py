@@ -9,9 +9,10 @@ peak memory of the largest runs.
     python3 tools/same_results.py check
     python3 tools/same_results.py peaks
 
-`lines` prints the code lines of each module of `src/su2kam` and their
-total.  A code line holds a token that is not a comment, outside the
-docstrings.
+`lines` prints the code lines and the source bytes of each module of
+`src/su2kam`, and their totals.  A code line holds a token that is not a
+comment, outside the docstrings; the bytes count the whole file, which
+Python compiles when no bytecode is cached.
 
 `digests` runs the fixed configs through `su2kam run --config`, with the
 package of the checkout that holds this file, in a temporary directory
@@ -107,12 +108,13 @@ def code_lines(path: Path) -> int:
 
 
 def lines() -> int:
-    total = 0
+    total = size = 0
     for path in sorted(PACKAGE.glob("*.py")):
-        count = code_lines(path)
+        count, nbytes = code_lines(path), path.stat().st_size
         total += count
-        print("%-14s %5d" % (path.stem, count))
-    print("%-14s %5d" % ("total", total))
+        size += nbytes
+        print("%-14s %5d %8d B" % (path.stem, count, nbytes))
+    print("%-14s %5d %8d B" % ("total", total, size))
     return 0
 
 
